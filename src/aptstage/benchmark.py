@@ -25,14 +25,12 @@ from .telemetry import (
 from .training import (
     FinetuneConfig,
     PretrainConfig,
-    Trace,
-    WindowRecord,
+    featurize_trace,
     finetune,
-    predict_trace,
+    predict_traces,
     pretrain,
 )
 from .evaluation import classification_metrics, flip_rate_over_traces
-from .features import featurize_graph
 
 
 @dataclass
@@ -95,27 +93,8 @@ def build_corpus(cfg: BenchmarkConfig):
     return out
 
 
-def _featurized_traces(corpus, vocab, stats, fcfg):
-    traces = []
-    for i, (events, alerts, labels) in enumerate(corpus):
-        graphs = build_graph_sequence(events, alerts)
-        windows = [
-            WindowRecord(*featurize_graph(g, vocab, stats, fcfg), graph=g,
-                         label=labels[w])
-            for w, g in enumerate(graphs)
-        ]
-        traces.append(Trace(trace_id=f"trace{i:03d}", windows=windows))
-    return traces
-
-
 def _evaluate(traces, store, mcfg):
-    y_true, y_pred, sequences = [], [], []
-    for tr in traces:
-        probs = predict_trace(tr, store, mcfg)
-        pred = probs.argmax(axis=1)
-        sequences.append(pred)
-        y_pred.extend(int(v) for v in pred)
-        y_true.extend(w.label for w in tr.windows)
+    y_true, y_pred, _, sequences = predict_traces(traces, store, mcfg)
     metrics = classification_metrics(y_true, y_pred, mcfg.num_classes)
     return metrics["macro_f1"], flip_rate_over_traces(sequences), metrics
 
@@ -130,16 +109,12 @@ def run_benchmark(cfg: BenchmarkConfig | None = None) -> dict:
     label_set = sorted({k for _, _, labels in corpus for k in labels})
 
     n_val = max(1, int(round(cfg.val_fraction * len(corpus))))
-    train_corpus, val_corpus = corpus[:-n_val], corpus[-n_val:]
-
-    train_graphs = []
-    for events, alerts, _ in train_corpus:
-        train_graphs.extend(build_graph_sequence(events, alerts))
-    vocab, stats = fit_vocab_and_stats(train_graphs, cfg.model.featurizer)
-
+    graphs = [build_graph_sequence(events, alerts) for events, alerts, _ in corpus]
     fcfg = cfg.model.featurizer
-    train_traces = _featurized_traces(train_corpus, vocab, stats, fcfg)
-    val_traces = _featurized_traces(val_corpus, vocab, stats, fcfg)
+    vocab, stats = fit_vocab_and_stats([g for gs in graphs[:-n_val] for g in gs], fcfg)
+    traces = [featurize_trace(f"trace{i:03d}", gs, labels, vocab, stats, fcfg)
+              for i, (gs, (_, _, labels)) in enumerate(zip(graphs, corpus))]
+    train_traces, val_traces = traces[:-n_val], traces[-n_val:]
 
     mcfg = replace(cfg.model, seed=cfg.seed)
     labeled = train_traces[: cfg.labeled_traces] if cfg.labeled_traces else train_traces

@@ -17,8 +17,7 @@ import csv
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from .config import PipelineConfig, apply_overrides, load_config
 from .errors import (
@@ -56,9 +55,10 @@ from .encoder import encode_packed, pack_graphs, write_attention_csv
 from .telemetry import dump_jsonl, generate_scenario, parse_alerts, parse_host_events
 from .training import (
     Trace,
-    WindowRecord,
+    featurize_trace,
     finetune,
     predict_trace,
+    predict_traces,
     pretrain,
 )
 
@@ -161,16 +161,6 @@ def _load_labels(cfg: PipelineConfig, n_windows: int):
     return [labels[i] for i in range(n_windows)]
 
 
-def _assemble_trace(graphs, vocab, stats, fcfg, labels=None) -> Trace:
-    records = []
-    for i, g in enumerate(graphs):
-        X, Z = featurize_graph(g, vocab, stats, fcfg)
-        records.append(WindowRecord(
-            X=X, Z=Z, graph=g,
-            label=None if labels is None else labels[i]))
-    return Trace(trace_id="trace0", windows=records)
-
-
 def _load_model_checkpoint(path: str, cfg: PipelineConfig, spec_hash: str,
                            producer_stage: str):
     _require(path, cfg, producer_stage)
@@ -188,7 +178,7 @@ def _checkpoint_meta(cfg: PipelineConfig, spec_hash: str, stage: str) -> dict:
     return {
         "config_hash": cfg.config_hash(),
         "feature_spec_hash": spec_hash,
-        "model": cfg.model.to_dict(),
+        "model": asdict(cfg.model),
         "stage": stage,
     }
 
@@ -247,7 +237,7 @@ def cmd_fit_features(cfg: PipelineConfig) -> None:
 def cmd_pretrain(cfg: PipelineConfig) -> None:
     graphs = _load_graphs(cfg)
     vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    trace = _assemble_trace(graphs, vocab, stats, fcfg)
+    trace = featurize_trace("trace0", graphs, None, vocab, stats, fcfg)
     store = build_param_store(cfg.model)
     result = pretrain([trace], store, cfg.model, cfg.pretrain)
     ckpt = cfg.path(ARTIFACTS["pretrain_ckpt"])
@@ -265,7 +255,7 @@ def cmd_finetune(cfg: PipelineConfig) -> None:
     graphs = _load_graphs(cfg)
     vocab, stats, fcfg, spec_hash = _load_spec(cfg)
     labels = _load_labels(cfg, len(graphs))
-    trace = _assemble_trace(graphs, vocab, stats, fcfg, labels)
+    trace = featurize_trace("trace0", graphs, labels, vocab, stats, fcfg)
     store, mcfg = _load_model_checkpoint(
         cfg.path(ARTIFACTS["pretrain_ckpt"]), cfg, spec_hash, "pretrain")
     result = finetune([trace], store, mcfg, cfg.finetune)
@@ -291,28 +281,21 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
     graphs = _load_graphs(cfg)
     vocab, stats, fcfg, spec_hash = _load_spec(cfg)
     labels = _load_labels(cfg, len(graphs))
-    trace = _assemble_trace(graphs, vocab, stats, fcfg, labels)
+    trace = featurize_trace("trace0", graphs, labels, vocab, stats, fcfg)
     ckpt_path = cfg.path(ARTIFACTS["pretrain_ckpt"])
     blocks = _fold_traces(trace, cfg.folds)
 
     def fit_eval(train_blocks, test_blocks):
         store, mcfg = _load_model_checkpoint(ckpt_path, cfg, spec_hash, "pretrain")
         finetune(train_blocks, store, mcfg, cfg.finetune)
-        y_true, y_pred, probs, sequences = [], [], [], []
-        for block in test_blocks:
-            p = predict_trace(block, store, mcfg)
-            pred = p.argmax(axis=1)
-            sequences.append(pred)
-            y_pred.extend(int(v) for v in pred)
-            y_true.extend(w.label for w in block.windows)
-            probs.append(p)
+        y_true, y_pred, probs, sequences = predict_traces(test_blocks, store, mcfg)
         m = classification_metrics(y_true, y_pred, mcfg.num_classes)
         return {
             "macro_f1": m["macro_f1"],
             "macro_precision": m["macro_precision"],
             "macro_recall": m["macro_recall"],
             "accuracy": m["accuracy"],
-            "aupr": aupr(y_true, np.concatenate(probs, axis=0), mcfg.num_classes),
+            "aupr": aupr(y_true, probs, mcfg.num_classes),
             "tfr": flip_rate_over_traces(sequences),
         }
 
@@ -332,7 +315,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 def cmd_infer(cfg: PipelineConfig) -> None:
     graphs = _load_graphs(cfg)
     vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    trace = _assemble_trace(graphs, vocab, stats, fcfg)
+    trace = featurize_trace("trace0", graphs, None, vocab, stats, fcfg)
     store, mcfg = _load_model_checkpoint(
         cfg.path(ARTIFACTS["finetune_ckpt"]), cfg, spec_hash, "finetune")
     probs = predict_trace(trace, store, mcfg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ValidationError
 from .model import ModelConfig
@@ -27,15 +27,6 @@ class ScenarioSettings:
     benign_event_rate: float = 0.05
     attack_event_rate: float = 0.2
     schedule: list | None = None  # [[stage, start, end], ...]; None → default campaign
-
-    def to_dict(self) -> dict:
-        return {
-            "num_hosts": self.num_hosts,
-            "duration": self.duration,
-            "benign_event_rate": self.benign_event_rate,
-            "attack_event_rate": self.attack_event_rate,
-            "schedule": self.schedule,
-        }
 
     def build(self, seed: int) -> ScenarioConfig:
         if self.schedule is None:
@@ -84,19 +75,7 @@ class PipelineConfig:
         return explicit if explicit else os.path.join(self.workdir, name)
 
     def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "workdir": self.workdir,
-            "events": self.events,
-            "alerts": self.alerts,
-            "labels": self.labels,
-            "scenario": self.scenario.to_dict(),
-            "model": self.model.to_dict(),
-            "pretrain": self.pretrain.to_dict(),
-            "finetune": self.finetune.to_dict(),
-            "folds": self.folds,
-            "seed": self.seed,
-        }
+        return {"version": CONFIG_VERSION, **asdict(self)}
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":

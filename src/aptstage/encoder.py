@@ -173,32 +173,6 @@ class EncodeBatch:
     packed: PackedGraphs
 
 
-@dataclass
-class EncodeResult:
-    embedding: Tensor    # (d_g,)
-    alpha: Tensor        # (n,)
-    node_states: Tensor  # (n, d_h)
-
-
-def encode_graph(X: np.ndarray, Z: np.ndarray, graph, store, layers: int = LAYERS) -> EncodeResult:
-    """Single-window convenience wrapper around encode_packed."""
-    batch = encode_packed(pack_graphs([(X, Z, graph)]), store, layers=layers)
-    d_g = batch.g.data.shape[1]
-    return EncodeResult(
-        embedding=reshape(batch.g, (d_g,)),
-        alpha=batch.alpha,
-        node_states=batch.node_states,
-    )
-
-
-def message_passing_layer(graph, h, z_tilde, weights: dict, activation=_relu) -> Tensor:
-    """Single-graph single-layer update; h: (|V|, d_h), z_tilde: (|E|, d_h)."""
-    packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), np.zeros((len(graph.edges), 0)), graph)])
-    return message_passing_packed(packed, as_tensor(h) if not isinstance(h, Tensor) else h,
-                                  as_tensor(z_tilde) if not isinstance(z_tilde, Tensor) else z_tilde,
-                                  weights, activation)
-
-
 def encoder_param_spec(d_x: int, d_e: int, d_h: int, d_g: int, layers: int = LAYERS) -> dict:
     spec = {
         "proj.Wx": (d_h, d_x),

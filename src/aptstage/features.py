@@ -15,11 +15,11 @@ import math
 import re
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, DimensionError, FitError, InputError
+from .errors import CompatibilityError, FitError, InputError
 from .graphs import (
     NUM_RELATIONS,
     WINDOW_SECONDS,
@@ -142,14 +142,6 @@ class FeaturizerConfig:
     def edge_dim(self) -> int:
         return self.e_aproto + len(_PROTOCOLS)
 
-    def to_dict(self) -> dict:
-        return {
-            "d_cmd": self.d_cmd,
-            "user_buckets": self.user_buckets,
-            "subnet_buckets": self.subnet_buckets,
-            "category_buckets": self.category_buckets,
-        }
-
 
 @dataclass
 class FeatureVocab:
@@ -253,13 +245,6 @@ def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     return vocab, ZScoreStats(mean=mean, std=std)
 
 
-def _node_index(graph: ProvenanceGraph, node) -> int:
-    for i, cand in enumerate(graph.nodes):
-        if cand.key == node.key:
-            return i
-    raise InputError(f"node {node.key!r} not in graph")
-
-
 def _fill_node_row(row, node, stat_row, graph, vocab, stats, cfg) -> None:
     row[cfg.n_type + _KIND_ORDER[node.kind]] = 1.0
     if node.kind is NodeKind.ALERT:
@@ -290,14 +275,6 @@ def _fill_node_row(row, node, stat_row, graph, vocab, stats, cfg) -> None:
             row[cfg.n_stat + j] = stats.apply(j, stat_row[j])
 
 
-def featurize_node(node, graph: ProvenanceGraph, vocab, stats,
-                   config: FeaturizerConfig = FeaturizerConfig()) -> np.ndarray:
-    idx = _node_index(graph, node)
-    row = np.zeros(config.node_dim)
-    _fill_node_row(row, node, node_stats(graph)[idx], graph, vocab, stats, config)
-    return row
-
-
 def _fill_edge_row(row, edge, max_count, graph, stats, cfg) -> None:
     row[cfg.e_type + _RELATION_ORDER[edge.relation]] = 1.0
     row[cfg.e_freq] = edge.count / max_count
@@ -309,16 +286,6 @@ def _fill_edge_row(row, edge, max_count, graph, stats, cfg) -> None:
         row[cfg.e_asev] = src.attrs.get("severity", 0.0)
         proto = src.attrs.get("protocol", "other")
         row[cfg.e_aproto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
-
-
-def featurize_edge(edge, graph: ProvenanceGraph, stats,
-                   config: FeaturizerConfig = FeaturizerConfig()) -> np.ndarray:
-    if edge not in graph.edges:
-        raise InputError("edge not in graph")
-    row = np.zeros(config.edge_dim)
-    max_count = max(e.count for e in graph.edges)
-    _fill_edge_row(row, edge, max_count, graph, stats, config)
-    return row
 
 
 def featurize_graph(graph: ProvenanceGraph, vocab, stats,
@@ -338,47 +305,6 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
     return X, Z
 
 
-@dataclass
-class ProjectionParams:
-    W_x: np.ndarray
-    b_x: np.ndarray
-    W_z: np.ndarray
-    b_z: np.ndarray
-
-    def validate(self, d_x: int, d_e: int) -> None:
-        d_h = self.W_x.shape[0]
-        expect = {
-            "W_x": (d_h, d_x),
-            "b_x": (d_h,),
-            "W_z": (d_h, d_e),
-            "b_z": (d_h,),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.isfinite(arr).all():
-                raise DimensionError(f"{name} contains non-finite entries")
-
-
-@dataclass
-class FeaturizedGraph:
-    node_features: np.ndarray  # |V| × d_h
-    edge_features: np.ndarray  # |E| × d_h
-    graph: ProvenanceGraph
-
-
-def project(X: np.ndarray, Z: np.ndarray, params: ProjectionParams,
-            graph: ProvenanceGraph | None = None) -> FeaturizedGraph:
-    """x̃ = W_x·x + b_x and z̃ = W_z·z + b_z, row-wise."""
-    params.validate(X.shape[1], Z.shape[1])
-    return FeaturizedGraph(
-        node_features=X @ params.W_x.T + params.b_x,
-        edge_features=Z @ params.W_z.T + params.b_z,
-        graph=graph,
-    )
-
-
 # --- persistence ("feature spec" artifact) ---
 
 def _spec_payload(vocab: FeatureVocab, stats: ZScoreStats, config: FeaturizerConfig) -> dict:
@@ -387,7 +313,7 @@ def _spec_payload(vocab: FeatureVocab, stats: ZScoreStats, config: FeaturizerCon
         cols[col] = tok
     return {
         "version": FEATURE_SPEC_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "vocab": {"tokens": cols, "idf": [float(v) for v in vocab.idf]},
         "stats": {
             "columns": list(CONTINUOUS_COLUMNS),

@@ -15,7 +15,7 @@ from .estimator import (
     recurrent_forward,
 )
 from .features import FeaturizerConfig
-from .nn import ParamStore, gather_rows, init_params, no_grad
+from .nn import ParamStore, init_params, no_grad
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,6 @@ class ModelConfig:
             dropout=self.dropout,
             num_classes=self.num_classes,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "featurizer": self.featurizer.to_dict(),
-            "d_h": self.d_h,
-            "d_g": self.d_g,
-            "gnn_layers": self.gnn_layers,
-            "hidden": self.hidden,
-            "lstm_layers": self.lstm_layers,
-            "dropout": self.dropout,
-            "num_classes": self.num_classes,
-            "seed": self.seed,
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
@@ -84,22 +71,6 @@ def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
     tensor (row order follows the input order)."""
     packed = pack_graphs(window_feats)
     return encode_packed(packed, store, layers=cfg.gnn_layers)
-
-
-def sequence_batch_forward(window_feats, seq_rows: np.ndarray, store: ParamStore,
-                           cfg: ModelConfig, mode: str = "eval",
-                           dropout_seed: int = 0):
-    """Encode unique windows once, assemble `seq_rows` (B, L) of row indices
-    into sequence-major inputs, and run the recurrence.
-
-    Returns (g_seq, h_top): both (B*L, ·), row b*L+t."""
-    batch_enc = encode_windows(window_feats, store, cfg)
-    flat = np.asarray(seq_rows, dtype=np.int64).ravel()
-    g_seq = gather_rows(batch_enc.g, flat)
-    h_top = recurrent_forward(g_seq, store, cfg.estimator, mode=mode,
-                              dropout_seed=dropout_seed,
-                              batch=int(np.asarray(seq_rows).shape[0]))
-    return g_seq, h_top
 
 
 def infer_probabilities(window_feats, store: ParamStore, cfg: ModelConfig) -> np.ndarray:

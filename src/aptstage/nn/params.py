@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from ..errors import ParamRegistryError
-from .tensor import Tensor, default_dtype
+from .tensor import DTYPE, Tensor
 
 
 class ParamStore:
@@ -20,7 +20,7 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ParamRegistryError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(values, dtype=default_dtype()), requires_grad=True)
+        t = Tensor(np.asarray(values, dtype=DTYPE), requires_grad=True)
         self._tensors[name] = t
         return t
 

@@ -3,8 +3,7 @@
 A Tensor wraps an ndarray plus a closure that routes an incoming adjoint to
 its parents. Tapes are rebuilt on every forward pass; parameters are leaf
 tensors whose .data the optimizer mutates in place. Everything runs in
-float64 by default (tests rely on it); set_default_dtype switches the
-precision of newly created tensors.
+float64 (DTYPE); the oracle tests compare against it at 1e-12.
 """
 from __future__ import annotations
 
@@ -12,17 +11,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
+DTYPE = np.float64
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype).type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextmanager
@@ -41,7 +31,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

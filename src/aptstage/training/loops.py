@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import TrainingError, ValidationError
 from ..estimator import classify, predict_next, recurrent_forward
 from ..evaluation import macro_f1
+from ..features import featurize_graph
 from ..model import (
     FREEZE_ENCODER,
     FREEZE_LOWER_RECURRENT,
@@ -73,9 +74,6 @@ class PretrainConfig:
         if self.batch < 1 or self.epochs < 1 or self.clip <= 0:
             raise ValidationError("batch, epochs and clip must be positive")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class FinetuneConfig:
@@ -104,9 +102,6 @@ class FinetuneConfig:
             raise ValidationError("val_fraction must be in (0, 1)")
         if self.phase1_lr < 0 or self.phase2_lr < 0 or self.weight_decay < 0:
             raise ValidationError("rates must be non-negative")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def curriculum_length(start: int, end: int, epoch: int, total_epochs: int) -> int:
@@ -178,6 +173,38 @@ def _anchor_rows(B: int, L: int) -> np.ndarray:
     return (np.arange(L - 1)[None, :] + np.arange(B)[:, None] * L).ravel()
 
 
+def _batch_forward(batch, traces, cache, store, mcfg: ModelConfig, dropout_seed: int):
+    """Train-mode forward of one batch up to the recurrence: encode its unique
+    windows (or read them from the frozen-encoder cache), lay them out as
+    sequence-major rows and run the LSTM. Returns (g_all, seq_rows, g_seq, h):
+    unique embeddings, the (B, L) row matrix into them, and the (B*L, ·)
+    recurrence inputs and top-layer states."""
+    refs, seq_rows = _batch_layout(batch)
+    if cache is None:
+        g_all = encode_windows([(traces[ti].windows[w].X, traces[ti].windows[w].Z,
+                                 traces[ti].windows[w].graph) for ti, w in refs],
+                               store, mcfg).g
+    else:
+        g_all = as_tensor(np.stack([cache[ti][w] for ti, w in refs]))
+    g_seq = gather_rows(g_all, seq_rows.ravel())
+    h = recurrent_forward(g_seq, store, mcfg.estimator, mode="train",
+                          dropout_seed=dropout_seed, batch=seq_rows.shape[0])
+    return g_all, seq_rows, g_seq, h
+
+
+def _optimizer_step(loss, store, adam: AdamState, lr: float, weight_decay: float,
+                    clip: float, frozen, where: str) -> None:
+    """zero_grad, backward, global-norm clip and Adam. A non-finite loss or
+    gradient norm stops training: a NaN norm would otherwise scale every
+    gradient to NaN, and an infinite one would scale them to 0·inf."""
+    store.zero_grad()
+    loss.backward()
+    scale = clip_gradients(store, clip)
+    if not (np.isfinite(loss.data) and scale > 0.0):
+        raise TrainingError(f"non-finite loss or gradient norm at {where}")
+    adam_step(store, adam, lr=lr, weight_decay=weight_decay, frozen=frozen)
+
+
 def _embedding_cache(traces, store, mcfg: ModelConfig):
     """Per-trace g_t matrices computed once; only valid while encoder and
     projection parameters stay frozen."""
@@ -217,56 +244,44 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
     adam = AdamState()
     result = PretrainResult()
 
+    def train_batch(batch, epoch: int, bi: int):
+        """One optimizer step; returns (L_pred, L_ctr, anchors) as plain
+        numbers so no tape outlives the step."""
+        g_all, seq_rows, g_seq, h = _batch_forward(
+            batch, traces, cache, store, mcfg, _dropout_seed(cfg.seed, 13, epoch, bi))
+        B, L = seq_rows.shape
+        arows = _anchor_rows(B, L)
+        ghat = predict_next(gather_rows(h, arows), store)
+        g_target = gather_rows(g_seq, arows + 1)
+
+        l_pred = loss_pred(ghat, g_target)
+
+        # min_len=2 gives every batch at least two unique windows (U >= 2)
+        U = g_all.data.shape[0]
+        pos_unique = seq_rows.ravel()[arows + 1]
+        neg_rng = _derive_seed(cfg.seed, 17, epoch, bi)
+        S = arows.shape[0]
+        draw = neg_rng.integers(0, U - 1, size=(S, cfg.negatives))
+        draw = draw + (draw >= pos_unique[:, None])  # uniform over pool minus positive
+        counts = np.zeros((S, U))
+        np.add.at(counts, (np.repeat(np.arange(S), cfg.negatives), draw.ravel()), 1.0)
+        # pooled form == explicit (S·K, d) gather, without materializing it
+        l_ctr = loss_contrastive_pooled(ghat, g_target, g_all, counts, tau=cfg.tau)
+
+        loss = as_tensor(cfg.lambda_pred) * l_pred + as_tensor(cfg.lambda_ctr) * l_ctr
+        _optimizer_step(loss, store, adam, cfg.lr, cfg.weight_decay, cfg.clip, frozen,
+                        f"pretrain epoch {epoch} batch {bi}")
+        return float(l_pred.data), float(l_ctr.data), S
+
     for epoch in range(1, cfg.epochs + 1):
         rng = _derive_seed(cfg.seed, 11, epoch)
         sum_pred = sum_ctr = 0.0
         n_anchors = 0
         for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
-            refs, seq_rows = _batch_layout(batch)
-            B, L = seq_rows.shape
-            if cache is None:
-                enc = encode_windows(
-                    [(traces[ti].windows[w].X, traces[ti].windows[w].Z,
-                      traces[ti].windows[w].graph) for ti, w in refs],
-                    store, mcfg)
-                g_all = enc.g
-            else:
-                g_all = as_tensor(np.stack([cache[ti][w] for ti, w in refs]))
-            U = len(refs)
-            if U < 2:
-                continue  # a single repeated window offers no negatives
-            flat = seq_rows.ravel()
-            g_seq = gather_rows(g_all, flat)
-            h = recurrent_forward(
-                g_seq, store, mcfg.estimator, mode="train",
-                dropout_seed=_dropout_seed(cfg.seed, 13, epoch, bi), batch=B)
-            arows = _anchor_rows(B, L)
-            ghat = predict_next(gather_rows(h, arows), store)
-            g_target = gather_rows(g_seq, arows + 1)
-
-            l_pred = loss_pred(ghat, g_target)
-
-            pos_unique = flat[arows + 1]
-            neg_rng = _derive_seed(cfg.seed, 17, epoch, bi)
-            S = arows.shape[0]
-            draw = neg_rng.integers(0, U - 1, size=(S, cfg.negatives))
-            draw = draw + (draw >= pos_unique[:, None])  # uniform over pool minus positive
-            counts = np.zeros((S, U))
-            np.add.at(counts, (np.repeat(np.arange(S), cfg.negatives), draw.ravel()), 1.0)
-            # pooled form == explicit (S·K, d) gather, without materializing it
-            l_ctr = loss_contrastive_pooled(ghat, g_target, g_all, counts, tau=cfg.tau)
-
-            loss = as_tensor(cfg.lambda_pred) * l_pred + as_tensor(cfg.lambda_ctr) * l_ctr
-            store.zero_grad()
-            loss.backward()
-            clip_gradients(store, cfg.clip)
-            adam_step(store, adam, lr=cfg.lr, weight_decay=cfg.weight_decay, frozen=frozen)
-
-            sum_pred += float(l_pred.data) * S
-            sum_ctr += float(l_ctr.data) * S
+            l_pred, l_ctr, S = train_batch(batch, epoch, bi)
+            sum_pred += l_pred * S
+            sum_ctr += l_ctr * S
             n_anchors += S
-        if n_anchors == 0:
-            raise TrainingError("no batch produced anchors; corpus too small")
         mean_pred = sum_pred / n_anchors
         mean_ctr = sum_ctr / n_anchors
         result.loss_log.append({
@@ -283,14 +298,32 @@ def predict_trace(trace, store, mcfg: ModelConfig) -> np.ndarray:
     return infer_probabilities([(w.X, w.Z, w.graph) for w in trace.windows], store, mcfg)
 
 
-def _validation_macro_f1(val_traces, store, mcfg: ModelConfig) -> float:
-    y_true, y_pred = [], []
-    for tr in val_traces:
-        if not tr.windows:
-            continue
-        probs = predict_trace(tr, store, mcfg)
-        y_pred.extend(int(k) for k in probs.argmax(axis=1))
+def predict_traces(traces, store, mcfg: ModelConfig):
+    """Eval-mode predictions over labeled traces, one `predict_trace` each.
+    Returns (y_true, y_pred, probabilities (n_windows, C), per-trace
+    predicted stage sequences)."""
+    y_true, y_pred, probs, sequences = [], [], [np.zeros((0, mcfg.num_classes))], []
+    for tr in traces:
+        p = predict_trace(tr, store, mcfg)
+        pred = p.argmax(axis=1)
         y_true.extend(int(w.label) for w in tr.windows)
+        y_pred.extend(int(k) for k in pred)
+        probs.append(p)
+        sequences.append(pred)
+    return y_true, y_pred, np.concatenate(probs, axis=0), sequences
+
+
+def featurize_trace(trace_id: str, graphs, labels, vocab, stats, config) -> Trace:
+    """A Trace of featurized windows from a time-ordered graph sequence;
+    `labels` holds one stage per window, or is None for unlabeled data."""
+    return Trace(trace_id=trace_id, windows=[
+        WindowRecord(*featurize_graph(g, vocab, stats, config), graph=g,
+                     label=None if labels is None else labels[i])
+        for i, g in enumerate(graphs)])
+
+
+def _validation_macro_f1(val_traces, store, mcfg: ModelConfig) -> float:
+    y_true, y_pred, _, _ = predict_traces(val_traces, store, mcfg)
     if not y_true:
         raise TrainingError("validation split has no labeled windows")
     return macro_f1(y_true, y_pred, num_classes=mcfg.num_classes)
@@ -329,6 +362,19 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
     weights = class_weights(labels, num_classes=mcfg.num_classes)
     result = FinetuneResult(class_weights=weights)
 
+    def train_batch(batch, cache, adam, lr, frozen, phase: str, pi: int, epoch: int, bi: int):
+        """One optimizer step; returns (summed L_sup, rows) as plain numbers
+        so no tape outlives the step."""
+        _, _, _, h = _batch_forward(batch, train_traces, cache, store, mcfg,
+                                    _dropout_seed(cfg.seed, 23 + pi, epoch, bi))
+        p = classify(h, store)
+        y = np.array([train_traces[ti].windows[s + t].label
+                      for ti, s, L in batch for t in range(L)], dtype=np.int64)
+        l_sup = loss_supervised(p, y, weights, eps=cfg.eps)
+        _optimizer_step(l_sup, store, adam, lr, cfg.weight_decay, cfg.clip, frozen,
+                        f"{phase} epoch {epoch} batch {bi}")
+        return float(l_sup.data) * y.shape[0], y.shape[0]
+
     phases = (
         ("phase1", cfg.phase1_epochs, cfg.phase1_lr,
          frozen_names(store, FREEZE_LOWER_RECURRENT + FREEZE_ENCODER)),
@@ -350,30 +396,9 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
             sum_loss = 0.0
             n_rows = 0
             for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
-                refs, seq_rows = _batch_layout(batch)
-                B, L = seq_rows.shape
-                if cache is None:
-                    enc = encode_windows(
-                        [(train_traces[ti].windows[w].X, train_traces[ti].windows[w].Z,
-                          train_traces[ti].windows[w].graph) for ti, w in refs],
-                        store, mcfg)
-                    g_all = enc.g
-                else:
-                    g_all = as_tensor(np.stack([cache[ti][w] for ti, w in refs]))
-                g_seq = gather_rows(g_all, seq_rows.ravel())
-                h = recurrent_forward(
-                    g_seq, store, mcfg.estimator, mode="train",
-                    dropout_seed=_dropout_seed(cfg.seed, 23 + pi, epoch, bi), batch=B)
-                p = classify(h, store)
-                y = np.array([train_traces[ti].windows[s + t].label
-                              for ti, s, L_ in batch for t in range(L_)], dtype=np.int64)
-                l_sup = loss_supervised(p, y, weights, eps=cfg.eps)
-                store.zero_grad()
-                l_sup.backward()
-                clip_gradients(store, cfg.clip)
-                adam_step(store, adam, lr=lr, weight_decay=cfg.weight_decay, frozen=frozen)
-                sum_loss += float(l_sup.data) * y.shape[0]
-                n_rows += y.shape[0]
+                loss, rows = train_batch(batch, cache, adam, lr, frozen, phase, pi, epoch, bi)
+                sum_loss += loss
+                n_rows += rows
 
             if val_metric_fn is not None:
                 val_f1 = float(val_metric_fn(store, phase, epoch))

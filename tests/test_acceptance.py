@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from aptstage.benchmark import BenchmarkConfig, run_benchmark
-from aptstage.encoder import encode_graph, encoder_param_spec, message_passing_layer
+from aptstage.encoder import (
+    encode_packed,
+    encoder_param_spec,
+    message_passing_packed,
+    pack_graphs,
+    project_packed,
+)
 from aptstage.estimator import (
     EstimatorConfig,
     apply_forget_bias,
@@ -29,7 +35,6 @@ from aptstage.evaluation import (
     classification_metrics,
     temporal_flip_rate,
 )
-from aptstage.features import ProjectionParams, project
 from aptstage.graphs import (
     Edge,
     Node,
@@ -140,28 +145,32 @@ def test_criterion_2_equation_oracles():
         worst = max(worst, abs(float(loss_contrastive(a, pos, neg, tau=0.2).data)
                                - total / S))
 
-        # project
+        # project_packed
         d_x, d_e, d_h, n, m = 3, 2, 4, 2, 2
-        params = ProjectionParams(W_x=rng.normal(size=(d_h, d_x)),
-                                  b_x=rng.normal(size=d_h),
-                                  W_z=rng.normal(size=(d_h, d_e)),
-                                  b_z=rng.normal(size=d_h))
+        pstore = ParamStore()
+        for name, shape in (("proj.Wx", (d_h, d_x)), ("proj.bx", (d_h,)),
+                            ("proj.Wz", (d_h, d_e)), ("proj.bz", (d_h,))):
+            pstore.add(name, rng.normal(size=shape))
+        W_x, b_x = pstore.tensor("proj.Wx").data, pstore.tensor("proj.bx").data
         X, Z = rng.normal(size=(n, d_x)), rng.normal(size=(m, d_e))
-        out = project(X, Z, params)
+        pg = ProvenanceGraph(0, 0.0, _random_graph(rng, n, 0).nodes,
+                             (Edge(Relation.SELF_LOOP, 0, 0, 0.0),) * m)
+        node_features = project_packed(pack_graphs([(X, Z, pg)]), pstore)[0].data
         for i in range(n):
             for k in range(d_h):
-                want = params.b_x[k] + sum(params.W_x[k, j] * X[i, j]
-                                           for j in range(d_x))
-                worst = max(worst, abs(out.node_features[i, k] - want))
+                want = b_x[k] + sum(W_x[k, j] * X[i, j] for j in range(d_x))
+                worst = max(worst, abs(node_features[i, k] - want))
 
-        # message_passing_layer
+        # message_passing_packed
         g = _random_graph(rng, int(rng.integers(2, 5)), int(rng.integers(1, 6)))
         nv, ne = len(g.nodes), len(g.edges)
         h = rng.normal(size=(nv, d_h))
         z = rng.normal(size=(ne, d_h))
         weights = {rel: rng.normal(size=(d_h, 2 * d_h)) for rel in Relation}
-        got = message_passing_layer(
-            g, h, z, {r: as_tensor(W) for r, W in weights.items()}).data
+        packed = pack_graphs([(np.zeros((nv, 0)), np.zeros((ne, 0)), g)])
+        got = message_passing_packed(
+            packed, as_tensor(h), as_tensor(z),
+            {r: as_tensor(W) for r, W in weights.items()}).data
         for i in range(nv):
             acc = np.zeros(d_h)
             for rel, W in weights.items():
@@ -241,8 +250,10 @@ def test_criterion_3_gradient_suite():
     probe = rng.normal(size=d_g)
     enc_store = init_params(encoder_param_spec(d_x, d_e, d_h, d_g), seed=1)
 
+    packed = pack_graphs([(X, Z, g)])
+
     def enc_loss(st):
-        emb = encode_graph(X, Z, g, st).embedding
+        emb = encode_packed(packed, st).g  # (1, d_g)
         return tsum(mul(emb, as_tensor(probe)))
 
     err_a = finite_diff_check(enc_loss, enc_store, max_coords=200, rng_seed=0)
@@ -306,7 +317,7 @@ def test_criterion_4_structural_invariants():
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(8)))
     X = rng.normal(size=(8, d_x))
     Z = rng.normal(size=(len(g.edges), d_e))
-    base = encode_graph(X, Z, g, store)
+    base = encode_packed(pack_graphs([(X, Z, g)]), store)
 
     worst_perm = 0.0
     for _ in range(50):
@@ -316,9 +327,8 @@ def test_criterion_4_structural_invariants():
         edges = tuple(Edge(e.relation, int(perm[e.src]), int(perm[e.dst]),
                            e.timestamp, e.bytes, e.count) for e in g.edges)
         g2 = ProvenanceGraph(0, 0.0, nodes, edges)
-        out = encode_graph(X[order], Z, g2, store)
-        worst_perm = max(worst_perm,
-                         float(np.max(np.abs(out.embedding.data - base.embedding.data))))
+        out = encode_packed(pack_graphs([(X[order], Z, g2)]), store)
+        worst_perm = max(worst_perm, float(np.max(np.abs(out.g.data - base.g.data))))
     assert worst_perm < 1e-10, f"permutation deviation {worst_perm:.3e}"
 
     alpha_err = abs(float(base.alpha.data.sum()) - 1.0)

@@ -14,6 +14,7 @@ from aptstage.config import (
     save_config,
 )
 from aptstage.errors import ValidationError
+from aptstage.features import FeatureVocab, FeaturizerConfig, ZScoreStats, feature_spec_hash
 
 FAST = {
     "scenario": {"num_hosts": 2, "duration": 1800.0},
@@ -189,6 +190,17 @@ def test_config_hash_ignores_paths(tmp_path):
     assert a.config_hash() == b.config_hash()
     c = PipelineConfig(workdir="x", seed=1)
     assert a.config_hash() != c.config_hash()
+
+
+def test_default_hashes_pinned():
+    # artifacts written by earlier releases record these; they must still validate
+    assert PipelineConfig().config_hash() == (
+        "77710bb785978412cd798701897b5c9003db0e1b46403eb050a656e8ab3aaaa9")
+    vocab = FeatureVocab(token_index={"wget": 0, "powershell": 1}, idf=np.array([1.5, 2.25]),
+                         d_cmd=64)
+    stats = ZScoreStats(mean=np.array([1.0, 2.0, 3.0, 4.0]), std=np.array([0.5, 1.0, 0.0, 2.0]))
+    assert feature_spec_hash(vocab, stats, FeaturizerConfig()) == (
+        "60946e038002b0a2a430bed9ba92a9a1034eaf070c9a6ed9902de592fa35581e")
 
 
 def test_config_roundtrip(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 
 from aptstage.encoder import (
     LAYERS,
-    encode_graph,
     encode_packed,
     encoder_param_spec,
-    message_passing_layer,
+    message_passing_packed,
     pack_graphs,
     write_attention_csv,
 )
@@ -34,6 +33,18 @@ def mkgraph(n, rel_edges, kinds=None):
 
 def mkstore(seed=0, layers=LAYERS):
     return init_params(encoder_param_spec(D_X, D_E, D_H, D_G, layers), seed=seed)
+
+
+def encode_one(X, Z, graph, store):
+    """encode_packed on a single window: (embedding (d_g,), alpha, node states)."""
+    batch = encode_packed(pack_graphs([(X, Z, graph)]), store)
+    return batch.g.data[0], batch.alpha.data, batch.node_states.data
+
+
+def message_passing(graph, h, z, weights):
+    """One message_passing_packed round over a single graph."""
+    packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), np.zeros((len(graph.edges), 0)), graph)])
+    return message_passing_packed(packed, as_tensor(h), as_tensor(z), weights)
 
 
 def rand_feats(graph, rng):
@@ -63,7 +74,7 @@ def test_message_passing_matches_scalar_oracle(rng):
     h = rng.normal(size=(4, D_H))
     z = rng.normal(size=(len(g.edges), D_H))
     weights = {rel: rng.normal(size=(D_H, 2 * D_H)) for rel in Relation}
-    got = message_passing_layer(g, h, z, {r: as_tensor(w) for r, w in weights.items()})
+    got = message_passing(g, h, z, {r: as_tensor(w) for r, w in weights.items()})
     want = oracle_layer(g, h, z, weights)
     assert np.max(np.abs(got.data - want)) < 1e-12
 
@@ -76,7 +87,7 @@ def test_duplicate_neighbors_are_averaged(rng):
     W = rng.normal(size=(D_H, 2 * D_H))
     weights = {rel: as_tensor(W if rel is Relation.READ else np.zeros((D_H, 2 * D_H)))
                for rel in Relation}
-    got = message_passing_layer(g, h, z, weights)
+    got = message_passing(g, h, z, weights)
     m0 = W @ np.concatenate([h[0], np.zeros(D_H)])
     m2 = W @ np.concatenate([h[2], np.zeros(D_H)])
     assert np.allclose(got.data[1], np.maximum((m0 + m2) / 2.0, 0.0), atol=1e-12)
@@ -90,7 +101,7 @@ def test_identity_self_loop_preserves_state(rng):
     ident = np.hstack([np.eye(D_H), np.zeros((D_H, D_H))])
     weights = {rel: as_tensor(ident if rel is Relation.SELF_LOOP
                               else np.zeros((D_H, 2 * D_H))) for rel in Relation}
-    got = message_passing_layer(g, h, z, weights)
+    got = message_passing(g, h, z, weights)
     assert np.allclose(got.data, np.maximum(h, 0.0), atol=1e-12)
 
 
@@ -100,13 +111,13 @@ def test_three_layers_reach_exactly_three_hops(rng):
     g = mkgraph(5, edges)
     store = mkstore()
     X, Z = rand_feats(g, rng)
-    base = encode_graph(X, Z, g, store)
+    _, _, base = encode_one(X, Z, g, store)
     X2 = X.copy()
     X2[0] += 1.0  # perturb the path's source node
-    pert = encode_graph(X2, Z, g, store)
+    _, _, pert = encode_one(X2, Z, g, store)
     # node 3 (three hops away) sees the change, node 4 (four hops) cannot
-    assert np.array_equal(base.node_states.data[4], pert.node_states.data[4])
-    assert not np.array_equal(base.node_states.data[3], pert.node_states.data[3])
+    assert np.array_equal(base[4], pert[4])
+    assert not np.array_equal(base[3], pert[3])
 
 
 def permute_graph(g, X, Z, perm):
@@ -124,11 +135,11 @@ def test_embedding_invariant_under_node_relabeling(rng):
                     (Relation.SPAWN, 4, 5), (Relation.EXEC, 5, 0)])
     X, Z = rand_feats(g, rng)
     store = mkstore()
-    base = encode_graph(X, Z, g, store).embedding.data
+    base = encode_one(X, Z, g, store)[0]
     for _ in range(5):
         perm = rng.permutation(6)
         g2, X2, Z2 = permute_graph(g, X, Z, perm)
-        out = encode_graph(X2, Z2, g2, store).embedding.data
+        out = encode_one(X2, Z2, g2, store)[0]
         assert np.max(np.abs(out - base)) < 1e-10
 
 
@@ -148,15 +159,15 @@ def test_attention_weights_sum_to_one_per_graph(rng):
 def test_single_node_gets_full_attention(rng):
     g = mkgraph(1, [])
     X, Z = rand_feats(g, rng)
-    out = encode_graph(X, Z, g, mkstore())
-    assert np.allclose(out.alpha.data, [1.0])
+    _, alpha, _ = encode_one(X, Z, g, mkstore())
+    assert np.allclose(alpha, [1.0])
 
 
 def test_empty_graph_embeds_to_zero():
     g = ProvenanceGraph(0, 0.0, (), ())
-    out = encode_graph(np.zeros((0, D_X)), np.zeros((0, D_E)), g, mkstore())
-    assert np.array_equal(out.embedding.data, np.zeros(D_G))
-    assert np.isfinite(out.embedding.data).all()
+    embedding, _, _ = encode_one(np.zeros((0, D_X)), np.zeros((0, D_E)), g, mkstore())
+    assert np.array_equal(embedding, np.zeros(D_G))
+    assert np.isfinite(embedding).all()
 
 
 def test_packed_batch_equals_single_graph_encodings(rng):
@@ -171,10 +182,10 @@ def test_packed_batch_equals_single_graph_encodings(rng):
     batch = encode_packed(packed, store)
     off = 0
     for i, ((X, Z), g) in enumerate(zip(feats, graphs)):
-        single = encode_graph(X, Z, g, store)
-        assert np.max(np.abs(batch.g.data[i] - single.embedding.data)) < 1e-12
+        embedding, alpha, _ = encode_one(X, Z, g, store)
+        assert np.max(np.abs(batch.g.data[i] - embedding)) < 1e-12
         n = len(g.nodes)
-        assert np.max(np.abs(batch.alpha.data[off:off + n] - single.alpha.data)) < 1e-12 if n else True
+        assert np.max(np.abs(batch.alpha.data[off:off + n] - alpha)) < 1e-12 if n else True
         off += n
 
 
@@ -185,7 +196,7 @@ def test_missing_relation_weight_is_an_error(rng):
     weights = {rel: as_tensor(np.zeros((D_H, 2 * D_H)))
                for rel in Relation if rel is not Relation.SELF_LOOP}
     with pytest.raises(ParamRegistryError):
-        message_passing_layer(g, h, z, weights)
+        message_passing(g, h, z, weights)
 
 
 def test_param_spec_names_and_shapes():
@@ -203,9 +214,9 @@ def test_attention_csv_roundtrip(tmp_path, rng):
                                                    NodeKind.FILE,
                                                    NodeKind.HOST])
     X, Z = rand_feats(g, rng)
-    out = encode_graph(X, Z, g, mkstore())
+    _, alpha, _ = encode_one(X, Z, g, mkstore())
     path = tmp_path / "attention.csv"
-    write_attention_csv(path, [g], [out.alpha.data])
+    write_attention_csv(path, [g], [alpha])
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["node_key"] for r in rows] == ["n0", "n1", "n2"]

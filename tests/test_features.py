@@ -4,22 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from aptstage.errors import CompatibilityError, DimensionError, FitError, InputError
+from aptstage.encoder import pack_graphs, project_packed
+from aptstage.errors import CompatibilityError, FitError
 from aptstage.features import (
     CONSTANT_STD,
     CONTINUOUS_COLUMNS,
     FeaturizerConfig,
-    ProjectionParams,
     ZScoreStats,
     _bucket,
     feature_spec_hash,
-    featurize_edge,
     featurize_graph,
-    featurize_node,
     fit_vocab_and_stats,
     load_feature_spec,
     node_stats,
-    project,
     save_feature_spec,
     tokenize,
 )
@@ -31,6 +28,7 @@ from aptstage.graphs import (
     Relation,
     build_graph_sequence,
 )
+from aptstage.nn import ParamStore
 from aptstage.telemetry import (
     WINDOW_SECONDS,
     ScenarioConfig,
@@ -140,7 +138,7 @@ def test_bucket_is_stable():
 def test_node_layout_host_block():
     g = tiny_graph()
     vocab, stats = fit_vocab_and_stats([g])
-    x = featurize_node(g.nodes[0], g, vocab, stats)
+    x = featurize_graph(g, vocab, stats)[0][0]
     assert x.shape == (CFG.node_dim,)
     kind_pos = list(NodeKind).index(NodeKind.PROCESS)
     assert x[kind_pos] == 1.0 and x[:7].sum() == 1.0
@@ -155,7 +153,7 @@ def test_privileged_user_flag():
     nodes = (mknode(NodeKind.PROCESS, "p", users=["SYSTEM"]),)
     g = ProvenanceGraph(0, 0.0, nodes, ())
     vocab, stats = fit_vocab_and_stats([tiny_graph()])
-    x = featurize_node(g.nodes[0], g, vocab, stats)
+    x = featurize_graph(g, vocab, stats)[0][0]
     assert x[CFG.n_priv] == 1.0
 
 
@@ -166,7 +164,7 @@ def test_alert_node_block():
                    first_ts=150.0)
     g = ProvenanceGraph(0, 0.0, (alert,), ())
     vocab, stats = fit_vocab_and_stats([g])
-    x = featurize_node(alert, g, vocab, stats)
+    x = featurize_graph(g, vocab, stats)[0][0]
     assert x[list(NodeKind).index(NodeKind.ALERT)] == 1.0
     assert x[CFG.n_sev] == 1.0
     assert x[CFG.n_proto + 0] == 1.0  # tcp bit
@@ -182,7 +180,7 @@ def test_time_feature_window_relative():
     vocab, stats = fit_vocab_and_stats([g])
     shifted = ProvenanceGraph(3, 900.0, (
         mknode(NodeKind.PROCESS, "p", first_ts=930.0),), ())
-    x = featurize_node(shifted.nodes[0], shifted, vocab, stats)
+    x = featurize_graph(shifted, vocab, stats)[0][0]
     assert x[CFG.n_time] == pytest.approx(30.0 / WINDOW_SECONDS)
     assert 0.0 <= x[CFG.n_time] < 1.0
 
@@ -192,23 +190,15 @@ def test_degree_at_mean_zscores_to_zero():
     vocab, stats = fit_vocab_and_stats([g])
     s = node_stats(g)
     # both nodes share the same event count -> column is constant -> exact mean
-    x0 = featurize_node(g.nodes[0], g, vocab, stats)
+    x0 = featurize_graph(g, vocab, stats)[0][0]
     assert s[0, 2] == s[1, 2]
     assert x0[CFG.n_stat + 2] == 0.0
-
-
-def test_node_not_in_graph():
-    g = tiny_graph()
-    vocab, stats = fit_vocab_and_stats([g])
-    stranger = mknode(NodeKind.PROCESS, "elsewhere")
-    with pytest.raises(InputError):
-        featurize_node(stranger, g, vocab, stats)
 
 
 def test_edge_layout():
     g = tiny_graph()
     vocab, stats = fit_vocab_and_stats([g])
-    z = featurize_edge(g.edges[0], g, stats)
+    z = featurize_graph(g, vocab, stats)[1][0]
     assert z.shape == (CFG.edge_dim,)
     assert z[list(Relation).index(Relation.READ)] == 1.0
     assert z[CFG.e_freq] == 1.0  # count 1 / max count 1
@@ -222,8 +212,8 @@ def test_edge_bytes_absent_is_zscore_of_zero():
     edges = (Edge(Relation.READ, 0, 1, 1.0, bytes=None),
              Edge(Relation.WRITE, 0, 1, 2.0, bytes=100))
     g = ProvenanceGraph(0, 0.0, nodes, edges)
-    _, stats = fit_vocab_and_stats([g])
-    z = featurize_edge(g.edges[0], g, stats)
+    vocab, stats = fit_vocab_and_stats([g])
+    z = featurize_graph(g, vocab, stats)[1][0]
     assert z[CFG.e_size] == pytest.approx(stats.apply(3, 0.0))
 
 
@@ -232,9 +222,10 @@ def test_most_frequent_edge_has_unit_freq():
     edges = (Edge(Relation.READ, 0, 1, 1.0, count=4),
              Edge(Relation.WRITE, 0, 1, 2.0, count=2))
     g = ProvenanceGraph(0, 0.0, nodes, edges)
-    _, stats = fit_vocab_and_stats([g])
-    assert featurize_edge(g.edges[0], g, stats)[CFG.e_freq] == 1.0
-    assert featurize_edge(g.edges[1], g, stats)[CFG.e_freq] == 0.5
+    vocab, stats = fit_vocab_and_stats([g])
+    Z = featurize_graph(g, vocab, stats)[1]
+    assert Z[0, CFG.e_freq] == 1.0
+    assert Z[1, CFG.e_freq] == 0.5
 
 
 def test_triggered_by_edge_alert_block():
@@ -243,8 +234,8 @@ def test_triggered_by_edge_alert_block():
     proc = mknode(NodeKind.PROCESS, "p")
     g = ProvenanceGraph(0, 0.0, (proc, alert),
                         (Edge(Relation.TRIGGERED_BY, 1, 0, 3.0),))
-    _, stats = fit_vocab_and_stats([g])
-    z = featurize_edge(g.edges[0], g, stats)
+    vocab, stats = fit_vocab_and_stats([g])
+    z = featurize_graph(g, vocab, stats)[1][0]
     assert z[CFG.e_asev] == pytest.approx(0.8)
     assert z[CFG.e_aproto + 1] == 1.0  # udp
     assert z[CFG.e_acat + _bucket("c2", CFG.category_buckets)] == 1.0
@@ -265,7 +256,7 @@ def test_oov_tokens_contribute_nothing():
     before = dict(vocab.token_index)
     novel = ProvenanceGraph(0, 0.0, (
         mknode(NodeKind.PROCESS, "x", commands=["neverseen zyx"]),), ())
-    x = featurize_node(novel.nodes[0], novel, vocab, stats)
+    x = featurize_graph(novel, vocab, stats)[0][0]
     assert np.all(x[CFG.n_cmd:CFG.n_cmd + CFG.d_cmd] == 0.0)
     assert vocab.token_index == before
 
@@ -273,50 +264,51 @@ def test_oov_tokens_contribute_nothing():
 # ---------------------------------------------------------------- project
 
 
+def project(X, Z, W_x, b_x, W_z, b_z):
+    """project_packed on one graph with |V| = len(X) nodes and |E| = len(Z)
+    edges; returns (x̃, z̃) as arrays."""
+    g = ProvenanceGraph(0, 0.0, tuple(mknode(NodeKind.PROCESS, f"n{i}") for i in range(len(X))),
+                        tuple(Edge(Relation.SELF_LOOP, 0, 0, 0.0) for _ in range(len(Z))))
+    store = ParamStore()
+    for name, value in (("proj.Wx", W_x), ("proj.bx", b_x), ("proj.Wz", W_z), ("proj.bz", b_z)):
+        store.add(name, value)
+    Xt, Zt = project_packed(pack_graphs([(X, Z, g)]), store)
+    return Xt.data, Zt.data
+
+
 def test_project_identity():
     d_x, d_e = CFG.node_dim, CFG.edge_dim
-    params = ProjectionParams(W_x=np.eye(d_x), b_x=np.zeros(d_x),
-                              W_z=np.zeros((d_x, d_e)), b_z=np.zeros(d_x))
     X = np.random.default_rng(0).normal(size=(4, d_x))
-    out = project(X, np.zeros((2, d_e)), params)
-    assert np.array_equal(out.node_features, X)
+    node_features, _ = project(X, np.zeros((2, d_e)), np.eye(d_x), np.zeros(d_x),
+                               np.zeros((d_x, d_e)), np.zeros(d_x))
+    assert np.array_equal(node_features, X)
 
 
 def test_project_bias_only():
-    params = ProjectionParams(W_x=np.zeros((3, 5)), b_x=np.array([1.0, 2, 3]),
-                              W_z=np.zeros((3, 4)), b_z=np.zeros(3))
-    out = project(np.zeros((2, 5)), np.zeros((1, 4)), params)
-    assert np.allclose(out.node_features, [[1, 2, 3], [1, 2, 3]])
+    node_features, _ = project(np.zeros((2, 5)), np.zeros((1, 4)), np.zeros((3, 5)),
+                               np.array([1.0, 2, 3]), np.zeros((3, 4)), np.zeros(3))
+    assert np.allclose(node_features, [[1, 2, 3], [1, 2, 3]])
 
 
 def test_project_matches_triple_loop_oracle(rng):
     d_x, d_e, d_h, n, m = 5, 4, 6, 3, 2
-    params = ProjectionParams(W_x=rng.normal(size=(d_h, d_x)),
-                              b_x=rng.normal(size=d_h),
-                              W_z=rng.normal(size=(d_h, d_e)),
-                              b_z=rng.normal(size=d_h))
+    W_x, b_x = rng.normal(size=(d_h, d_x)), rng.normal(size=d_h)
+    W_z, b_z = rng.normal(size=(d_h, d_e)), rng.normal(size=d_h)
     X = rng.normal(size=(n, d_x))
     Z = rng.normal(size=(m, d_e))
-    out = project(X, Z, params)
+    node_features, edge_features = project(X, Z, W_x, b_x, W_z, b_z)
     for i in range(n):
         for k in range(d_h):
-            acc = params.b_x[k]
+            acc = b_x[k]
             for j in range(d_x):
-                acc += params.W_x[k, j] * X[i, j]
-            assert abs(out.node_features[i, k] - acc) < 1e-12
+                acc += W_x[k, j] * X[i, j]
+            assert abs(node_features[i, k] - acc) < 1e-12
     for i in range(m):
         for k in range(d_h):
-            acc = params.b_z[k]
+            acc = b_z[k]
             for j in range(d_e):
-                acc += params.W_z[k, j] * Z[i, j]
-            assert abs(out.edge_features[i, k] - acc) < 1e-12
-
-
-def test_project_shape_mismatch():
-    params = ProjectionParams(W_x=np.zeros((3, 5)), b_x=np.zeros(3),
-                              W_z=np.zeros((3, 4)), b_z=np.zeros(3))
-    with pytest.raises(DimensionError):
-        project(np.zeros((2, 9)), np.zeros((1, 4)), params)
+                acc += W_z[k, j] * Z[i, j]
+            assert abs(edge_features[i, k] - acc) < 1e-12
 
 
 # ---------------------------------------------------------------- spec file

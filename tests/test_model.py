@@ -1,4 +1,6 @@
 """Model assembly: parameter store construction and forward helpers."""
+from dataclasses import asdict
+
 import numpy as np
 
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
@@ -10,8 +12,9 @@ from aptstage.model import (
     encode_windows,
     frozen_names,
     infer_probabilities,
-    sequence_batch_forward,
 )
+from aptstage.training import Trace, WindowRecord
+from aptstage.training.loops import _batch_forward
 
 MCFG = ModelConfig(d_h=8, d_g=8, hidden=8)
 
@@ -68,7 +71,7 @@ def test_frozen_name_prefixes():
 
 def test_modelconfig_roundtrip():
     cfg = ModelConfig(d_h=16, d_g=12, hidden=24, dropout=0.1, seed=9)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 def test_encode_windows_keeps_input_order(rng):
@@ -83,8 +86,11 @@ def test_encode_windows_keeps_input_order(rng):
 def test_sequence_batch_forward_layout(rng):
     wins = [window(rng, f"w{i}") for i in range(4)]
     store = build_param_store(MCFG)
-    seq_rows = np.array([[0, 1], [2, 3]])
-    g_seq, h_top = sequence_batch_forward(wins, seq_rows, store, MCFG)
+    traces = [Trace(f"t{i}", [WindowRecord(*wins[2 * i + t]) for t in range(2)])
+              for i in range(2)]
+    batch = [(0, 0, 2), (1, 0, 2)]  # (trace, start, length)
+    _, seq_rows, g_seq, h_top = _batch_forward(batch, traces, None, store, MCFG, 0)
+    assert np.array_equal(seq_rows, [[0, 1], [2, 3]])
     assert g_seq.data.shape == (4, MCFG.d_g)
     assert h_top.data.shape == (4, MCFG.hidden)
     enc = encode_windows(wins, store, MCFG)

@@ -1,6 +1,7 @@
 """Training objectives and the pretrain/finetune loops."""
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from aptstage.training import (
     pretrain,
     split_train_val,
 )
+from aptstage.training import loops
 
 # ---------------------------------------------------------------- loss_pred
 
@@ -346,3 +348,52 @@ def test_finetune_seed_reproducible(rng):
         finetune(traces, store, MCFG, cfg)
         snaps.append(store.snapshot())
     assert all(np.array_equal(snaps[0][k], snaps[1][k]) for k in snaps[0])
+
+
+# ---------------------------------------------------------------- step hygiene
+
+
+def _track_batch_tapes(monkeypatch, loss_name):
+    """Wrap `loops.<loss_name>`. Each call records whether the previous
+    call's loss value and prediction input are already garbage, i.e. whether
+    batch k's autodiff tape is gone when batch k+1 reaches its loss."""
+    original = getattr(loops, loss_name)
+    prev, freed = [], []
+
+    def tracked(pred, *args, **kwargs):
+        if prev:
+            freed.append(all(ref() is None for ref in prev))
+        out = original(pred, *args, **kwargs)
+        prev[:] = [weakref.ref(out.data), weakref.ref(pred.data)]
+        return out
+
+    monkeypatch.setattr(loops, loss_name, tracked)
+    return freed
+
+
+def test_pretrain_frees_each_tape_before_the_next_batch(rng, monkeypatch):
+    freed = _track_batch_tapes(monkeypatch, "loss_pred")
+    pretrain(corpus(rng), build_param_store(MCFG), MCFG,
+             PretrainConfig(epochs=2, batch=2, negatives=4))
+    assert len(freed) == 3 and all(freed)
+
+
+def test_finetune_frees_each_tape_before_the_next_batch(rng, monkeypatch):
+    freed = _track_batch_tapes(monkeypatch, "loss_supervised")
+    finetune(corpus(rng), build_param_store(MCFG), MCFG,
+             FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2,
+                            curriculum_start=6, curriculum_end=6),
+             val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
+    assert len(freed) == 3 and all(freed)
+
+
+def test_non_finite_loss_names_phase_epoch_and_batch(rng):
+    traces = corpus(rng)
+    store = build_param_store(MCFG)
+    store.tensor("lstm.L1.Wih").data[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="pretrain epoch 1 batch 0"):
+        pretrain(traces, store, MCFG, PretrainConfig(epochs=1, batch=2, negatives=4))
+    store = build_param_store(MCFG)
+    store.tensor("lstm.L1.Wih").data[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="phase1 epoch 1 batch 0"):
+        finetune(traces, store, MCFG, FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2))
