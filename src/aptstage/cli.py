@@ -60,6 +60,7 @@ from .training import (
     predict_trace,
     predict_traces,
     pretrain,
+    split_train_val,
 )
 
 ARTIFACTS = {
@@ -256,9 +257,14 @@ def cmd_finetune(cfg: PipelineConfig) -> None:
     vocab, stats, fcfg, spec_hash = _load_spec(cfg)
     labels = _load_labels(cfg, len(graphs))
     trace = featurize_trace("trace0", graphs, labels, vocab, stats, fcfg)
+    if len(trace.windows) < 2:
+        raise InputError("finetune needs at least 2 windows: the last ones validate")
+    # validate on the temporally last windows, never on the training windows
+    train_w, val_w = split_train_val(trace.windows, cfg.finetune.val_fraction)
     store, mcfg = _load_model_checkpoint(
         cfg.path(ARTIFACTS["pretrain_ckpt"]), cfg, spec_hash, "pretrain")
-    result = finetune([trace], store, mcfg, cfg.finetune)
+    result = finetune([Trace("trace0", train_w)], store, mcfg, cfg.finetune,
+                      val_traces=[Trace("trace0-val", val_w)])
     ckpt = cfg.path(ARTIFACTS["finetune_ckpt"])
     save_checkpoint(ckpt, store, _checkpoint_meta(cfg, spec_hash, "finetune"))
     log_path = cfg.path(ARTIFACTS["finetune_log"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -231,6 +232,43 @@ def external_endpoint(alert: NetworkAlert, host_keys) -> tuple:
     return alert.dst_ip, alert.dst_port, True
 
 
+def _sighting_tables(net_sightings):
+    """Index a window's network sightings (proc_key, remote_key, ts) for
+    alert attribution. `exact` maps each remote key, `loose` the remote key
+    and every prefix ending before one of its colons (the ips it matches as
+    `remote == ip or remote.startswith(ip + ":")`), to (sorted distinct
+    sighting times, smallest process key sighted at each time)."""
+    exact: dict = {}
+    loose: dict = {}
+    for proc, remote, ts in net_sightings:
+        exact.setdefault(remote, []).append((ts, proc))
+        end = len(remote)
+        while end >= 0:
+            loose.setdefault(remote[:end], []).append((ts, proc))
+            end = remote.rfind(":", 0, end)
+    for table in (exact, loose):
+        for key, pairs in table.items():
+            pairs.sort()  # by time, then process key: each time's first pair wins
+            times, procs = [], []
+            for ts, proc in pairs:
+                if not times or ts != times[-1]:
+                    times.append(ts)
+                    procs.append(proc)
+            table[key] = (times, procs)
+    return exact, loose
+
+
+def _latest_sighting(table: dict, key: str, ts: float):
+    """Process key of the latest sighting under `key` at or before `ts`
+    (ties to the smallest process key), or None."""
+    entry = table.get(key)
+    if entry is None:
+        return None
+    times, procs = entry
+    i = bisect_right(times, ts)
+    return procs[i - 1] if i else None
+
+
 def build_graph(window: WindowSlice) -> ProvenanceGraph:
     """Construct the fused provenance graph for one window. Pure and
     deterministic: canonical node order is (kind, key), canonical edge order
@@ -288,6 +326,7 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
 
     # early fusion: alert node + external ip node + triggered_by attribution
     fusion_edges: list = []  # (alert_key, target_key, ts)
+    exact, loose = _sighting_tables(net_sightings) if window.alerts else ({}, {})
     for ordinal, al in enumerate(window.alerts):
         ext_ip, ext_port, outbound = external_endpoint(al, host_keys)
         akey = f"alert:{ordinal}:{al.signature}"
@@ -307,18 +346,12 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
         )
         touch(NodeKind.IP, ext_ip, al.timestamp)
 
-        port_key = f"{ext_ip}:{ext_port}"
-        exact = [s for s in net_sightings
-                 if s[1] == port_key and s[2] <= al.timestamp]
-        loose = [s for s in net_sightings
-                 if (s[1] == ext_ip or s[1].startswith(ext_ip + ":")) and s[2] <= al.timestamp]
-        pool = exact or loose
-        if pool:
-            best_ts = max(s[2] for s in pool)
-            target = min(s[0] for s in pool if s[2] == best_ts)
-        elif host_keys:
+        target = _latest_sighting(exact, f"{ext_ip}:{ext_port}", al.timestamp)
+        if target is None:
+            target = _latest_sighting(loose, ext_ip, al.timestamp)
+        if target is None and host_keys:
             target = al.src_ip if al.src_ip in host_keys else min(host_keys)
-        else:
+        elif target is None:
             target = ext_ip
         fusion_edges.append((akey, target, al.timestamp))
 

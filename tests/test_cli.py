@@ -2,10 +2,12 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from aptstage import cli
 from aptstage.cli import main as cli_main
 from aptstage.config import (
     PipelineConfig,
@@ -112,6 +114,26 @@ def test_training_logs_parse(pipeline):
     with open(workdir / "finetune_log.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["phase"] for r in rows} == {"phase1", "phase2"}
+
+
+def test_finetune_validates_on_the_last_windows_only(pipeline, tmp_path, monkeypatch):
+    workdir, _ = pipeline
+    shutil.copytree(workdir, tmp_path / "artifacts")
+    seen = {}
+
+    def spy(traces, store, mcfg, cfg, val_traces=None, **kw):
+        seen["train"], seen["val"] = traces, val_traces
+        return real(traces, store, mcfg, cfg, val_traces=val_traces, **kw)
+
+    real = cli.finetune
+    monkeypatch.setattr(cli, "finetune", spy)
+    assert run("finetune", "--config", write_config(tmp_path)) == 0
+    train = [w.graph.window_index for tr in seen["train"] for w in tr.windows]
+    val = [w.graph.window_index for tr in seen["val"] for w in tr.windows]
+    assert val and train
+    assert not set(train) & set(val)
+    assert sorted(train + val) == list(range(6))
+    assert max(train) < min(val)
 
 
 def test_rerun_is_byte_identical(pipeline):

@@ -6,6 +6,7 @@ import pytest
 
 from aptstage.encoder import (
     LAYERS,
+    edge_means,
     encode_packed,
     encoder_param_spec,
     message_passing_packed,
@@ -13,8 +14,22 @@ from aptstage.encoder import (
     write_attention_csv,
 )
 from aptstage.errors import ParamRegistryError
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
-from aptstage.nn import as_tensor, init_params
+from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, build_graph_sequence
+from aptstage.nn import (
+    ParamStore,
+    as_tensor,
+    concat,
+    finite_diff_check,
+    gather_rows,
+    init_params,
+    matmul,
+    mul,
+    relu,
+    segment_sum,
+    transpose,
+    tsum,
+)
+from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 
 D_X, D_E, D_H, D_G = 4, 3, 5, 6
 
@@ -224,3 +239,121 @@ def test_attention_csv_roundtrip(tmp_path, rng):
     assert all(r["window_index"] == "0" for r in rows)
     total = sum(float(r["alpha"]) for r in rows)
     assert abs(total - 1.0) < 1e-8
+
+
+# ------------------------------------------- the fused message-passing op
+
+
+def reference_message_passing(graphs, h, z, weights):
+    """Transform-then-aggregate composition of one round over the packed
+    graphs: W_τ applied to [h_j ‖ z̃_e] on every edge, segment-summed per
+    destination and scaled by 1/count, relation by relation, then ReLU."""
+    n = sum(len(g.nodes) for g in graphs)
+    edges, node_off, edge_off = [], 0, 0
+    for g in graphs:
+        edges += [(e.relation, e.src + node_off, e.dst + node_off, j + edge_off)
+                  for j, e in enumerate(g.edges)]
+        node_off += len(g.nodes)
+        edge_off += len(g.edges)
+    total = as_tensor(np.zeros(h.data.shape))
+    for rel in Relation:
+        sel = sorted((e for e in edges if e[0] is rel), key=lambda e: e[2])
+        if not sel:
+            continue
+        src, dst, zrow = (np.array(c) for c in list(zip(*sel))[1:])
+        counts = np.bincount(dst, minlength=n)
+        inv = (1.0 / np.maximum(counts, 1)).reshape(-1, 1)
+        m_in = concat([gather_rows(h, src), gather_rows(z, zrow)], axis=1)
+        summed = segment_sum(matmul(m_in, transpose(weights[rel])), dst, n)
+        total = total + mul(summed, as_tensor(inv))
+    return relu(total)
+
+
+def pack_bare(graphs):
+    """pack_graphs over graphs without raw features."""
+    return pack_graphs([(np.zeros((len(g.nodes), 0)), np.zeros((len(g.edges), 0)), g)
+                        for g in graphs])
+
+
+def fd_batch(missing=None):
+    """Three graphs: every relation but `missing`, duplicate (src, dst) edges
+    under one relation, nodes without in-edges, and a graph without
+    self-loops."""
+    rels = [r for r in Relation if r not in (Relation.SELF_LOOP, missing)]
+    g0 = mkgraph(5, [(rel, i % 5, (2 * i + 1) % 5) for i, rel in enumerate(rels)]
+                 + [(rels[0], 0, 1), (rels[0], 0, 1)])
+    nodes = tuple(Node(NodeKind.FILE, f"f{i}", {"first_ts": 0.0}) for i in range(4))
+    g1 = ProvenanceGraph(1, 0.0, nodes, (Edge(rels[1], 0, 1, 0.0), Edge(rels[2], 0, 2, 0.0),
+                                         Edge(rels[2], 1, 2, 0.0), Edge(rels[1], 2, 1, 0.0)))
+    g2 = mkgraph(3, [(rels[-1], 2, 0)])
+    return [g0, g1, g2]
+
+
+@pytest.mark.parametrize("missing", [None, Relation.EXEC])
+def test_message_passing_gradients_match_finite_differences(missing):
+    graphs = fd_batch(missing)
+    n = sum(len(g.nodes) for g in graphs)
+    m = sum(len(g.edges) for g in graphs)
+    packed = pack_bare(graphs)
+    assert set(packed.rel_segs) == set(Relation) - {missing}
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    store.add("h", rng.normal(size=(n, D_H)))
+    store.add("z", rng.normal(size=(m, D_H)))
+    for layer in range(2):
+        for rel in Relation:
+            store.add(f"L{layer}.{rel.value}", rng.normal(size=(D_H, 2 * D_H)) / 3)
+    probe = as_tensor(rng.normal(size=(n, D_H)))
+
+    def loss(st):
+        # two rounds sharing one EdgeMeans, as encode_packed runs them
+        z_means = edge_means(packed, st.tensor("z"))
+        h = st.tensor("h")
+        for layer in range(2):
+            h = message_passing_packed(packed, h, z_means,
+                                       {r: st.tensor(f"L{layer}.{r.value}") for r in Relation})
+        return tsum(mul(h, probe))
+
+    assert finite_diff_check(loss, store, max_coords=len(store) * 2 * D_H * D_H) < 1e-4
+
+
+def test_fused_round_matches_transform_then_aggregate_reference():
+    events, alerts, _ = generate_scenario(ScenarioConfig(
+        duration=6 * 300.0, stage_schedule=default_campaign_schedule(6 * 300.0), seed=3))
+    graphs = build_graph_sequence(events, alerts)
+    rng = np.random.default_rng(9)
+    values = {"h": rng.normal(size=(sum(len(g.nodes) for g in graphs), D_H)),
+              "z": rng.normal(size=(sum(len(g.edges) for g in graphs), D_H)),
+              **{rel.value: rng.normal(size=(D_H, 2 * D_H)) for rel in Relation}}
+    probe = as_tensor(rng.normal(size=values["h"].shape))
+    results = []
+    for fn, arg in ((message_passing_packed, pack_bare(graphs)),
+                    (reference_message_passing, graphs)):
+        store = ParamStore()
+        for name, v in values.items():
+            store.add(name, v)
+        out = fn(arg, store.tensor("h"), store.tensor("z"),
+                 {r: store.tensor(r.value) for r in Relation})
+        tsum(mul(out, probe)).backward()
+        results.append((out.data, store.grads))
+    (got, got_grads), (want, want_grads) = results
+    assert np.max(np.abs(got - want)) < 1e-12
+    for name in values:
+        assert np.max(np.abs(got_grads[name] - want_grads[name])) < 1e-12, name
+
+
+def tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_encoder_tape_stays_one_node_per_round(rng):
+    g = mkgraph(11, [(rel, i, i + 1) for i, rel in enumerate(Relation)])
+    packed = pack_graphs([(*rand_feats(g, rng), g)])
+    assert set(packed.rel_segs) == set(Relation)
+    assert tape_nodes(encode_packed(packed, mkstore()).g) <= 70

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aptstage.errors import GraphConsistencyError, ValidationError
 from aptstage.graphs import (
@@ -16,7 +17,9 @@ from aptstage.graphs import (
     build_graph,
     build_graph_sequence,
     dump_graphs_jsonl,
+    external_endpoint,
     load_graphs_jsonl,
+    WindowSlice,
     window_events,
 )
 from aptstage.telemetry import (
@@ -195,6 +198,68 @@ def test_nearest_preceding_wins():
     graph = build_graph(window_events(events, [alert])[0])
     (tb,) = [e for e in graph.edges if e.relation is Relation.TRIGGERED_BY]
     assert graph.nodes[tb.dst].key == f"{HOST}/recent.exe"
+
+
+def oracle_attribution(window):
+    """alert key -> target key by the two-comprehension rule: the latest
+    sighting at or before the alert among exact ip:port matches, else among
+    loose ip matches, ties to the smallest process key; else a host."""
+    net_kinds = (EventKind.NET_CONNECT, EventKind.NET_SEND, EventKind.NET_RECV)
+    net_sightings = [(e.subject.key, e.object.key, e.timestamp)
+                     for e in window.events if e.event_kind in net_kinds]
+    host_keys = {e.host_id for e in window.events}
+    out = {}
+    for ordinal, al in enumerate(window.alerts):
+        ext_ip, ext_port, _ = external_endpoint(al, host_keys)
+        port_key = f"{ext_ip}:{ext_port}"
+        exact = [s for s in net_sightings
+                 if s[1] == port_key and s[2] <= al.timestamp]
+        loose = [s for s in net_sightings
+                 if (s[1] == ext_ip or s[1].startswith(ext_ip + ":")) and s[2] <= al.timestamp]
+        pool = exact or loose
+        if pool:
+            best_ts = max(s[2] for s in pool)
+            target = min(s[0] for s in pool if s[2] == best_ts)
+        elif host_keys:
+            target = al.src_ip if al.src_ip in host_keys else min(host_keys)
+        else:
+            target = ext_ip
+        out[f"alert:{ordinal}:{al.signature}"] = target
+    return out
+
+
+# remote keys with shared prefixes: bare ips, ip:port, a port of another ip
+# that starts with the same digits, and a key with two colons
+REMOTES = ("9.9.9.9", "9.9.9.9:80", "9.9.9.9:443", "9.9.9.99:80", "9.9.9.9:80:1", "8.8.8.8:53")
+HOSTS = (HOST, "10.1.1.46")
+net_event = st.builds(
+    lambda ts, host, kind, name, remote: HostEvent(
+        ts, host, kind, EntityRef(EntityKind.PROCESS, f"{host}/{name}"),
+        EntityRef(EntityKind.SOCKET if ":" in remote else EntityKind.IP, remote)),
+    st.sampled_from((1.0, 2.0)), st.sampled_from(HOSTS),
+    st.sampled_from((EventKind.NET_CONNECT, EventKind.NET_SEND, EventKind.NET_RECV)),
+    st.sampled_from(("a.exe", "b.exe")), st.sampled_from(REMOTES))
+file_event = st.builds(lambda ts: ev(ts, EventKind.FILE_READ, proc("r.exe"), fileref("f")),
+                       st.sampled_from((1.0, 4.0)))
+# source HOST or an unmonitored ip sends to `ext`; "in": `ext` sends to HOST
+alert = st.builds(
+    lambda ts, ips, ext, port: NetworkAlert(ts, "sig", 0.5, Protocol.TCP, "c",
+                                            *((ips, 1111, ext, port) if ips != "in"
+                                              else (ext, port, HOST, 1111))),
+    st.sampled_from((0.5, 1.5, 2.5)), st.sampled_from((HOST, "10.9.9.9", "in")),
+    st.sampled_from(("9.9.9.9", "9.9.9.99", "7.7.7.7", "9.9.9.9:80")),
+    st.sampled_from((80, 443)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(net_event, net_event, file_event), min_size=6, max_size=16),
+       st.lists(alert, min_size=1, max_size=4))
+def test_alert_attribution_matches_two_comprehension_oracle(events, alerts):
+    window = WindowSlice(0, 0.0, events, alerts)
+    graph = build_graph(window)
+    got = {graph.nodes[e.src].key: graph.nodes[e.dst].key
+           for e in graph.edges if e.relation is Relation.TRIGGERED_BY}
+    assert got == oracle_attribution(window)
 
 
 def test_unmatched_alert_falls_back_to_host():
