@@ -67,16 +67,12 @@ class PackedGraphs:
     seg_dst: np.ndarray      # (S,) destination node per segment
     seg_inv: np.ndarray      # (S, 1) 1 / edges in the segment
     rel_segs: dict           # Relation -> slice of segments, relations with edges only
-    node_keys: list
-    node_kinds: list
-    window_indices: list     # per graph
 
 
 def pack_graphs(items) -> PackedGraphs:
     """items: sequence of (X_raw, Z_raw, ProvenanceGraph)."""
     Xs, Zs, node_graph = [], [], []
     rel, src, dst = [], [], []
-    node_keys, node_kinds, window_indices = [], [], []
     node_off = 0
     for gi, (X, Z, g) in enumerate(items):
         n = len(g.nodes)
@@ -87,9 +83,6 @@ def pack_graphs(items) -> PackedGraphs:
             rel.append(_RELATION_ID[e.relation])
             src.append(e.src + node_off)
             dst.append(e.dst + node_off)
-        node_keys.extend(nd.key for nd in g.nodes)
-        node_kinds.extend(nd.kind.value for nd in g.nodes)
-        window_indices.append(g.window_index)
         node_off += n
 
     d_x = Xs[0].shape[1] if Xs else 0
@@ -112,9 +105,6 @@ def pack_graphs(items) -> PackedGraphs:
         seg_inv=(1.0 / counts).reshape(-1, 1),
         rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
                   if lo < hi},
-        node_keys=node_keys,
-        node_kinds=node_kinds,
-        window_indices=window_indices,
     )
 
 

@@ -2,9 +2,11 @@
 
 A two-layer gated recurrent network (standard i/f/g/o cell, H=128 default)
 consumes g_1..g_T with h_0 = c_0 = 0; inverted dropout (rate 0.3) sits between
-the layers in train mode only. The classifier head emits the 7-class stage
-distribution via a max-subtracted softmax; the prediction head maps h_t to the
-next-window embedding for self-supervision.
+the layers in train mode only. Each layer is one autodiff op over the whole
+batch of sequences: one input GEMM for all steps, the recurrence over
+(batch, H) states, and a hand-written backward through time. The classifier
+head emits the 7-class stage distribution via a max-subtracted softmax; the
+prediction head maps h_t to the next-window embedding for self-supervision.
 """
 from __future__ import annotations
 
@@ -13,24 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .nn import (
-    ParamStore,
-    Tensor,
-    as_tensor,
-    concat,
-    div,
-    exp,
-    gather_rows,
-    matmul,
-    mul,
-    reshape,
-    sigmoid,
-    slice_cols,
-    sub,
-    tanh,
-    transpose,
-    tsum,
-)
+from .nn import ParamStore, Tensor, as_tensor, div, exp, matmul, sub, transpose, tsum
+from .nn.tensor import _accum, _make, _needs_grad
 
 NUM_STAGES = 7
 
@@ -65,16 +51,66 @@ def apply_forget_bias(store: ParamStore, cfg: EstimatorConfig, value: float = 1.
         store.tensor(f"lstm.L{layer}.b").data[H : 2 * H] = value
 
 
-def _cell_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-               Wih: Tensor, Whh: Tensor, b: Tensor, H: int):
-    gates = matmul(x_t, transpose(Wih)) + matmul(h_prev, transpose(Whh)) + b
-    i = sigmoid(slice_cols(gates, 0, H))
-    f = sigmoid(slice_cols(gates, H, 2 * H))
-    g = tanh(slice_cols(gates, 2 * H, 3 * H))
-    o = sigmoid(slice_cols(gates, 3 * H, 4 * H))
-    c = mul(f, c_prev) + mul(i, g)
-    h = mul(o, tanh(c))
-    return h, c
+def _lstm_layer(x: Tensor, Wih: Tensor, Whh: Tensor, b: Tensor, batch: int,
+                mask: np.ndarray | None) -> Tensor:
+    """One LSTM layer over `batch` sequence-major sequences, as one op.
+
+    x: (batch*T, d_in), row b*T + t. One input GEMM covers every step; the
+    recurrence then runs over (batch, H) states and keeps the gates, cell
+    states and tanh(c) for a hand-written BPTT. `mask` (batch, T, H), if
+    given, scales the output (inter-layer dropout) but not the state carried
+    to the next step. Returns (batch*T, H) in the same row order."""
+    B = batch
+    T = x.data.shape[0] // B
+    H = Whh.data.shape[1]
+    xw = (x.data @ Wih.data.T).reshape(B, T, 4, H)
+    act = np.empty((B, T, 4, H))  # i, f, g, o after their nonlinearities
+    cs = np.zeros((B, T + 1, H))  # c_0 = 0, then c_t at t + 1
+    tcs = np.empty((B, T, H))
+    hs = np.empty((B, T, H))
+    h = np.zeros((B, H))
+    for t in range(T):
+        gates = xw[:, t] + (h @ Whh.data.T).reshape(B, 4, H)
+        gates += b.data.reshape(4, H)
+        act[:, t] = 1.0 / (1.0 + np.exp(-gates))
+        act[:, t, 2] = np.tanh(gates[:, 2])
+        i, f, g, o = act[:, t, 0], act[:, t, 1], act[:, t, 2], act[:, t, 3]
+        cs[:, t + 1] = f * cs[:, t] + i * g
+        tcs[:, t] = np.tanh(cs[:, t + 1])
+        h = o * tcs[:, t]
+        hs[:, t] = h
+    out = hs if mask is None else hs * mask
+
+    def backward(g_out):
+        dh_out = g_out.reshape(B, T, H)
+        if mask is not None:
+            dh_out = dh_out * mask
+        i, f, g, o = act[:, :, 0], act[:, :, 1], act[:, :, 2], act[:, :, 3]
+        # c = f*c_prev + i*g and h = o*tanh(c): each gate's adjoint is dc (dh
+        # for o) times its partner in that product, times the slope of its
+        # nonlinearity; both factors are known before the loop
+        slope = act * (1.0 - act)
+        slope[:, :, 2] = 1.0 - g * g
+        partner = np.stack([g, cs[:, :-1], i, tcs], axis=2) * slope
+        dc_dh = o * (1.0 - tcs * tcs)
+        d_gates = np.empty((B, T, 4, H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = dh_out[:, t] + dh_next
+            dc = dc_next + dh * dc_dh[:, t]
+            d_gates[:, t, :3] = partner[:, t, :3] * dc[:, None]
+            d_gates[:, t, 3] = partner[:, t, 3] * dh
+            dh_next = d_gates[:, t].reshape(B, 4 * H) @ Whh.data
+            dc_next = dc * f[:, t]
+        d_flat = d_gates.reshape(B * T, 4 * H)
+        _accum(Wih, d_flat.T @ x.data)
+        _accum(Whh, d_gates[:, 1:].reshape(-1, 4 * H).T @ hs[:, :-1].reshape(-1, H))
+        _accum(b, d_flat.sum(axis=0))
+        if _needs_grad(x):
+            _accum(x, d_flat @ Wih.data)
+
+    return _make(out.reshape(B * T, H), (x, Wih, Whh, b), backward)
 
 
 def recurrent_forward(x: Tensor, store: ParamStore, cfg: EstimatorConfig,
@@ -98,40 +134,23 @@ def recurrent_forward(x: Tensor, store: ParamStore, cfg: EstimatorConfig,
     if T < 1:
         raise DimensionError("need at least one step")
     H = cfg.hidden
-    dtype = x.data.dtype
 
     masks = None
     if mode == "train" and cfg.dropout > 0 and cfg.layers > 1:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout
-        # one mask tensor per (layer gap, step); prefix of the stream is
-        # identical for shorter T, preserving causal determinism
-        masks = (rng.random((cfg.layers - 1, T, batch, H)) < keep).astype(dtype) / keep
+        # one mask per (layer gap, step); prefix of the stream is identical
+        # for shorter T, preserving causal determinism
+        masks = (rng.random((cfg.layers - 1, T, batch, H)) < keep).astype(x.data.dtype) / keep
 
-    step_index = np.arange(batch) * T  # row of t=0 per sequence
     layer_in = x
     for layer in range(cfg.layers):
-        Wih = store.tensor(f"lstm.L{layer}.Wih")
-        Whh = store.tensor(f"lstm.L{layer}.Whh")
-        b = store.tensor(f"lstm.L{layer}.b")
-        h = as_tensor(np.zeros((batch, H), dtype=dtype))
-        c = as_tensor(np.zeros((batch, H), dtype=dtype))
-        outs = []
-        for t in range(T):
-            x_t = gather_rows(layer_in, step_index + t)
-            h, c = _cell_step(x_t, h, c, Wih, Whh, b, H)
-            h_out = h
-            if masks is not None and layer < cfg.layers - 1:
-                h_out = mul(h, as_tensor(masks[layer, t]))
-            outs.append(h_out)
-        stacked = concat(outs, axis=0)  # (T*batch, H), step-major
-        if batch == 1:
-            layer_in = stacked
-        else:
-            # back to sequence-major: row b*T + t <- row t*batch + b
-            t_idx, b_idx = np.meshgrid(np.arange(T), np.arange(batch), indexing="ij")
-            perm = (t_idx * batch + b_idx).T.ravel()
-            layer_in = gather_rows(stacked, perm)
+        mask = None
+        if masks is not None and layer < cfg.layers - 1:
+            mask = masks[layer].transpose(1, 0, 2)  # (batch, T, H)
+        layer_in = _lstm_layer(layer_in, store.tensor(f"lstm.L{layer}.Wih"),
+                               store.tensor(f"lstm.L{layer}.Whh"),
+                               store.tensor(f"lstm.L{layer}.b"), batch, mask)
     return layer_in
 
 

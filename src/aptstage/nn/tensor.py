@@ -107,8 +107,14 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """True when an adjoint routed to `t` is kept: it is a parameter or lies
+    on the tape."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad and not t._parents:
+    if not _needs_grad(t):
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype)
@@ -118,7 +124,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if _GRAD_ENABLED and any(_needs_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -193,8 +199,11 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # a constant operand's adjoint would be discarded: skip its GEMM
+        if _needs_grad(a):
+            _accum(a, g @ b.data.T)
+        if _needs_grad(b):
+            _accum(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
 

@@ -13,7 +13,15 @@ import pytest
 
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
 from aptstage.model import ModelConfig, build_param_store
-from aptstage.training import PretrainConfig, Trace, WindowRecord, loops, pretrain
+from aptstage.training import (
+    FinetuneConfig,
+    PretrainConfig,
+    Trace,
+    WindowRecord,
+    finetune,
+    loops,
+    pretrain,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MCFG = ModelConfig(d_h=8, d_g=8, hidden=8)
@@ -42,7 +50,8 @@ def make_trace(tid, n_windows, rng):
                  Edge(Relation.SELF_LOOP, 1, 1, 0.0))
         windows.append(WindowRecord(X=rng.normal(size=(2, fz.node_dim)),
                                     Z=rng.normal(size=(3, fz.edge_dim)),
-                                    graph=ProvenanceGraph(w, w * 300.0, nodes, edges)))
+                                    graph=ProvenanceGraph(w, w * 300.0, nodes, edges),
+                                    label=w % 7))
     return Trace(tid, windows)
 
 
@@ -67,3 +76,21 @@ def test_step_clock_counts_the_oracle_windows_per_epoch(perfbench, rng):
     assert want == 3 + 5 + 3 * 5
     assert clock.rows == want
     assert len(clock.stamps) == 3  # optimizer steps: [len 3], [len 5 x2], [len 5 x2]
+
+
+def test_step_clock_counts_the_oracle_windows_per_finetune_epoch(perfbench, rng):
+    traces = [make_trace(f"t{i}", n, rng) for i, n in enumerate((1, 3, 5, 7))]
+    val = [make_trace("v", 4, rng)]
+    cfg = FinetuneConfig(phase1_epochs=1, phase2_epochs=1, curriculum_start=2,
+                         curriculum_end=5, batch=2)
+    with perfbench["workloads"].StepClock() as clock:
+        result = finetune(traces, build_param_store(MCFG), MCFG, cfg, val_traces=val)
+    oracles = perfbench["oracles"]
+    want = 0
+    for entry in result.metric_log:
+        seq_len = oracles.curriculum(cfg.curriculum_start, cfg.curriculum_end, entry["epoch"], 1)
+        assert entry["seq_len"] == seq_len
+        want += oracles.windows_per_epoch([len(t.windows) for t in traces], seq_len, min_len=1)
+    assert [e["phase"] for e in result.metric_log] == ["phase1", "phase2"]
+    assert want == 2 * (1 + 3 + 5 + 3 * 5)
+    assert clock.rows == want

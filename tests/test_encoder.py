@@ -342,17 +342,7 @@ def test_fused_round_matches_transform_then_aggregate_reference():
         assert np.max(np.abs(got_grads[name] - want_grads[name])) < 1e-12, name
 
 
-def tape_nodes(root):
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
-
-
-def test_encoder_tape_stays_one_node_per_round(rng):
+def test_encoder_tape_stays_one_node_per_round(rng, tape_nodes):
     g = mkgraph(11, [(rel, i, i + 1) for i, rel in enumerate(Relation)])
     packed = pack_graphs([(*rand_feats(g, rng), g)])
     assert set(packed.rel_segs) == set(Relation)

@@ -11,7 +11,8 @@ from aptstage.estimator import (
     predict_next,
     recurrent_forward,
 )
-from aptstage.nn import ParamStore, as_tensor, init_params
+from aptstage import nn
+from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params, mul, tsum
 
 
 def mkstore(cfg, seed=0, forget_bias=True):
@@ -145,6 +146,100 @@ def test_input_width_mismatch():
         recurrent_forward(np.zeros((5, 4)), store, cfg, batch=2)
     with pytest.raises(ValidationError):
         recurrent_forward(np.zeros((5, 4)), store, cfg, mode="predict")
+
+
+# ------------------------------------------------- fused layer vs reference
+
+
+def _cell_step(x_t, h_prev, c_prev, Wih, Whh, b, H):
+    gates = nn.matmul(x_t, nn.transpose(Wih)) + nn.matmul(h_prev, nn.transpose(Whh)) + b
+    i = nn.sigmoid(nn.slice_cols(gates, 0, H))
+    f = nn.sigmoid(nn.slice_cols(gates, H, 2 * H))
+    g = nn.tanh(nn.slice_cols(gates, 2 * H, 3 * H))
+    o = nn.sigmoid(nn.slice_cols(gates, 3 * H, 4 * H))
+    c = mul(f, c_prev) + mul(i, g)
+    h = mul(o, nn.tanh(c))
+    return h, c
+
+
+def reference_recurrent_forward(x, store, cfg, mode="eval", dropout_seed=0, batch=1):
+    """The recurrence as a per-step composition of tape ops, with the same
+    dropout draw as `recurrent_forward`."""
+    T, H = x.data.shape[0] // batch, cfg.hidden
+    masks = None
+    if mode == "train" and cfg.dropout > 0 and cfg.layers > 1:
+        rng = np.random.default_rng(dropout_seed)
+        keep = 1.0 - cfg.dropout
+        masks = (rng.random((cfg.layers - 1, T, batch, H)) < keep).astype(float) / keep
+    step_index = np.arange(batch) * T
+    layer_in = x
+    for layer in range(cfg.layers):
+        Wih, Whh, b = (store.tensor(f"lstm.L{layer}.{n}") for n in ("Wih", "Whh", "b"))
+        h = as_tensor(np.zeros((batch, H)))
+        c = as_tensor(np.zeros((batch, H)))
+        outs = []
+        for t in range(T):
+            h, c = _cell_step(nn.gather_rows(layer_in, step_index + t), h, c, Wih, Whh, b, H)
+            outs.append(mul(h, as_tensor(masks[layer, t]))
+                        if masks is not None and layer < cfg.layers - 1 else h)
+        stacked = nn.concat(outs, axis=0)  # step-major: row t*batch + b
+        perm = (np.arange(T)[None, :] * batch + np.arange(batch)[:, None]).ravel()
+        layer_in = nn.gather_rows(stacked, perm)
+    return layer_in
+
+
+def lstm_store_with_input(cfg, x, seed=0):
+    """The six lstm.* parameters plus the input x as a parameter, with a
+    random bias so every gate term is exercised."""
+    spec = {k: v for k, v in estimator_param_spec(cfg).items() if k.startswith("lstm.")}
+    store = init_params(spec, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for layer in range(cfg.layers):
+        store.tensor(f"lstm.L{layer}.b").data[:] = rng.normal(size=4 * cfg.hidden)
+    store.add("x", x)
+    return store
+
+
+@pytest.mark.parametrize("batch,T", [(1, 1), (1, 6), (3, 1), (3, 6)])
+def test_fused_layer_matches_per_step_reference(rng, batch, T):
+    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.3)
+    store = lstm_store_with_input(cfg, rng.normal(size=(batch * T, 4)))
+    probe = rng.normal(size=(batch * T, cfg.hidden))
+    results = []
+    for forward in (recurrent_forward, reference_recurrent_forward):
+        store.zero_grad()
+        h = forward(store.tensor("x"), store, cfg, mode="train", dropout_seed=5, batch=batch)
+        tsum(mul(h, as_tensor(probe))).backward()
+        results.append((h.data, {n: store.tensor(n).grad.copy() for n in store.names()}))
+    (got, got_grads), (want, want_grads) = results
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for name in store.names():
+        assert np.max(np.abs(got_grads[name] - want_grads[name])) <= 1e-12, name
+
+
+def test_train_mode_gradients_match_finite_differences(rng):
+    cfg = EstimatorConfig(d_g=3, hidden=4, layers=2, dropout=0.3)
+    batch, T = 3, 4
+    store = lstm_store_with_input(cfg, rng.normal(size=(batch * T, 3)), seed=2)
+    probe = rng.normal(size=(batch * T, cfg.hidden))
+
+    def loss(st):
+        h = recurrent_forward(st.tensor("x"), st, cfg, mode="train", dropout_seed=9,
+                              batch=batch)
+        return tsum(mul(h, as_tensor(probe)))
+
+    n_coords = sum(store.tensor(n).data.size for n in store.names())
+    assert finite_diff_check(loss, store, max_coords=n_coords) < 1e-5
+
+
+def test_recurrent_tape_does_not_grow_with_steps(rng, tape_nodes):
+    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.3)
+    store = mkstore(cfg)
+    counts = [tape_nodes(recurrent_forward(Tensor(rng.normal(size=(2 * T, 4)), requires_grad=True),
+                                           store, cfg, mode="train", batch=2))
+              for T in (5, 30)]
+    # per layer: the op and its three parameters; plus the input
+    assert counts == [9, 9]
 
 
 # ---------------------------------------------------------------- heads
