@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamRegistryError
-from .graphs import Relation
+from .graphs import _RELATION_ORDER, Relation
 from .nn import Tensor, as_tensor, div, exp, gather_rows, matmul, mul
 from .nn import reshape, segment_sum, sub, transpose
 from .nn.tensor import _accum, _make
 
 LAYERS = 3
-
-_RELATION_ID = {rel: i for i, rel in enumerate(Relation)}
 
 
 def _as_int_array(xs) -> np.ndarray:
@@ -80,7 +78,7 @@ def pack_graphs(items) -> PackedGraphs:
         Zs.append(Z)
         node_graph.append(np.full(n, gi, dtype=np.int64))
         for e in g.edges:
-            rel.append(_RELATION_ID[e.relation])
+            rel.append(_RELATION_ORDER[e.relation])
             src.append(e.src + node_off)
             dst.append(e.dst + node_off)
         node_off += n

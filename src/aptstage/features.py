@@ -1,10 +1,11 @@
 """Numeric featurization of provenance graphs.
 
-All node kinds share one fixed-width vector: a kind one-hot, a host-entity
-block [cmd-tfidf | user-bucket+priv | rel-time | degree stats] and an alert
-block [sig-tfidf | severity | proto+direction | subnet+port | rel-time]; the
-inapplicable block is zeroed. Edges get [relation one-hot | freq | log-bytes |
-rel-time | alert-category/severity/proto]. Continuous stat columns are
+The layout is defined once, by the ordered (block, width) tables
+`_node_blocks` and `_edge_blocks`; `FeaturizerConfig` derives every column
+offset from them. All node kinds share one fixed-width vector: a kind
+one-hot, a host-entity part and an alert part, with the inapplicable part
+zeroed. Edges get a relation one-hot, frequency, log-bytes and time, plus
+alert attributes on triggered_by edges. Continuous stat columns are
 z-scored with statistics fit on training graphs only.
 """
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 import re
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import CompatibilityError, FitError, InputError
+from .errors import CompatibilityError, FitError, InputError, ValidationError
 from .graphs import (
     NUM_RELATIONS,
     WINDOW_SECONDS,
@@ -53,94 +54,57 @@ def _bucket(token: str, n: int) -> int:
     return zlib.crc32(token.encode("utf-8")) % n
 
 
+def _node_blocks(c) -> tuple:
+    return (
+        ("n_type", len(NodeKind)),           # kind one-hot
+        ("n_cmd", c.d_cmd),                  # host entity: command/path TF-IDF
+        ("n_user", c.user_buckets),          # hashed users
+        ("n_priv", 1),                       # privileged-user flag
+        ("n_time", 1),                       # first sighting, window-relative
+        ("n_stat", 3),                       # z-scored in/out degree, event count
+        ("n_sig", c.d_cmd),                  # alert: signature TF-IDF
+        ("n_sev", 1),                        # severity
+        ("n_proto", len(_PROTOCOLS) + 1),    # protocol one-hot + outbound flag
+        ("n_net", c.subnet_buckets + 1),     # hashed external /24 + port / 65535
+        ("n_atime", 1),                      # alert time, window-relative
+    )
+
+
+def _edge_blocks(c) -> tuple:
+    return (
+        ("e_type", NUM_RELATIONS),           # relation one-hot
+        ("e_freq", 1),                       # count / max count in the window
+        ("e_size", 1),                       # z-scored log1p(bytes)
+        ("e_time", 1),                       # window-relative timestamp
+        ("e_acat", c.category_buckets),      # triggered_by: hashed alert category
+        ("e_asev", 1),                       # alert severity
+        ("e_aproto", len(_PROTOCOLS)),       # alert protocol one-hot
+    )
+
+
 @dataclass(frozen=True)
 class FeaturizerConfig:
+    """The four block widths. Every block offset (`n_*`, `e_*`) and
+    `node_dim`/`edge_dim` is derived from `_node_blocks`/`_edge_blocks` at
+    construction; they are not fields, so `asdict` (and the feature-spec
+    hash) sees only the widths."""
+
     d_cmd: int = 64
     user_buckets: int = 16
     subnet_buckets: int = 32
     category_buckets: int = 8
 
-    # --- node layout ---
-    @property
-    def n_type(self) -> int:
-        return 0
-
-    @property
-    def n_cmd(self) -> int:
-        return len(NodeKind)
-
-    @property
-    def n_user(self) -> int:
-        return self.n_cmd + self.d_cmd
-
-    @property
-    def n_priv(self) -> int:
-        return self.n_user + self.user_buckets
-
-    @property
-    def n_time(self) -> int:
-        return self.n_priv + 1
-
-    @property
-    def n_stat(self) -> int:
-        return self.n_time + 1
-
-    @property
-    def n_sig(self) -> int:
-        return self.n_stat + 3
-
-    @property
-    def n_sev(self) -> int:
-        return self.n_sig + self.d_cmd
-
-    @property
-    def n_proto(self) -> int:
-        return self.n_sev + 1
-
-    @property
-    def n_net(self) -> int:
-        return self.n_proto + len(_PROTOCOLS) + 1
-
-    @property
-    def n_atime(self) -> int:
-        return self.n_net + self.subnet_buckets + 1
-
-    @property
-    def node_dim(self) -> int:
-        return self.n_atime + 1
-
-    # --- edge layout ---
-    @property
-    def e_type(self) -> int:
-        return 0
-
-    @property
-    def e_freq(self) -> int:
-        return NUM_RELATIONS
-
-    @property
-    def e_size(self) -> int:
-        return self.e_freq + 1
-
-    @property
-    def e_time(self) -> int:
-        return self.e_size + 1
-
-    @property
-    def e_acat(self) -> int:
-        return self.e_time + 1
-
-    @property
-    def e_asev(self) -> int:
-        return self.e_acat + self.category_buckets
-
-    @property
-    def e_aproto(self) -> int:
-        return self.e_asev + 1
-
-    @property
-    def edge_dim(self) -> int:
-        return self.e_aproto + len(_PROTOCOLS)
+    def __post_init__(self):
+        for f in fields(self):
+            width = getattr(self, f.name)
+            if not isinstance(width, int) or width < 1:
+                raise ValidationError(f"featurizer.{f.name} must be a positive integer, got {width!r}")
+        for blocks, dim in ((_node_blocks(self), "node_dim"), (_edge_blocks(self), "edge_dim")):
+            offset = 0
+            for name, width in blocks:
+                object.__setattr__(self, name, offset)
+                offset += width
+            object.__setattr__(self, dim, offset)
 
 
 @dataclass
@@ -205,6 +169,12 @@ def edge_log_bytes(graph: ProvenanceGraph) -> np.ndarray:
     return np.array([math.log1p(e.bytes or 0) for e in graph.edges])
 
 
+def _host_rows(graph: ProvenanceGraph) -> np.ndarray:
+    """Mask of the non-alert nodes: the rows that carry the host-entity
+    block, and the rows the node stat columns are fitted on."""
+    return np.array([node.kind is not NodeKind.ALERT for node in graph.nodes], dtype=bool)
+
+
 def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     """Build the shared TF-IDF vocabulary and z-score statistics from training
     graphs only. idf = ln((1+N)/(1+df)) + 1 over text-bearing nodes."""
@@ -217,14 +187,12 @@ def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     stat_rows = []
     size_vals = []
     for g in corpus:
-        stats = node_stats(g)
-        for i, node in enumerate(g.nodes):
+        for node in g.nodes:
             text = node_text(node)
             if text:
                 n_docs += 1
                 df.update(set(tokenize(text)))
-            if node.kind is not NodeKind.ALERT:
-                stat_rows.append(stats[i])
+        stat_rows.append(node_stats(g)[_host_rows(g)])
         size_vals.append(edge_log_bytes(g))
 
     top = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[: config.d_cmd]
@@ -232,8 +200,8 @@ def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     idf = np.array([math.log((1 + n_docs) / (1 + cnt)) + 1.0 for _, cnt in top])
     vocab = FeatureVocab(token_index=token_index, idf=idf, d_cmd=config.d_cmd)
 
-    stat_mat = np.array(stat_rows) if stat_rows else np.zeros((0, 3))
-    sizes = np.concatenate(size_vals) if size_vals else np.zeros(0)
+    stat_mat = np.concatenate(stat_rows)
+    sizes = np.concatenate(size_vals)
     mean = np.zeros(len(CONTINUOUS_COLUMNS))
     std = np.zeros(len(CONTINUOUS_COLUMNS))
     if stat_mat.shape[0]:
@@ -245,61 +213,67 @@ def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     return vocab, ZScoreStats(mean=mean, std=std)
 
 
-def _fill_node_row(row, node, stat_row, graph, vocab, stats, cfg) -> None:
-    row[cfg.n_type + _KIND_ORDER[node.kind]] = 1.0
-    if node.kind is NodeKind.ALERT:
-        row[cfg.n_sig : cfg.n_sig + cfg.d_cmd] = vocab.tfidf(node_text(node))
-        row[cfg.n_sev] = node.attrs.get("severity", 0.0)
-        proto = node.attrs.get("protocol", "other")
-        row[cfg.n_proto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
-        if node.attrs.get("outbound"):
-            row[cfg.n_proto + len(_PROTOCOLS)] = 1.0
-        ext_ip = node.attrs.get("external_ip", "")
-        subnet = ".".join(ext_ip.split(".")[:3])
-        row[cfg.n_net + _bucket(subnet, cfg.subnet_buckets)] = 1.0
-        row[cfg.n_net + cfg.subnet_buckets] = node.attrs.get("external_port", 0) / 65535.0
-        row[cfg.n_atime] = (node.attrs["first_ts"] - graph.window_start) / WINDOW_SECONDS
-    else:
-        text = node_text(node)
-        if text:
-            row[cfg.n_cmd : cfg.n_cmd + cfg.d_cmd] = vocab.tfidf(text)
-        users = node.attrs.get("users", [])
-        if node.kind is NodeKind.USER:
-            users = list(users) + [node.key]
-        for u in users:
-            row[cfg.n_user + _bucket(u, cfg.user_buckets)] = 1.0
-        if any(u.lower() in _PRIVILEGED for u in users):
-            row[cfg.n_priv] = 1.0
-        row[cfg.n_time] = (node.attrs["first_ts"] - graph.window_start) / WINDOW_SECONDS
-        for j in range(3):
-            row[cfg.n_stat + j] = stats.apply(j, stat_row[j])
-
-
-def _fill_edge_row(row, edge, max_count, graph, stats, cfg) -> None:
-    row[cfg.e_type + _RELATION_ORDER[edge.relation]] = 1.0
-    row[cfg.e_freq] = edge.count / max_count
-    row[cfg.e_size] = stats.apply(3, math.log1p(edge.bytes or 0))
-    row[cfg.e_time] = (edge.timestamp - graph.window_start) / WINDOW_SECONDS
-    if edge.relation is Relation.TRIGGERED_BY:
-        src = graph.nodes[edge.src]
-        row[cfg.e_acat + _bucket(src.attrs.get("category", ""), cfg.category_buckets)] = 1.0
-        row[cfg.e_asev] = src.attrs.get("severity", 0.0)
-        proto = src.attrs.get("protocol", "other")
-        row[cfg.e_aproto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
+def _proto_column(attrs: dict) -> int:
+    proto = attrs.get("protocol", "other")
+    return _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")
 
 
 def featurize_graph(graph: ProvenanceGraph, vocab, stats,
                     config: FeaturizerConfig = FeaturizerConfig()):
     """Raw feature matrices (X: |V|×d_x, Z: |E|×d_e) for one graph."""
-    X = np.zeros((len(graph.nodes), config.node_dim))
-    Z = np.zeros((len(graph.edges), config.edge_dim))
-    srows = node_stats(graph)
-    for i, node in enumerate(graph.nodes):
-        _fill_node_row(X[i], node, srows[i], graph, vocab, stats, config)
-    if graph.edges:
-        max_count = max(e.count for e in graph.edges)
-        for j, edge in enumerate(graph.edges):
-            _fill_edge_row(Z[j], edge, max_count, graph, stats, config)
+    c = config
+    nodes, edges = graph.nodes, graph.edges
+    X = np.zeros((len(nodes), c.node_dim))
+    Z = np.zeros((len(edges), c.edge_dim))
+
+    host = _host_rows(graph)
+    alert = ~host
+    kind = np.array([_KIND_ORDER[node.kind] for node in nodes], dtype=np.int64)
+    X[np.arange(len(nodes)), c.n_type + kind] = 1.0
+    rel_time = (np.array([node.attrs["first_ts"] for node in nodes], dtype=float)
+                - graph.window_start) / WINDOW_SECONDS
+    X[host, c.n_time] = rel_time[host]
+    X[alert, c.n_atime] = rel_time[alert]
+    node_stat = node_stats(graph)[host]
+    for j in range(3):
+        X[host, c.n_stat + j] = stats.apply(j, node_stat[:, j])
+
+    for i, node in enumerate(nodes):
+        a = node.attrs
+        if node.kind is NodeKind.ALERT:
+            X[i, c.n_sig : c.n_sig + c.d_cmd] = vocab.tfidf(node_text(node))
+            X[i, c.n_sev] = a.get("severity", 0.0)
+            X[i, c.n_proto + _proto_column(a)] = 1.0
+            if a.get("outbound"):
+                X[i, c.n_proto + len(_PROTOCOLS)] = 1.0
+            subnet = ".".join(a.get("external_ip", "").split(".")[:3])
+            X[i, c.n_net + _bucket(subnet, c.subnet_buckets)] = 1.0
+            X[i, c.n_net + c.subnet_buckets] = a.get("external_port", 0) / 65535.0
+            continue
+        text = node_text(node)
+        if text:
+            X[i, c.n_cmd : c.n_cmd + c.d_cmd] = vocab.tfidf(text)
+        users = a.get("users", [])
+        if node.kind is NodeKind.USER:
+            users = list(users) + [node.key]
+        for u in users:
+            X[i, c.n_user + _bucket(u, c.user_buckets)] = 1.0
+        if any(u.lower() in _PRIVILEGED for u in users):
+            X[i, c.n_priv] = 1.0
+
+    if edges:
+        rel = np.array([_RELATION_ORDER[e.relation] for e in edges], dtype=np.int64)
+        Z[np.arange(len(edges)), c.e_type + rel] = 1.0
+        count = np.array([e.count for e in edges], dtype=float)
+        Z[:, c.e_freq] = count / count.max()
+        Z[:, c.e_size] = stats.apply(3, edge_log_bytes(graph))
+        Z[:, c.e_time] = (np.array([e.timestamp for e in edges], dtype=float)
+                          - graph.window_start) / WINDOW_SECONDS
+        for j in np.flatnonzero(rel == _RELATION_ORDER[Relation.TRIGGERED_BY]):
+            a = nodes[edges[j].src].attrs
+            Z[j, c.e_acat + _bucket(a.get("category", ""), c.category_buckets)] = 1.0
+            Z[j, c.e_asev] = a.get("severity", 0.0)
+            Z[j, c.e_aproto + _proto_column(a)] = 1.0
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise InputError("non-finite feature value produced")
     return X, Z

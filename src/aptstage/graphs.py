@@ -8,7 +8,6 @@ to the responsible process via a triggered_by edge.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,6 +19,7 @@ from .telemetry.records import (
     EventKind,
     HostEvent,
     NetworkAlert,
+    align_windows,
 )
 
 
@@ -173,23 +173,18 @@ class ProvenanceGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def window_events(events, alerts, window_len: float = WINDOW_SECONDS):
-    """Partition both streams into contiguous half-open windows aligned to the
-    earliest timestamp. Empty interior windows are retained so window indices
-    stay time-aligned for the sequence model."""
+def window_events(events, alerts):
+    """Partition both streams into the windows of `align_windows`. Empty
+    interior windows are retained so window indices stay time-aligned for
+    the sequence model."""
     stamps = [e.timestamp for e in events] + [a.timestamp for a in alerts]
-    if not stamps:
-        return []
-    t0 = min(stamps)
-    n = int(math.floor((max(stamps) - t0) / window_len)) + 1
+    t0, n, idx = align_windows(stamps, stamps)
     out = [([], []) for _ in range(n)]
-    for ev in events:
-        idx = min(n - 1, int(math.floor((ev.timestamp - t0) / window_len)))
-        out[idx][0].append(ev)
-    for al in alerts:
-        idx = min(n - 1, int(math.floor((al.timestamp - t0) / window_len)))
-        out[idx][1].append(al)
-    return [WindowSlice(i, t0 + i * window_len, evs, als) for i, (evs, als) in enumerate(out)]
+    for ev, i in zip(events, idx):
+        out[i][0].append(ev)
+    for al, i in zip(alerts, idx[len(events):]):
+        out[i][1].append(al)
+    return [WindowSlice(i, t0 + i * WINDOW_SECONDS, evs, als) for i, (evs, als) in enumerate(out)]
 
 
 @dataclass(frozen=True)
@@ -384,8 +379,8 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     return g
 
 
-def build_graph_sequence(events, alerts, window_len: float = WINDOW_SECONDS):
-    return [build_graph(w) for w in window_events(events, alerts, window_len)]
+def build_graph_sequence(events, alerts):
+    return [build_graph(w) for w in window_events(events, alerts)]
 
 
 def dump_graphs_jsonl(graphs, fh) -> None:

@@ -17,6 +17,20 @@ from ..errors import TelemetryParseError, ValidationError
 WINDOW_SECONDS = 300.0
 
 
+def align_windows(stamps, placed) -> tuple:
+    """The window rule that graph building and labeling share. Windows are
+    contiguous, half-open and WINDOW_SECONDS long, aligned to t0, the
+    earliest of the record timestamps `stamps`; there are
+    floor(span / WINDOW_SECONDS) + 1 of them. Returns (t0, window count, the
+    window index of each timestamp in `placed`), an index past the end
+    clamped to the last window. No stamps, no windows."""
+    if not stamps:
+        return 0.0, 0, []
+    t0 = min(stamps)
+    n = int(math.floor((max(stamps) - t0) / WINDOW_SECONDS)) + 1
+    return t0, n, [min(n - 1, int(math.floor((ts - t0) / WINDOW_SECONDS))) for ts in placed]
+
+
 class EventKind(str, Enum):
     PROCESS_CREATE = "ProcessCreate"
     FILE_CREATE = "FileCreate"

@@ -9,7 +9,6 @@ for the whole duration and never produces alerts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .records import (
     HostEvent,
     NetworkAlert,
     Protocol,
+    align_windows,
 )
 
 
@@ -291,18 +291,14 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
                              Protocol.TCP, EXFIL_IP, 443, hip)
 
 
-def window_labels(events, alerts, stage_stamps, window_len: float = WINDOW_SECONDS) -> list[int]:
+def window_labels(events, alerts, stage_stamps) -> list[int]:
     """Per-window stage labels by majority of in-window attack records (ties
-    toward the smaller stage id; no attack evidence → 0). Windows are aligned
-    to the earliest record timestamp, matching the graph builder."""
+    toward the smaller stage id; no attack evidence → 0), on the windows of
+    `align_windows` that the graph builder uses."""
     stamps = [e.timestamp for e in events] + [a.timestamp for a in alerts]
-    if not stamps:
-        return []
-    t0 = min(stamps)
-    n_windows = int(math.floor((max(stamps) - t0) / window_len)) + 1
+    _, n_windows, idx = align_windows(stamps, [ts for ts, _ in stage_stamps])
     counts = np.zeros((n_windows, 7), dtype=np.int64)
-    for ts, k in stage_stamps:
-        w = min(n_windows - 1, int(math.floor((ts - t0) / window_len)))
+    for w, (_, k) in zip(idx, stage_stamps):
         counts[w, k] += 1
     return [int(row.argmax()) if row.any() else 0 for row in counts]
 

@@ -183,6 +183,16 @@ def test_exit_code_usage_errors(tmp_path):
     assert run("generate", "--config", str(bad)) == 1
 
 
+@pytest.mark.parametrize("field,value", [("user_buckets", 0), ("subnet_buckets", -1)])
+def test_non_positive_featurizer_width_fails_at_config_load(tmp_path, field, value):
+    model = dict(FAST["model"], featurizer={field: value})
+    cfg_path = write_config(tmp_path, model=model)
+    assert run("generate", "--config", cfg_path) == 1
+    assert not (tmp_path / "artifacts" / "events.jsonl").exists()
+    assert run("generate", "--config", write_config(tmp_path, name="ok.json"),
+               "--set", f"model.featurizer.{field}={value}") == 1
+
+
 def test_exit_code_missing_dependency(tmp_path):
     cfg_path = write_config(tmp_path)
     assert run("infer", "--config", cfg_path) == 3   # nothing generated yet

@@ -1,22 +1,27 @@
 """Feature extraction: TF-IDF vocabulary, z-scoring, layouts, projection."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from aptstage.encoder import pack_graphs, project_packed
-from aptstage.errors import CompatibilityError, FitError
+from aptstage.errors import CompatibilityError, FitError, ValidationError
 from aptstage.features import (
     CONSTANT_STD,
     CONTINUOUS_COLUMNS,
     FeaturizerConfig,
     ZScoreStats,
+    _PRIVILEGED,
+    _PROTOCOLS,
     _bucket,
+    edge_log_bytes,
     feature_spec_hash,
     featurize_graph,
     fit_vocab_and_stats,
     load_feature_spec,
     node_stats,
+    node_text,
     save_feature_spec,
     tokenize,
 )
@@ -26,6 +31,8 @@ from aptstage.graphs import (
     NodeKind,
     ProvenanceGraph,
     Relation,
+    _KIND_ORDER,
+    _RELATION_ORDER,
     build_graph_sequence,
 )
 from aptstage.nn import ParamStore
@@ -259,6 +266,165 @@ def test_oov_tokens_contribute_nothing():
     x = featurize_graph(novel, vocab, stats)[0][0]
     assert np.all(x[CFG.n_cmd:CFG.n_cmd + CFG.d_cmd] == 0.0)
     assert vocab.token_index == before
+
+
+# ------------------------------------------------ row-wise reference featurizer
+
+
+class RowLayout:
+    """Column offsets as chained properties, each block after the previous
+    one: the layout as it was written before the block tables."""
+
+    def __init__(self, cfg):
+        self.d_cmd = cfg.d_cmd
+        self.user_buckets = cfg.user_buckets
+        self.subnet_buckets = cfg.subnet_buckets
+        self.category_buckets = cfg.category_buckets
+
+    n_type = property(lambda s: 0)
+    n_cmd = property(lambda s: len(NodeKind))
+    n_user = property(lambda s: s.n_cmd + s.d_cmd)
+    n_priv = property(lambda s: s.n_user + s.user_buckets)
+    n_time = property(lambda s: s.n_priv + 1)
+    n_stat = property(lambda s: s.n_time + 1)
+    n_sig = property(lambda s: s.n_stat + 3)
+    n_sev = property(lambda s: s.n_sig + s.d_cmd)
+    n_proto = property(lambda s: s.n_sev + 1)
+    n_net = property(lambda s: s.n_proto + len(_PROTOCOLS) + 1)
+    n_atime = property(lambda s: s.n_net + s.subnet_buckets + 1)
+    node_dim = property(lambda s: s.n_atime + 1)
+    e_type = property(lambda s: 0)
+    e_freq = property(lambda s: len(Relation))
+    e_size = property(lambda s: s.e_freq + 1)
+    e_time = property(lambda s: s.e_size + 1)
+    e_acat = property(lambda s: s.e_time + 1)
+    e_asev = property(lambda s: s.e_acat + s.category_buckets)
+    e_aproto = property(lambda s: s.e_asev + 1)
+    edge_dim = property(lambda s: s.e_aproto + len(_PROTOCOLS))
+
+    OFFSETS = ("n_type", "n_cmd", "n_user", "n_priv", "n_time", "n_stat", "n_sig", "n_sev",
+               "n_proto", "n_net", "n_atime", "node_dim", "e_type", "e_freq", "e_size",
+               "e_time", "e_acat", "e_asev", "e_aproto", "edge_dim")
+
+
+def _ref_fill_node_row(row, node, stat_row, graph, vocab, stats, cfg):
+    row[cfg.n_type + _KIND_ORDER[node.kind]] = 1.0
+    if node.kind is NodeKind.ALERT:
+        row[cfg.n_sig : cfg.n_sig + cfg.d_cmd] = vocab.tfidf(node_text(node))
+        row[cfg.n_sev] = node.attrs.get("severity", 0.0)
+        proto = node.attrs.get("protocol", "other")
+        row[cfg.n_proto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
+        if node.attrs.get("outbound"):
+            row[cfg.n_proto + len(_PROTOCOLS)] = 1.0
+        subnet = ".".join(node.attrs.get("external_ip", "").split(".")[:3])
+        row[cfg.n_net + _bucket(subnet, cfg.subnet_buckets)] = 1.0
+        row[cfg.n_net + cfg.subnet_buckets] = node.attrs.get("external_port", 0) / 65535.0
+        row[cfg.n_atime] = (node.attrs["first_ts"] - graph.window_start) / WINDOW_SECONDS
+    else:
+        text = node_text(node)
+        if text:
+            row[cfg.n_cmd : cfg.n_cmd + cfg.d_cmd] = vocab.tfidf(text)
+        users = node.attrs.get("users", [])
+        if node.kind is NodeKind.USER:
+            users = list(users) + [node.key]
+        for u in users:
+            row[cfg.n_user + _bucket(u, cfg.user_buckets)] = 1.0
+        if any(u.lower() in _PRIVILEGED for u in users):
+            row[cfg.n_priv] = 1.0
+        row[cfg.n_time] = (node.attrs["first_ts"] - graph.window_start) / WINDOW_SECONDS
+        for j in range(3):
+            row[cfg.n_stat + j] = stats.apply(j, stat_row[j])
+
+
+def _ref_fill_edge_row(row, edge, max_count, graph, stats, cfg):
+    row[cfg.e_type + _RELATION_ORDER[edge.relation]] = 1.0
+    row[cfg.e_freq] = edge.count / max_count
+    row[cfg.e_size] = stats.apply(3, math.log1p(edge.bytes or 0))
+    row[cfg.e_time] = (edge.timestamp - graph.window_start) / WINDOW_SECONDS
+    if edge.relation is Relation.TRIGGERED_BY:
+        src = graph.nodes[edge.src]
+        row[cfg.e_acat + _bucket(src.attrs.get("category", ""), cfg.category_buckets)] = 1.0
+        row[cfg.e_asev] = src.attrs.get("severity", 0.0)
+        proto = src.attrs.get("protocol", "other")
+        row[cfg.e_aproto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
+
+
+def ref_featurize_graph(graph, vocab, stats, config):
+    cfg = RowLayout(config)
+    X = np.zeros((len(graph.nodes), cfg.node_dim))
+    Z = np.zeros((len(graph.edges), cfg.edge_dim))
+    srows = node_stats(graph)
+    for i, node in enumerate(graph.nodes):
+        _ref_fill_node_row(X[i], node, srows[i], graph, vocab, stats, cfg)
+    if graph.edges:
+        max_count = max(e.count for e in graph.edges)
+        for j, edge in enumerate(graph.edges):
+            _ref_fill_edge_row(Z[j], edge, max_count, graph, stats, cfg)
+    return X, Z
+
+
+def ref_fit_stats(corpus):
+    """(mean, std) of the continuous columns, stat rows taken node by node."""
+    stat_rows, sizes = [], []
+    for g in corpus:
+        s = node_stats(g)
+        stat_rows.extend(s[i] for i, node in enumerate(g.nodes) if node.kind is not NodeKind.ALERT)
+        sizes.append(edge_log_bytes(g))
+    stat_mat, sizes = np.array(stat_rows), np.concatenate(sizes)
+    return (np.concatenate([stat_mat.mean(axis=0), [sizes.mean()]]),
+            np.concatenate([stat_mat.std(axis=0), [sizes.std()]]))
+
+
+def dense_graphs():
+    """Ten hosts at ten times the default event and alert rates."""
+    dur = 3 * WINDOW_SECONDS
+    cfg = ScenarioConfig(num_hosts=10, duration=dur, stage_schedule=default_campaign_schedule(dur),
+                         benign_event_rate=0.5, attack_event_rate=2.0, seed=4)
+    events, alerts, _ = generate_scenario(cfg)
+    return build_graph_sequence(events, alerts)
+
+
+@pytest.mark.parametrize("config", [CFG, FeaturizerConfig(8, 3, 5, 2)], ids=["default", "small"])
+def test_featurize_graph_equals_row_wise_reference(config):
+    campaign, dense = campaign_graphs(seed=3, windows=12), dense_graphs()
+    assert sum(n.kind is NodeKind.ALERT for g in campaign for n in g.nodes) > 0
+    edges_per_window = [sum(len(g.edges) for g in gs) / len(gs) for gs in (campaign, dense)]
+    assert edges_per_window[1] > 3 * edges_per_window[0]
+    vocab, stats = fit_vocab_and_stats(campaign + dense[:1], config)
+    mean, std = ref_fit_stats(campaign + dense[:1])
+    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
+    for g in campaign + dense:
+        X, Z = featurize_graph(g, vocab, stats, config)
+        X_ref, Z_ref = ref_featurize_graph(g, vocab, stats, config)
+        assert np.array_equal(X, X_ref) and np.array_equal(Z, Z_ref)
+
+
+def test_layout_offsets_pinned():
+    # a checkpoint's proj.Wx/proj.Wz columns follow this layout; the
+    # feature-spec hash covers only the four widths, so a reordered block
+    # table would go unnoticed by every hash
+    assert {name: getattr(CFG, name) for name in RowLayout.OFFSETS} == {
+        "n_type": 0, "n_cmd": 7, "n_user": 71, "n_priv": 87, "n_time": 88, "n_stat": 89,
+        "n_sig": 92, "n_sev": 156, "n_proto": 157, "n_net": 162, "n_atime": 195,
+        "node_dim": 196, "e_type": 0, "e_freq": 10, "e_size": 11, "e_time": 12,
+        "e_acat": 13, "e_asev": 21, "e_aproto": 22, "edge_dim": 26,
+    }
+    small = FeaturizerConfig(8, 3, 5, 2)
+    assert all(getattr(small, n) == getattr(RowLayout(small), n) for n in RowLayout.OFFSETS)
+
+
+def test_config_fields_are_the_four_widths():
+    assert [f.name for f in dataclasses.fields(FeaturizerConfig)] == [
+        "d_cmd", "user_buckets", "subnet_buckets", "category_buckets"]
+    assert dataclasses.asdict(CFG) == {"d_cmd": 64, "user_buckets": 16,
+                                       "subnet_buckets": 32, "category_buckets": 8}
+
+
+@pytest.mark.parametrize("field,value", [("user_buckets", 0), ("subnet_buckets", -1),
+                                         ("d_cmd", 0), ("category_buckets", -3)])
+def test_non_positive_width_rejected(field, value):
+    with pytest.raises(ValidationError, match=field):
+        FeaturizerConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- project

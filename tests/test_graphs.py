@@ -29,6 +29,7 @@ from aptstage.telemetry import (
     HostEvent,
     NetworkAlert,
     Protocol,
+    window_labels,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -103,6 +104,22 @@ def test_interior_empty_window_retained():
     assert windows[1].events == []
     g = build_graph(windows[1])
     assert g.nodes == () and g.edges == ()
+
+
+_STAMP = st.one_of(st.floats(0.0, 6000.0), st.integers(0, 20).map(lambda i: 300.0 * i))
+
+
+@settings(max_examples=200)
+@given(st.lists(_STAMP, min_size=1, max_size=20), st.lists(_STAMP, max_size=5), st.data())
+def test_labels_land_in_the_window_that_holds_their_record(ev_stamps, al_stamps, data):
+    events = [ev(t, EventKind.FILE_READ, proc("a.exe"), fileref("f")) for t in ev_stamps]
+    alerts = [NetworkAlert(t, "sig", 0.5, Protocol.TCP, "c", HOST, 1, "9.9.9.9", 2)
+              for t in al_stamps]
+    k = data.draw(st.integers(0, len(events) - 1))
+    windows = window_events(events, alerts)
+    labels = window_labels(events, alerts, [(ev_stamps[k], 3)])
+    (home,) = {w.index for w in windows if any(e is events[k] for e in w.events)}
+    assert labels == [3 if w.index == home else 0 for w in windows]
 
 
 # ---------------------------------------------------------------- golden
