@@ -19,6 +19,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .config import PipelineConfig, apply_overrides, load_config
 from .errors import (
     CompatibilityError,
@@ -40,18 +42,12 @@ from .evaluation import (
     write_metrics_csv,
     write_metrics_json,
 )
-from .features import (
-    feature_spec_hash,
-    featurize_graph,
-    fit_vocab_and_stats,
-    load_feature_spec,
-    save_feature_spec,
-)
+from .features import fit_vocab_and_stats, load_feature_spec, save_feature_spec
 from .graphs import build_graph, dump_graphs_jsonl, load_graphs_jsonl, window_events
 from .mapping import decide, export_alerts, transitions
-from .model import ModelConfig, build_param_store
+from .model import ModelConfig, build_param_store, encode_windows
 from .nn import load_checkpoint, no_grad, save_checkpoint
-from .encoder import encode_packed, pack_graphs, write_attention_csv
+from .encoder import write_attention_csv
 from .telemetry import dump_jsonl, generate_scenario, parse_alerts, parse_host_events
 from .training import (
     Trace,
@@ -137,17 +133,6 @@ def _load_graphs(cfg: PipelineConfig):
         return load_graphs_jsonl(fh)
 
 
-def _load_spec(cfg: PipelineConfig):
-    path = cfg.path(ARTIFACTS["feature_spec"])
-    _require(path, cfg, "fit-features", embedded=True)
-    vocab, stats, fcfg, spec_hash = load_feature_spec(path)
-    want = cfg.model.featurizer
-    if fcfg != want:
-        raise CompatibilityError(
-            "feature spec dimensions differ from the configured featurizer")
-    return vocab, stats, fcfg, spec_hash
-
-
 def _load_labels(cfg: PipelineConfig, n_windows: int):
     path = cfg.path(ARTIFACTS["labels"])
     _require(path, cfg, "generate")
@@ -160,6 +145,20 @@ def _load_labels(cfg: PipelineConfig, n_windows: int):
             f"labels cover windows {min(labels, default=0)}..{max(labels, default=0)} "
             f"but {n_windows} graphs exist")
     return [labels[i] for i in range(n_windows)]
+
+
+def _load_trace(cfg: PipelineConfig, labeled: bool):
+    """The graphs artifact featurized with the fitted feature spec as one
+    trace, with window labels when `labeled`; returns (trace, spec_hash)."""
+    graphs = _load_graphs(cfg)
+    path = cfg.path(ARTIFACTS["feature_spec"])
+    _require(path, cfg, "fit-features", embedded=True)
+    vocab, stats, fcfg, spec_hash = load_feature_spec(path)
+    if fcfg != cfg.model.featurizer:
+        raise CompatibilityError(
+            "feature spec dimensions differ from the configured featurizer")
+    labels = _load_labels(cfg, len(graphs)) if labeled else None
+    return featurize_trace("trace0", graphs, labels, vocab, stats, fcfg), spec_hash
 
 
 def _load_model_checkpoint(path: str, cfg: PipelineConfig, spec_hash: str,
@@ -236,9 +235,7 @@ def cmd_fit_features(cfg: PipelineConfig) -> None:
 
 
 def cmd_pretrain(cfg: PipelineConfig) -> None:
-    graphs = _load_graphs(cfg)
-    vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    trace = featurize_trace("trace0", graphs, None, vocab, stats, fcfg)
+    trace, spec_hash = _load_trace(cfg, labeled=False)
     store = build_param_store(cfg.model)
     result = pretrain([trace], store, cfg.model, cfg.pretrain)
     ckpt = cfg.path(ARTIFACTS["pretrain_ckpt"])
@@ -253,10 +250,7 @@ def cmd_pretrain(cfg: PipelineConfig) -> None:
 
 
 def cmd_finetune(cfg: PipelineConfig) -> None:
-    graphs = _load_graphs(cfg)
-    vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    labels = _load_labels(cfg, len(graphs))
-    trace = featurize_trace("trace0", graphs, labels, vocab, stats, fcfg)
+    trace, spec_hash = _load_trace(cfg, labeled=True)
     if len(trace.windows) < 2:
         raise InputError("finetune needs at least 2 windows: the last ones validate")
     # validate on the temporally last windows, never on the training windows
@@ -284,10 +278,7 @@ def _fold_traces(trace: Trace, k: int):
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    graphs = _load_graphs(cfg)
-    vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    labels = _load_labels(cfg, len(graphs))
-    trace = featurize_trace("trace0", graphs, labels, vocab, stats, fcfg)
+    trace, spec_hash = _load_trace(cfg, labeled=True)
     ckpt_path = cfg.path(ARTIFACTS["pretrain_ckpt"])
     blocks = _fold_traces(trace, cfg.folds)
 
@@ -319,16 +310,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 
 def cmd_infer(cfg: PipelineConfig) -> None:
-    graphs = _load_graphs(cfg)
-    vocab, stats, fcfg, spec_hash = _load_spec(cfg)
-    trace = featurize_trace("trace0", graphs, None, vocab, stats, fcfg)
+    trace, spec_hash = _load_trace(cfg, labeled=False)
     store, mcfg = _load_model_checkpoint(
         cfg.path(ARTIFACTS["finetune_ckpt"]), cfg, spec_hash, "finetune")
     probs = predict_trace(trace, store, mcfg)
     decisions = decide(
         probs,
-        window_starts=[g.window_start for g in graphs],
-        window_indices=[g.window_index for g in graphs])
+        window_starts=[w.graph.window_start for w in trace.windows],
+        window_indices=[w.graph.window_index for w in trace.windows])
     events = transitions(decisions)
     out = cfg.path(ARTIFACTS["stage_alerts"])
     export_alerts(decisions, events, out)
@@ -338,23 +327,24 @@ def cmd_infer(cfg: PipelineConfig) -> None:
 
 
 def cmd_export_attention(cfg: PipelineConfig) -> None:
-    graphs = _load_graphs(cfg)
-    vocab, stats, fcfg, spec_hash = _load_spec(cfg)
+    trace, spec_hash = _load_trace(cfg, labeled=False)
     fin = cfg.path(ARTIFACTS["finetune_ckpt"])
     pre = cfg.path(ARTIFACTS["pretrain_ckpt"])
     source = fin if os.path.exists(fin) else pre
     store, mcfg = _load_model_checkpoint(
         source, cfg, spec_hash, "finetune" if source == fin else "pretrain")
-    alphas = []
-    with no_grad():
-        for g in graphs:
-            X, Z = featurize_graph(g, vocab, stats, fcfg)
-            enc = encode_packed(pack_graphs([(X, Z, g)]), store, layers=mcfg.gnn_layers)
-            alphas.append(enc.alpha.data.copy())
+    graphs = [w.graph for w in trace.windows]
+    alpha = np.zeros(0)
+    if graphs:
+        with no_grad():
+            alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
+                                   store, mcfg).alpha.data
+    # the readout normalizes per window, so batching leaves each window's weights as they are
+    bounds = np.cumsum([len(g.nodes) for g in graphs])[:-1]
     out = cfg.path(ARTIFACTS["attention"])
-    write_attention_csv(out, graphs, alphas)
+    write_attention_csv(out, graphs, np.split(alpha, bounds))
     _write_sidecar(out, cfg, "export-attention", {"checkpoint": os.path.basename(source)})
-    print(f"export-attention: {sum(a.size for a in alphas)} node weights -> {out}")
+    print(f"export-attention: {alpha.size} node weights -> {out}")
 
 
 _COMMANDS = {

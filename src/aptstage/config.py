@@ -114,12 +114,6 @@ def load_config(path: str) -> PipelineConfig:
     return PipelineConfig.from_dict(doc)
 
 
-def save_config(cfg: PipelineConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _parse_override_value(raw: str):
     try:
         return json.loads(raw)

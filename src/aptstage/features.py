@@ -16,7 +16,7 @@ import math
 import re
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -112,13 +112,21 @@ class FeatureVocab:
     token_index: dict
     idf: np.ndarray  # aligned to columns [0, len(token_index))
     d_cmd: int
+    # text -> its tf-idf row; outside equality and the spec payload
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tfidf(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.d_cmd)
-        for tok, cnt in Counter(tokenize(text)).items():
-            col = self.token_index.get(tok)
-            if col is not None:
-                vec[col] = cnt * self.idf[col]
+        """The text's tf-idf row, computed once per distinct text. Rows are
+        read-only because every later call returns the same array."""
+        vec = self._rows.get(text)
+        if vec is None:
+            vec = np.zeros(self.d_cmd)
+            for tok, cnt in Counter(tokenize(text)).items():
+                col = self.token_index.get(tok)
+                if col is not None:
+                    vec[col] = cnt * self.idf[col]
+            vec.flags.writeable = False
+            self._rows[text] = vec
         return vec
 
 

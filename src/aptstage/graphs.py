@@ -320,12 +320,11 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     host_keys = {k for k, d in drafts.items() if d.kind is NodeKind.HOST}
 
     # early fusion: alert node + external ip node + triggered_by attribution
-    fusion_edges: list = []  # (alert_key, target_key, ts)
+    fusion_edges: list = []  # (alert draft, target_key, ts)
     exact, loose = _sighting_tables(net_sightings) if window.alerts else ({}, {})
     for ordinal, al in enumerate(window.alerts):
         ext_ip, ext_port, outbound = external_endpoint(al, host_keys)
-        akey = f"alert:{ordinal}:{al.signature}"
-        ad = touch(NodeKind.ALERT, akey, al.timestamp)
+        ad = _NodeDraft(NodeKind.ALERT, f"alert:{ordinal}:{al.signature}", al.timestamp)
         ad.extra.update(
             signature=al.signature,
             severity=al.severity,
@@ -348,7 +347,12 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
             target = al.src_ip if al.src_ip in host_keys else min(host_keys)
         elif target is None:
             target = ext_ip
-        fusion_edges.append((akey, target, al.timestamp))
+        fusion_edges.append((ad, target, al.timestamp))
+    # alert nodes join last, each under a key that no entity node holds
+    for ad, _, _ in fusion_edges:
+        while ad.key in drafts:
+            ad.key += "'"
+        drafts[ad.key] = ad
 
     order = sorted(drafts.values(), key=lambda d: (_KIND_ORDER[d.kind], d.key))
     index = {d.key: i for i, d in enumerate(order)}
@@ -360,8 +364,8 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
         for (sk, rel, dk), (c, b, ts) in agg.items()
     ]
     edges.extend(
-        Edge(relation=Relation.TRIGGERED_BY, src=index[ak], dst=index[tk], timestamp=ts)
-        for ak, tk, ts in fusion_edges
+        Edge(relation=Relation.TRIGGERED_BY, src=index[ad.key], dst=index[tk], timestamp=ts)
+        for ad, tk, ts in fusion_edges
     )
     edges.extend(
         Edge(relation=Relation.SELF_LOOP, src=i, dst=i, timestamp=d.first_ts)

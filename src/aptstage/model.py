@@ -14,6 +14,7 @@ from .estimator import (
     estimator_param_spec,
     recurrent_forward,
 )
+from .errors import InputError
 from .features import FeaturizerConfig
 from .nn import ParamStore, init_params, no_grad
 
@@ -74,11 +75,14 @@ def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
 
 
 def infer_probabilities(window_feats, store: ParamStore, cfg: ModelConfig) -> np.ndarray:
-    """Eval-mode stage probabilities for one time-ordered window sequence."""
+    """Eval-mode stage probabilities for one time-ordered window sequence.
+    Raises InputError if any probability is non-finite."""
     if not window_feats:
         return np.zeros((0, cfg.num_classes))
     with no_grad():
         batch_enc = encode_windows(window_feats, store, cfg)
         h = recurrent_forward(batch_enc.g, store, cfg.estimator, mode="eval", batch=1)
         p = classify(h, store)
+    if not np.isfinite(p.data).all():
+        raise InputError("non-finite stage probability; check the checkpoint weights")
     return p.data.copy()

@@ -2,24 +2,17 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
-    concat,
     div,
     exp,
     gather_rows,
     log,
     matmul,
-    mean,
     mul,
-    neg,
     no_grad,
-    relu,
     reshape,
     segment_sum,
-    sigmoid,
-    slice_cols,
     sqrt,
     sub,
-    tanh,
     transpose,
     tsum,
 )
@@ -36,7 +29,6 @@ __all__ = [
     "add",
     "as_tensor",
     "clip_gradients",
-    "concat",
     "div",
     "exp",
     "finite_diff_check",
@@ -45,19 +37,13 @@ __all__ = [
     "load_checkpoint",
     "log",
     "matmul",
-    "mean",
     "mul",
-    "neg",
     "no_grad",
-    "relu",
     "reshape",
     "save_checkpoint",
     "segment_sum",
-    "sigmoid",
-    "slice_cols",
     "sqrt",
     "sub",
-    "tanh",
     "transpose",
     "tsum",
 ]

@@ -20,13 +20,16 @@ class AdamState:
 
 def clip_gradients(store: ParamStore, max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
-    Returns the applied scale (1.0 when already within bounds)."""
+    Returns the applied scale (1.0 when already within bounds). A non-finite
+    norm leaves the gradients as they are and returns nan."""
     total = 0.0
     for name in store.names():
         t = store.tensor(name)
         if t.grad is not None:
             total += float(np.sum(t.grad * t.grad))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        return float("nan")
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm

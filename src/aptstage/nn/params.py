@@ -43,13 +43,6 @@ class ParamStore:
     def params(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self._tensors.items()}
 
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        return {
-            k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for k, t in self._tensors.items()
-        }
-
     def zero_grad(self) -> None:
         for t in self._tensors.values():
             t.grad = None

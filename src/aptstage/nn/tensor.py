@@ -60,9 +60,6 @@ class Tensor:
     def __rsub__(self, other):
         return sub(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -163,15 +160,6 @@ def sub(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
@@ -227,36 +215,6 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _make(a.data * mask, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return _make(out, (a,), backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -298,38 +256,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             _accum(a, np.broadcast_to(ge, a.data.shape).copy())
 
     return _make(data, (a,), backward)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
-
-    return _make(data, tuple(parts), backward)
-
-
-def slice_cols(a, j0: int, j1: int) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        _accum(a, full)
-
-    return _make(a.data[:, j0:j1].copy(), (a,), backward)
 
 
 def gather_rows(a, idx) -> Tensor:

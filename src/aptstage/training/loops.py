@@ -195,13 +195,17 @@ def _batch_forward(batch, traces, cache, store, mcfg: ModelConfig, dropout_seed:
 def _optimizer_step(loss, store, adam: AdamState, lr: float, weight_decay: float,
                     clip: float, frozen, where: str) -> None:
     """zero_grad, backward, global-norm clip and Adam. A non-finite loss or
-    gradient norm stops training: a NaN norm would otherwise scale every
-    gradient to NaN, and an infinite one would scale them to 0·inf."""
+    gradient norm stops training before Adam sees it; the error names the
+    first parameter whose gradient is non-finite."""
+    if not np.isfinite(loss.data).all():
+        raise TrainingError(f"non-finite loss at {where}")
     store.zero_grad()
     loss.backward()
-    scale = clip_gradients(store, clip)
-    if not (np.isfinite(loss.data) and scale > 0.0):
-        raise TrainingError(f"non-finite loss or gradient norm at {where}")
+    if not np.isfinite(clip_gradients(store, clip)):
+        bad = [n for n in store.names() if store.tensor(n).grad is not None
+               and not np.isfinite(store.tensor(n).grad).all()]
+        raise TrainingError(f"non-finite gradient at {where}: "
+                            + (bad[0] if bad else "the global norm overflows"))
     adam_step(store, adam, lr=lr, weight_decay=weight_decay, frozen=frozen)
 
 

@@ -10,11 +10,9 @@ from ..nn import (
     as_tensor,
     div,
     exp,
-    gather_rows,
     log,
     matmul,
     mul,
-    segment_sum,
     sqrt,
     sub,
     transpose,
@@ -45,51 +43,16 @@ def _row_normalize(v: Tensor) -> Tensor:
     return div(v, norms + as_tensor(COSINE_EPS))
 
 
-def loss_contrastive(anchors: Tensor, positives: Tensor, negatives: Tensor,
-                     tau: float = 0.2) -> Tensor:
-    """Normalized InfoNCE with the positive in the denominator.
-
-    anchors/positives: (S, d); negatives: (S·K, d) with the K negatives of
-    anchor s occupying rows [s·K, (s+1)·K). Similarity is cosine with a 1e-12
-    guard added to each norm.
-    """
-    anchors = as_tensor(anchors)
-    positives = as_tensor(positives)
-    negatives = as_tensor(negatives)
-    S = anchors.data.shape[0]
-    if S < 1:
-        raise TrainingError("contrastive loss needs at least one anchor")
-    if negatives.data.shape[0] % S:
-        raise DimensionError("negative rows must be a multiple of the anchor count")
-    K = negatives.data.shape[0] // S
-    if K < 1:
-        raise TrainingError("contrastive loss needs at least one negative per anchor")
-    if tau <= 0:
-        raise TrainingError("temperature must be positive")
-
-    na = _row_normalize(anchors)
-    np_ = _row_normalize(positives)
-    nn_ = _row_normalize(negatives)
-    inv_tau = as_tensor(1.0 / tau)
-
-    pos_sim = mul(tsum(mul(na, np_), axis=1), inv_tau)                  # (S,)
-    rows = np.repeat(np.arange(S), K)
-    na_rep = gather_rows(na, rows)
-    neg_sim = mul(tsum(mul(na_rep, nn_), axis=1), inv_tau)              # (S·K,)
-    neg_den = segment_sum(exp(neg_sim), rows, S)                        # (S,)
-    den = exp(pos_sim) + neg_den
-    per_anchor = sub(log(den), pos_sim)                                 # −log(pos/den)
-    return mul(tsum(per_anchor), as_tensor(1.0 / S))
-
-
 def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
                             neg_counts: np.ndarray, tau: float = 0.2) -> Tensor:
-    """InfoNCE against a shared candidate pool.
+    """Normalized InfoNCE with the positive in the denominator, against a
+    shared candidate pool.
 
-    Identical value to ``loss_contrastive`` when ``neg_counts[s, u]`` holds
-    the number of times pool row u was drawn as a negative for anchor s, but
-    avoids materializing the (S·K, d) gathered negatives: one (S, U) matmul
-    replaces the gather.
+    anchors/positives: (S, d); pool: (U, d); ``neg_counts[s, u]`` holds the
+    number of times pool row u was drawn as a negative for anchor s.
+    Similarity is cosine with a 1e-12 guard added to each norm. The value
+    equals InfoNCE over the explicitly gathered (S·K, d) negatives, but one
+    (S, U) matmul replaces the gather.
     """
     anchors = as_tensor(anchors)
     positives = as_tensor(positives)

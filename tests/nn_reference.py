@@ -1,0 +1,99 @@
+"""Reference tape ops and losses that only tests use.
+
+The model runs fused ops (one per message-passing round, one per LSTM
+layer, the pooled InfoNCE). The tests check those against per-step
+compositions of small tape ops; the ops below exist for that composition
+and are gradient-checked in `test_nn_core.py`.
+"""
+import numpy as np
+
+from aptstage.nn import as_tensor, div, exp, gather_rows, log, mul, segment_sum, sqrt, sub, tsum
+from aptstage.nn.tensor import _accum, _make
+
+
+def relu(a):
+    a = as_tensor(a)
+    mask = a.data > 0
+
+    def backward(g):
+        _accum(a, g * mask)
+
+    return _make(a.data * mask, (a,), backward)
+
+
+def tanh(a):
+    a = as_tensor(a)
+    out = np.tanh(a.data)
+
+    def backward(g):
+        _accum(a, g * (1.0 - out * out))
+
+    return _make(out, (a,), backward)
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    out = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        _accum(a, g * out * (1.0 - out))
+
+    return _make(out, (a,), backward)
+
+
+def concat(parts, axis: int = 0):
+    parts = [as_tensor(p) for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.data.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            _accum(p, g[tuple(sl)])
+
+    return _make(data, tuple(parts), backward)
+
+
+def slice_cols(a, j0: int, j1: int):
+    a = as_tensor(a)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[:, j0:j1] = g
+        _accum(a, full)
+
+    return _make(a.data[:, j0:j1].copy(), (a,), backward)
+
+
+def _row_normalize(v):
+    norms = sqrt(tsum(mul(v, v), axis=1, keepdims=True))
+    return div(v, norms + as_tensor(1e-12))
+
+
+def loss_contrastive(anchors, positives, negatives, tau: float = 0.2):
+    """Normalized InfoNCE with the positive in the denominator, over
+    explicitly gathered negatives: (S·K, d) rows, the K negatives of anchor s
+    in rows [s·K, (s+1)·K). The reference for `loss_contrastive_pooled`."""
+    anchors, positives, negatives = (as_tensor(v) for v in (anchors, positives, negatives))
+    S = anchors.data.shape[0]
+    K = negatives.data.shape[0] // S
+    na = _row_normalize(anchors)
+    np_ = _row_normalize(positives)
+    nn_ = _row_normalize(negatives)
+    inv_tau = as_tensor(1.0 / tau)
+
+    pos_sim = mul(tsum(mul(na, np_), axis=1), inv_tau)                  # (S,)
+    rows = np.repeat(np.arange(S), K)
+    neg_sim = mul(tsum(mul(gather_rows(na, rows), nn_), axis=1), inv_tau)  # (S·K,)
+    den = exp(pos_sim) + segment_sum(exp(neg_sim), rows, S)             # (S,)
+    return mul(tsum(sub(log(den), pos_sim)), as_tensor(1.0 / S))
+
+
+def block_counts(S: int, K: int) -> np.ndarray:
+    """The (S, S·K) count matrix that makes a pool of S·K explicit negatives,
+    K per anchor in anchor order, a `loss_contrastive_pooled` argument."""
+    counts = np.zeros((S, S * K))
+    counts[np.repeat(np.arange(S), K), np.arange(S * K)] = 1.0
+    return counts

@@ -68,11 +68,13 @@ from aptstage.training import (
     Trace,
     WindowRecord,
     finetune,
-    loss_contrastive,
+    loss_contrastive_pooled,
     loss_pred,
     loss_supervised,
     pretrain,
 )
+
+from nn_reference import block_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,7 +133,7 @@ def test_criterion_2_equation_oracles():
         want = -sum(w[y[t]] * math.log(p[t, y[t]] + 1e-8) for t in range(T)) / T
         worst = max(worst, abs(float(loss_supervised(p, y, w).data) - want))
 
-        # loss_contrastive
+        # loss_contrastive_pooled, the S·K negatives as the pool
         S, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a, pos = rng.normal(size=(S, d)), rng.normal(size=(S, d))
         neg = rng.normal(size=(S * K, d))
@@ -142,8 +144,8 @@ def test_criterion_2_equation_oracles():
             den = ps + sum(math.exp(np.dot(unit(a[s]), unit(neg[s * K + k])) / 0.2)
                            for k in range(K))
             total -= math.log(ps / den)
-        worst = max(worst, abs(float(loss_contrastive(a, pos, neg, tau=0.2).data)
-                               - total / S))
+        got = loss_contrastive_pooled(a, pos, neg, block_counts(S, K), tau=0.2)
+        worst = max(worst, abs(float(got.data) - total / S))
 
         # project_packed
         d_x, d_e, d_h, n, m = 3, 2, 4, 2, 2
@@ -291,8 +293,9 @@ def test_criterion_3_gradient_suite():
         h = recurrent_forward(g_seq, st, mcfg.estimator, batch=3)
         ghat = predict_next(gather_rows(h, anchor_rows), st)
         target = gather_rows(g_seq, anchor_rows + 1)
-        negatives = gather_rows(enc.g, np.tile(np.arange(3), 6))
-        return loss_pred(ghat, target) + loss_contrastive(ghat, target, negatives)
+        counts = np.zeros((6, 9))
+        counts[:, :3] = 1.0  # windows 0-2 are every anchor's negatives
+        return loss_pred(ghat, target) + loss_contrastive_pooled(ghat, target, enc.g, counts)
 
     err_c = finite_diff_check(ssl_loss, full_store, max_coords=200, rng_seed=2)
     assert err_c < 1e-4, f"joint SSL gradient error {err_c:.3e}"
@@ -548,6 +551,7 @@ def benchmark_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_benchmark(benchmark_results):
     total_runtime = sum(r["runtime_s"] for r in benchmark_results)
     lines = []
@@ -566,6 +570,7 @@ def test_criterion_8_end_to_end_benchmark(benchmark_results):
           f"total {total_runtime:.0f}s ≤ 1800s")
 
 
+@pytest.mark.slow
 def test_criterion_9_ssl_learning_signal(benchmark_results):
     lines = []
     for r in benchmark_results:

@@ -13,10 +13,10 @@ from aptstage.config import (
     PipelineConfig,
     apply_overrides,
     load_config,
-    save_config,
 )
 from aptstage.errors import ValidationError
 from aptstage.features import FeatureVocab, FeaturizerConfig, ZScoreStats, feature_spec_hash
+from aptstage.nn import load_checkpoint, save_checkpoint
 
 FAST = {
     "scenario": {"num_hosts": 2, "duration": 1800.0},
@@ -136,6 +136,16 @@ def test_finetune_validates_on_the_last_windows_only(pipeline, tmp_path, monkeyp
     assert max(train) < min(val)
 
 
+def test_infer_exit_code_on_non_finite_checkpoint(pipeline, tmp_path):
+    workdir, _ = pipeline
+    shutil.copytree(workdir, tmp_path / "artifacts")
+    ckpt = tmp_path / "artifacts" / "finetune_ckpt.npz"
+    store, meta = load_checkpoint(ckpt)
+    store.tensor("head.stage.W").data[0, 0] = np.nan
+    save_checkpoint(ckpt, store, meta)
+    assert run("infer", "--config", write_config(tmp_path)) == 2
+
+
 def test_rerun_is_byte_identical(pipeline):
     workdir, cfg_path = pipeline
     before = {n: sha(workdir / n) for n in ("events.jsonl", "graphs.jsonl",
@@ -238,7 +248,7 @@ def test_default_hashes_pinned():
 def test_config_roundtrip(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path), seed=7, folds=3)
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
+    path.write_text(json.dumps(cfg.to_dict()))
     loaded = load_config(str(path))
     assert loaded.config_hash() == cfg.config_hash()
     assert loaded.seed == 7 and loaded.folds == 3

@@ -18,18 +18,18 @@ from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, bui
 from aptstage.nn import (
     ParamStore,
     as_tensor,
-    concat,
     finite_diff_check,
     gather_rows,
     init_params,
     matmul,
     mul,
-    relu,
     segment_sum,
     transpose,
     tsum,
 )
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
+
+from nn_reference import concat, relu
 
 D_X, D_E, D_H, D_G = 4, 3, 5, 6
 
@@ -335,7 +335,7 @@ def test_fused_round_matches_transform_then_aggregate_reference():
         out = fn(arg, store.tensor("h"), store.tensor("z"),
                  {r: store.tensor(r.value) for r in Relation})
         tsum(mul(out, probe)).backward()
-        results.append((out.data, store.grads))
+        results.append((out.data, {n: store.tensor(n).grad for n in store.names()}))
     (got, got_grads), (want, want_grads) = results
     assert np.max(np.abs(got - want)) < 1e-12
     for name in values:

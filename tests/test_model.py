@@ -2,6 +2,9 @@
 from dataclasses import asdict
 
 import numpy as np
+import pytest
+
+from aptstage.errors import InputError
 
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
 from aptstage.model import (
@@ -13,6 +16,7 @@ from aptstage.model import (
     frozen_names,
     infer_probabilities,
 )
+from aptstage.nn import no_grad
 from aptstage.training import Trace, WindowRecord
 from aptstage.training.loops import _batch_forward
 
@@ -104,6 +108,22 @@ def test_infer_probabilities_simplex(rng):
     assert probs.shape == (5, 7)
     assert np.all(probs > 0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_infer_probabilities_rejects_non_finite(rng):
+    store = build_param_store(MCFG)
+    store.tensor("head.stage.b").data[3] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        infer_probabilities([window(rng, "w0"), window(rng, "w1")], store, MCFG)
+
+
+def test_batch_attention_equals_per_window_attention(rng):
+    wins = [window(rng, f"w{i}", n=3 + i) for i in range(4)]
+    store = build_param_store(MCFG)
+    with no_grad():
+        alpha = encode_windows(wins, store, MCFG).alpha.data
+        alone = [encode_windows([w], store, MCFG).alpha.data for w in wins]
+    assert np.array_equal(alpha, np.concatenate(alone))
 
 
 def test_infer_probabilities_empty():

@@ -9,6 +9,7 @@ import pytest
 from aptstage.errors import DimensionError, TrainingError
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
 from aptstage.model import ModelConfig, build_param_store
+from aptstage.nn import AdamState, ParamStore, sqrt, tsum
 from aptstage.training import (
     FinetuneConfig,
     PretrainConfig,
@@ -17,7 +18,6 @@ from aptstage.training import (
     class_weights,
     curriculum_length,
     finetune,
-    loss_contrastive,
     loss_contrastive_pooled,
     loss_pred,
     loss_supervised,
@@ -25,6 +25,8 @@ from aptstage.training import (
     split_train_val,
 )
 from aptstage.training import loops
+
+from nn_reference import block_counts, loss_contrastive
 
 # ---------------------------------------------------------------- loss_pred
 
@@ -53,17 +55,25 @@ def test_loss_pred_errors():
 # ---------------------------------------------------------------- InfoNCE
 
 
+def pooled_nce(anchors, positives, negatives, tau):
+    """`loss_contrastive_pooled` with the K = rows / S explicit negatives of
+    each anchor as the pool."""
+    S = anchors.shape[0]
+    counts = block_counts(S, negatives.shape[0] // S)
+    return float(loss_contrastive_pooled(anchors, positives, negatives, counts, tau=tau).data)
+
+
 def test_contrastive_uniform_similarities():
     # every candidate identical -> softmax over 257 equal terms
     v = np.tile([1.0, 2.0, 3.0], (1, 1))
     negatives = np.tile([1.0, 2.0, 3.0], (256, 1))
-    loss = float(loss_contrastive(v, v, negatives, tau=0.2).data)
+    loss = pooled_nce(v, v, negatives, tau=0.2)
     assert abs(loss - math.log(257)) < 1e-9
 
 
 def test_contrastive_single_equal_negative():
     v = np.array([[0.3, -0.7]])
-    loss = float(loss_contrastive(v, v, v, tau=0.2).data)
+    loss = pooled_nce(v, v, v, tau=0.2)
     assert abs(loss - math.log(2)) < 1e-9
 
 
@@ -71,7 +81,7 @@ def test_contrastive_saturated_positive():
     # cos(anchor, positive)=1, cos(anchor, negatives)=-1, tau=0.2
     a = np.array([[1.0, 0.0]])
     negatives = np.tile([-1.0, 0.0], (256, 1))
-    loss = float(loss_contrastive(a, a, negatives, tau=0.2).data)
+    loss = pooled_nce(a, a, negatives, tau=0.2)
     want = math.log(1 + 256 * math.exp(-10.0))
     assert abs(loss - want) < 1e-9
     assert abs(loss - 1.16e-2) < 2e-4
@@ -100,7 +110,7 @@ def test_contrastive_matches_scalar_oracle(rng):
     anchors = rng.normal(size=(S, d))
     positives = rng.normal(size=(S, d))
     negatives = rng.normal(size=(S * K, d))
-    got = float(loss_contrastive(anchors, positives, negatives, tau=0.2).data)
+    got = pooled_nce(anchors, positives, negatives, 0.2)
     assert abs(got - _nce_oracle(anchors, positives, negatives, 0.2)) < 1e-12
 
 
@@ -121,11 +131,11 @@ def test_pooled_contrastive_equals_gathered_rows(rng):
 def test_contrastive_errors():
     v = np.ones((2, 3))
     with pytest.raises(DimensionError):
-        loss_contrastive(v, v, np.ones((3, 3)))  # 3 rows not a multiple of 2
-    with pytest.raises(TrainingError):
-        loss_contrastive(v, v, np.ones((2, 3)), tau=0.0)
-    with pytest.raises(DimensionError):
         loss_contrastive_pooled(v, v, np.ones((4, 3)), np.zeros((2, 5)))
+    with pytest.raises(TrainingError):
+        loss_contrastive_pooled(v, v, np.ones((2, 3)), np.ones((2, 2)), tau=0.0)
+    with pytest.raises(TrainingError):
+        loss_contrastive_pooled(np.ones((0, 3)), np.ones((0, 3)), v, np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------- supervised
@@ -385,6 +395,17 @@ def test_finetune_frees_each_tape_before_the_next_batch(rng, monkeypatch):
                             curriculum_start=6, curriculum_end=6),
              val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
     assert len(freed) == 3 and all(freed)
+
+
+def test_non_finite_gradient_names_the_parameter():
+    store = ParamStore()
+    b = store.add("b", np.array([2.0]))
+    a = store.add("a", np.array([1.0, 0.0]))
+    loss = tsum(sqrt(a)) + tsum(b * b)  # finite, but d sqrt(a)/da is inf at a = 0
+    with np.errstate(divide="ignore"), \
+            pytest.raises(TrainingError, match="non-finite gradient at step 3: a$"):
+        loops._optimizer_step(loss, store, AdamState(), 1e-3, 0.0, 5.0, frozenset(), "step 3")
+    assert np.array_equal(a.data, [1.0, 0.0]) and np.array_equal(b.data, [2.0])
 
 
 def test_non_finite_loss_names_phase_epoch_and_batch(rng):
