@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import PipelineConfig, apply_overrides, from_dict, load_config
 from .errors import (
     CompatibilityError,
     DependencyError,
@@ -171,7 +171,7 @@ def _load_model_checkpoint(path: str, cfg: PipelineConfig, spec_hash: str,
     if meta.get("feature_spec_hash") != spec_hash:
         raise CompatibilityError(
             f"checkpoint {path!r} was trained with a different feature spec")
-    return store, ModelConfig.from_dict(meta["model"])
+    return store, from_dict(ModelConfig, meta["model"], "model")
 
 
 def _checkpoint_meta(cfg: PipelineConfig, spec_hash: str, stage: str) -> dict:
@@ -251,14 +251,11 @@ def cmd_pretrain(cfg: PipelineConfig) -> None:
 
 def cmd_finetune(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=True)
-    if len(trace.windows) < 2:
-        raise InputError("finetune needs at least 2 windows: the last ones validate")
     # validate on the temporally last windows, never on the training windows
-    train_w, val_w = split_train_val(trace.windows, cfg.finetune.val_fraction)
+    train, val = split_train_val([trace], cfg.finetune.val_fraction)
     store, mcfg = _load_model_checkpoint(
         cfg.path(ARTIFACTS["pretrain_ckpt"]), cfg, spec_hash, "pretrain")
-    result = finetune([Trace("trace0", train_w)], store, mcfg, cfg.finetune,
-                      val_traces=[Trace("trace0-val", val_w)])
+    result = finetune(train, store, mcfg, cfg.finetune, val_traces=val)
     ckpt = cfg.path(ARTIFACTS["finetune_ckpt"])
     save_checkpoint(ckpt, store, _checkpoint_meta(cfg, spec_hash, "finetune"))
     log_path = cfg.path(ARTIFACTS["finetune_log"])
@@ -334,11 +331,9 @@ def cmd_export_attention(cfg: PipelineConfig) -> None:
     store, mcfg = _load_model_checkpoint(
         source, cfg, spec_hash, "finetune" if source == fin else "pretrain")
     graphs = [w.graph for w in trace.windows]
-    alpha = np.zeros(0)
-    if graphs:
-        with no_grad():
-            alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
-                                   store, mcfg).alpha.data
+    with no_grad():
+        alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
+                               store, mcfg).alpha.data
     # the readout normalizes per window, so batching leaves each window's weights as they are
     bounds = np.cumsum([len(g.nodes) for g in graphs])[:-1]
     out = cfg.path(ARTIFACTS["attention"])

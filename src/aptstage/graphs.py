@@ -115,6 +115,8 @@ class ProvenanceGraph:
                 )
             if e.count < 1:
                 raise GraphConsistencyError("edge count must be >= 1")
+            if e.bytes is not None and e.bytes < 0:
+                raise GraphConsistencyError(f"edge bytes must be non-negative: {e.bytes}")
             if not (self.window_start <= e.timestamp < hi):
                 raise GraphConsistencyError(
                     f"edge timestamp {e.timestamp} outside [{self.window_start}, {hi})"

@@ -2,19 +2,20 @@
 estimator parameters, plus forward helpers shared by training and inference."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encoder import LAYERS, encode_packed, encoder_param_spec, pack_graphs
 from .estimator import (
+    NUM_STAGES,
     EstimatorConfig,
     apply_forget_bias,
     classify,
     estimator_param_spec,
     recurrent_forward,
 )
-from .errors import InputError
+from .errors import InputError, ValidationError
 from .features import FeaturizerConfig
 from .nn import ParamStore, init_params, no_grad
 
@@ -28,8 +29,20 @@ class ModelConfig:
     hidden: int = 128
     lstm_layers: int = 2
     dropout: float = 0.3
-    num_classes: int = 7
+    num_classes: int = NUM_STAGES
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("d_h", "d_g", "hidden", "lstm_layers"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if not 0 <= self.dropout < 1:
+            raise ValidationError("dropout must be in [0, 1)")
+        if self.num_classes != NUM_STAGES:
+            raise ValidationError(f"num_classes must be {NUM_STAGES}: labels and decisions "
+                                  f"use stages 0..{NUM_STAGES - 1}")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def estimator(self) -> EstimatorConfig:
@@ -40,12 +53,6 @@ class ModelConfig:
             dropout=self.dropout,
             num_classes=self.num_classes,
         )
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ModelConfig":
-        doc = dict(doc)
-        fz = doc.pop("featurizer", {})
-        return ModelConfig(featurizer=FeaturizerConfig(**fz), **doc)
 
 
 # parameter-name prefixes frozen in fine-tuning phase 1
@@ -69,8 +76,11 @@ def build_param_store(cfg: ModelConfig) -> ParamStore:
 
 def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
     """Encode a list of (X, Z, graph) windows into one (n, d_g) embedding
-    tensor (row order follows the input order)."""
+    tensor (row order follows the input order); no windows give zero rows."""
     packed = pack_graphs(window_feats)
+    if not window_feats:  # no window to take the feature widths from
+        packed = replace(packed, X=np.zeros((0, cfg.featurizer.node_dim)),
+                         Z=np.zeros((0, cfg.featurizer.edge_dim)))
     return encode_packed(packed, store, layers=cfg.gnn_layers)
 
 

@@ -33,7 +33,7 @@ class StageInterval:
     end: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     num_hosts: int = 3
     duration: float = 6 * WINDOW_SECONDS
@@ -43,15 +43,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.num_hosts < 1:
             raise ValidationError("num_hosts must be >= 1")
         if not (self.duration > 0):
             raise ValidationError("duration must be > 0")
         if self.benign_event_rate <= 0 or self.attack_event_rate <= 0:
-            raise ValidationError("event rates must be > 0")
+            raise ValidationError("benign_event_rate and attack_event_rate must be > 0")
         prev_end = 0.0
         for iv in self.stage_schedule:
             if not (1 <= iv.stage <= 6):
@@ -63,6 +60,8 @@ class ScenarioConfig:
             if iv.start < prev_end:
                 raise ValidationError("stage intervals must be sorted and non-overlapping")
             prev_end = iv.end
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def _internal_ip(host_index: int) -> str:
@@ -307,7 +306,6 @@ def generate_scenario(cfg: ScenarioConfig):
     """Deterministically generate (events, alerts, per-window labels) for one
     campaign. Every network-crossing stage interval yields at least one alert
     anchored on one of its own connect/send events."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     em = _Emitter(rng)
     _emit_benign(em, cfg)

@@ -47,7 +47,7 @@ class Trace:
     windows: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainConfig:
     seq_len: int = 20
     tau: float = 0.2
@@ -62,20 +62,22 @@ class PretrainConfig:
     train_encoder: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.tau <= 0:
             raise ValidationError("tau must be > 0")
         if self.negatives < 1:
-            raise ValidationError("need at least one negative")
+            raise ValidationError("negatives must be >= 1")
         if self.seq_len < 2:
             raise ValidationError("seq_len must be >= 2")
         if self.lr < 0 or self.weight_decay < 0:
-            raise ValidationError("rates must be non-negative")
+            raise ValidationError("lr and weight_decay must be >= 0")
         if self.batch < 1 or self.epochs < 1 or self.clip <= 0:
             raise ValidationError("batch, epochs and clip must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinetuneConfig:
     eps: float = 1e-8
     phase1_epochs: int = 10
@@ -91,9 +93,9 @@ class FinetuneConfig:
     val_fraction: float = 0.2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.phase1_epochs < 1 or self.phase2_epochs < 1:
-            raise ValidationError("phase epochs must be >= 1")
+            raise ValidationError("phase1_epochs and phase2_epochs must be >= 1")
         if not (0 < self.curriculum_start <= self.curriculum_end):
             raise ValidationError("curriculum lengths must satisfy 0 < start <= end")
         if self.patience < 1:
@@ -101,7 +103,11 @@ class FinetuneConfig:
         if not (0 < self.val_fraction < 1):
             raise ValidationError("val_fraction must be in (0, 1)")
         if self.phase1_lr < 0 or self.phase2_lr < 0 or self.weight_decay < 0:
-            raise ValidationError("rates must be non-negative")
+            raise ValidationError("phase1_lr, phase2_lr and weight_decay must be >= 0")
+        if self.batch < 1 or self.clip <= 0:
+            raise ValidationError("batch and clip must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def curriculum_length(start: int, end: int, epoch: int, total_epochs: int) -> int:
@@ -215,9 +221,6 @@ def _embedding_cache(traces, store, mcfg: ModelConfig):
     caches = []
     with no_grad():
         for tr in traces:
-            if not tr.windows:
-                caches.append(np.zeros((0, mcfg.d_g)))
-                continue
             enc = encode_windows([(w.X, w.Z, w.graph) for w in tr.windows], store, mcfg)
             caches.append(enc.g.data.copy())
     return caches
@@ -238,7 +241,6 @@ class PretrainResult:
 
 def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainResult:
     """Optimize L_ssl = λ_pred·L_pred + λ_ctr·L_ctr over sliding subsequences."""
-    cfg.validate()
     items = _subsequences(traces, cfg.seq_len, min_len=2)
     if not items:
         raise TrainingError("pretraining corpus has no usable sequences (need >= 2 windows)")
@@ -334,11 +336,16 @@ def _validation_macro_f1(val_traces, store, mcfg: ModelConfig) -> float:
 
 
 def split_train_val(traces, val_fraction: float):
-    """Hold out the temporally-last traces for validation (no shuffling)."""
-    if len(traces) < 2:
-        return list(traces), list(traces)
-    n_val = max(1, int(round(val_fraction * len(traces))))
-    n_val = min(n_val, len(traces) - 1)
+    """Hold out the temporally-last traces for validation (no shuffling). A
+    single trace holds out its last windows, so validation is never training."""
+    if len(traces) == 1:
+        (tr,) = traces
+        if len(tr.windows) < 2:
+            raise TrainingError(f"trace {tr.trace_id} has {len(tr.windows)} window(s); "
+                                "at least 2 are needed so the last ones validate")
+        train, val = split_train_val(tr.windows, val_fraction)  # the same rule over windows
+        return [Trace(tr.trace_id, train)], [Trace(f"{tr.trace_id}-val", val)]
+    n_val = min(max(1, int(round(val_fraction * len(traces)))), len(traces) - 1)
     return list(traces[:-n_val]), list(traces[-n_val:])
 
 
@@ -352,7 +359,6 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
              val_traces=None, val_metric_fn=None) -> FinetuneResult:
     """Two-phase supervised fine-tuning. `val_metric_fn(store, phase, epoch)`
     may replace the default validation macro-F1 computation (used by tests)."""
-    cfg.validate()
     if val_traces is None:
         train_traces, val_traces = split_train_val(traces, cfg.val_fraction)
     else:

@@ -136,6 +136,43 @@ def test_finetune_validates_on_the_last_windows_only(pipeline, tmp_path, monkeyp
     assert max(train) < min(val)
 
 
+def _copy_pipeline(pipeline, tmp_path):
+    workdir, _ = pipeline
+    shutil.copytree(workdir, tmp_path / "artifacts")
+    return tmp_path / "artifacts", write_config(tmp_path)
+
+
+def test_exit_code_labels_miss_a_window(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    lines = (workdir / "labels.csv").read_text().splitlines(keepends=True)
+    (workdir / "labels.csv").write_text("".join(lines[:-1]))
+    assert run("finetune", "--config", cfg_path) == 2
+    assert "but 6 graphs exist" in capsys.readouterr().err
+
+
+def test_exit_code_feature_spec_widths_differ(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    spec = json.loads((workdir / "feature_spec.json").read_text())
+    spec["config"]["user_buckets"] += 1
+    (workdir / "feature_spec.json").write_text(json.dumps(spec))
+    assert run("pretrain", "--config", cfg_path) == 3
+    assert "differ from the configured featurizer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,message", [
+    ("config_hash", "trained under a different config"),
+    ("feature_spec_hash", "trained with a different feature spec"),
+])
+def test_exit_code_checkpoint_meta_mismatch(pipeline, tmp_path, capsys, key, message):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    ckpt = workdir / "pretrain_ckpt.npz"
+    store, meta = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, store, dict(meta, **{key: "0" * 64}))
+    (workdir / "pretrain_ckpt.npz.meta.json").unlink()  # only the embedded hash remains
+    assert run("finetune", "--config", cfg_path) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_infer_exit_code_on_non_finite_checkpoint(pipeline, tmp_path):
     workdir, _ = pipeline
     shutil.copytree(workdir, tmp_path / "artifacts")
@@ -201,6 +238,36 @@ def test_non_positive_featurizer_width_fails_at_config_load(tmp_path, field, val
     assert not (tmp_path / "artifacts" / "events.jsonl").exists()
     assert run("generate", "--config", write_config(tmp_path, name="ok.json"),
                "--set", f"model.featurizer.{field}={value}") == 1
+
+
+BAD_VALUES = [
+    ("pretrain.tau", 0),
+    ("finetune.clip", 0),
+    ("finetune.batch", 0),
+    ("model.dropout", 1.0),
+    ("model.lstm_layers", 0),
+    ("model.num_classes", 5),
+    ("seed", -1),
+    ("folds", 1),
+    ("pretrain.epochs", "5"),
+    ("scenario.schedule", [["x", 0, 10]]),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES, ids=[k for k, _ in BAD_VALUES])
+def test_bad_value_fails_at_config_load(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(FAST))
+    *sections, name = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    assert run("generate", "--config", write_config(tmp_path, **doc)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert run("generate", "--config", write_config(tmp_path, name="ok.json"),
+               "--set", f"{key}={json.dumps(value)}") == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_exit_code_missing_dependency(tmp_path):

@@ -331,6 +331,9 @@ def test_graph_validate_catches_bad_edges():
                         (Edge(Relation.TRIGGERED_BY, 0, 0, 1.0),)).validate()
     with pytest.raises(GraphConsistencyError):
         ProvenanceGraph(0, 0.0, (node, Node(NodeKind.PROCESS, "p", {})), ()).validate()
+    with pytest.raises(GraphConsistencyError, match="bytes"):
+        ProvenanceGraph(0, 0.0, (node,),
+                        (Edge(Relation.READ, 0, 0, 1.0, bytes=-5),)).validate()
 
 
 def test_jsonl_roundtrip():

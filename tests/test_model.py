@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from aptstage.config import from_dict
 from aptstage.errors import InputError
 
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
@@ -75,7 +76,7 @@ def test_frozen_name_prefixes():
 
 def test_modelconfig_roundtrip():
     cfg = ModelConfig(d_h=16, d_g=12, hidden=24, dropout=0.1, seed=9)
-    assert ModelConfig.from_dict(asdict(cfg)) == cfg
+    assert from_dict(ModelConfig, asdict(cfg)) == cfg
 
 
 def test_encode_windows_keeps_input_order(rng):
@@ -85,6 +86,13 @@ def test_encode_windows_keeps_input_order(rng):
     assert batch.g.data.shape == (4, MCFG.d_g)
     flipped = encode_windows(wins[::-1], store, MCFG)
     assert np.allclose(flipped.g.data, batch.g.data[::-1], atol=1e-12)
+
+
+def test_encode_windows_of_no_windows_is_a_zero_row_batch():
+    with no_grad():
+        batch = encode_windows([], build_param_store(MCFG), MCFG)
+    assert batch.g.data.shape == (0, MCFG.d_g)
+    assert batch.alpha.data.shape == (0,)
 
 
 def test_sequence_batch_forward_layout(rng):

@@ -217,9 +217,16 @@ def test_split_train_val_temporal():
     train, val = split_train_val(traces, 0.2)
     assert [t.trace_id for t in val] == ["t8", "t9"]
     assert len(train) == 8
-    solo = [Trace("only", [])]
-    train, val = split_train_val(solo, 0.2)
-    assert train == solo and val == solo
+    # a single trace holds out its last windows: round(0.2 * 8) = 2
+    windows = [WindowRecord(None, None, None, label=i) for i in range(8)]
+    train, val = split_train_val([Trace("only", windows)], 0.2)
+    assert [w.label for tr in train for w in tr.windows] == list(range(6))
+    assert [w.label for tr in val for w in tr.windows] == [6, 7]
+    # at least one window on each side
+    train, val = split_train_val([Trace("pair", windows[:2])], 0.9)
+    assert [len(tr.windows) for tr in train + val] == [1, 1]
+    with pytest.raises(TrainingError, match="at least 2"):
+        split_train_val([Trace("one", windows[:1])], 0.2)
 
 
 # ---------------------------------------------------------------- loops
