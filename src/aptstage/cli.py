@@ -42,7 +42,7 @@ from .evaluation import (
     write_metrics_csv,
     write_metrics_json,
 )
-from .features import fit_vocab_and_stats, load_feature_spec, save_feature_spec
+from .features import feature_spec_hash, fit_vocab_and_stats, load_feature_spec, save_feature_spec
 from .graphs import build_graph, dump_graphs_jsonl, load_graphs_jsonl, window_events
 from .mapping import decide, export_alerts, transitions
 from .model import ModelConfig, build_param_store, encode_windows
@@ -157,6 +157,9 @@ def _load_trace(cfg: PipelineConfig, labeled: bool):
     if fcfg != cfg.model.featurizer:
         raise CompatibilityError(
             "feature spec dimensions differ from the configured featurizer")
+    if feature_spec_hash(vocab, stats, fcfg) != spec_hash:
+        raise CompatibilityError(
+            f"feature spec {path!r} does not match its spec_hash; refit with fit-features")
     labels = _load_labels(cfg, len(graphs)) if labeled else None
     return featurize_trace("trace0", graphs, labels, vocab, stats, fcfg), spec_hash
 

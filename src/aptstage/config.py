@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -20,6 +21,13 @@ from .telemetry import WINDOW_SECONDS, ScenarioConfig, StageInterval, default_ca
 from .training import FinetuneConfig, PretrainConfig
 
 CONFIG_VERSION = 1
+
+
+def _stage_interval(entry) -> StageInterval:
+    k, start, end = entry
+    if isinstance(k, bool):
+        raise TypeError(f"stage {k!r} is a bool")
+    return StageInterval(operator.index(k), float(start), float(end))  # refuses 1.7 and "1"
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,10 @@ class ScenarioSettings:
             schedule = default_campaign_schedule(self.duration)
         else:
             try:
-                schedule = [StageInterval(int(k), float(a), float(b)) for k, a, b in self.schedule]
+                schedule = [_stage_interval(entry) for entry in self.schedule]
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
-                    f"schedule entries must be [stage, start, end] numbers: {exc}") from None
+                    f"schedule entries must be [integer stage, start, end]: {exc}") from None
         return ScenarioConfig(
             num_hosts=self.num_hosts,
             duration=self.duration,

@@ -24,16 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamRegistryError
-from .graphs import _RELATION_ORDER, Relation
+from .graphs import Relation
 from .nn import Tensor, as_tensor, div, exp, gather_rows, matmul, mul
 from .nn import reshape, segment_sum, sub, transpose
 from .nn.tensor import _accum, _make
 
 LAYERS = 3
-
-
-def _as_int_array(xs) -> np.ndarray:
-    return np.asarray(xs, dtype=np.int64) if len(xs) else np.zeros(0, dtype=np.int64)
 
 
 def _scatter_rows(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -68,38 +64,26 @@ class PackedGraphs:
 
 
 def pack_graphs(items) -> PackedGraphs:
-    """items: sequence of (X_raw, Z_raw, ProvenanceGraph)."""
-    Xs, Zs, node_graph = [], [], []
-    rel, src, dst = [], [], []
-    node_off = 0
-    for gi, (X, Z, g) in enumerate(items):
-        n = len(g.nodes)
-        Xs.append(X)
-        Zs.append(Z)
-        node_graph.append(np.full(n, gi, dtype=np.int64))
-        for e in g.edges:
-            rel.append(_RELATION_ORDER[e.relation])
-            src.append(e.src + node_off)
-            dst.append(e.dst + node_off)
-        node_off += n
-
-    d_x = Xs[0].shape[1] if Xs else 0
-    d_e = Zs[0].shape[1] if Zs else 0
-    X = np.concatenate(Xs, axis=0) if Xs else np.zeros((0, d_x))
-    Z = np.concatenate(Zs, axis=0) if Zs else np.zeros((0, d_e))
-
+    """items: sequence of (X_raw, Z_raw, ProvenanceGraph). Each graph's
+    `edge_index` joins the batch shifted by its first node's offset."""
+    graphs = [g for _, _, g in items]
+    n_per = np.array([len(g.nodes) for g in graphs], dtype=np.int64)
+    n_nodes = int(n_per.sum())
+    rel, src, dst = np.concatenate(
+        [np.zeros((3, 0), dtype=np.int64)] + [g.edge_index for g in graphs], axis=1)
+    shift = np.repeat(np.cumsum(n_per) - n_per, [g.edge_index.shape[1] for g in graphs])
     seg_key, edge_seg, counts = np.unique(
-        _as_int_array(rel) * node_off + _as_int_array(dst), return_inverse=True, return_counts=True)
-    bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * node_off).tolist()
+        rel * n_nodes + dst + shift, return_inverse=True, return_counts=True)
+    bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * n_nodes).tolist()
     return PackedGraphs(
-        X=X,
-        Z=Z,
-        node_graph=np.concatenate(node_graph) if node_graph else np.zeros(0, dtype=np.int64),
+        X=np.concatenate([X for X, _, _ in items]) if items else np.zeros((0, 0)),
+        Z=np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0)),
+        node_graph=np.repeat(np.arange(len(items), dtype=np.int64), n_per),
         n_graphs=len(items),
-        n_nodes=node_off,
-        edge_src=_as_int_array(src),
+        n_nodes=n_nodes,
+        edge_src=src + shift,
         edge_seg=edge_seg,
-        seg_dst=seg_key % max(node_off, 1),
+        seg_dst=seg_key % max(n_nodes, 1),
         seg_inv=(1.0 / counts).reshape(-1, 1),
         rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
                   if lo < hi},
@@ -120,35 +104,28 @@ def _segment_mean(edge_rows: np.ndarray, packed: PackedGraphs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EdgeMeans:
-    """Per-edge states averaged over each segment of one packed batch."""
-
-    t: Tensor  # (S, d)
-
-
-def edge_means(packed: PackedGraphs, z_tilde) -> EdgeMeans:
-    """Mean of the per-edge rows z̃ (M, d) over each (relation, destination)
-    segment, as one op. The means do not change between rounds, so one
-    EdgeMeans can serve every round of a forward pass."""
+def edge_means(packed: PackedGraphs, z_tilde) -> Tensor:
+    """(S, d) mean of the per-edge rows z̃ (M, d) over each (relation,
+    destination) segment, as one op. The means do not change between rounds,
+    so one call serves every round of a forward pass."""
     z = as_tensor(z_tilde)
 
     def backward(g):
         _accum(z, (g * packed.seg_inv)[packed.edge_seg])
 
-    return EdgeMeans(_make(_segment_mean(z.data, packed), (z,), backward))
+    return _make(_segment_mean(z.data, packed), (z,), backward)
 
 
-def message_passing_packed(packed: PackedGraphs, h: Tensor, z_tilde, weights: dict) -> Tensor:
+def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: dict) -> Tensor:
     """One update, as one op:
     h_i' = relu( Σ_τ W_τ [ mean_{j→i under τ} h_j ‖ mean_{j→i under τ} z̃_ji ] ),
-    where τ counts only if i has τ in-edges. `z_tilde` holds the per-edge
-    z̃ (M, d_h), or its `edge_means` to share one aggregation across rounds."""
+    where τ counts only if i has τ in-edges. `z_means` holds the segment
+    means of z̃ from `edge_means`."""
     for rel in Relation:
         if weights.get(rel) is None:
             raise ParamRegistryError(f"no weight configured for relation {rel.value!r}")
     h = as_tensor(h)
-    zm = (z_tilde if isinstance(z_tilde, EdgeMeans) else edge_means(packed, z_tilde)).t
+    zm = as_tensor(z_means)
     d = h.data.shape[1]
     agg = _segment_mean(h.data[packed.edge_src], packed)
     out = np.zeros((packed.n_nodes, d))
@@ -215,7 +192,7 @@ def encode_packed(packed: PackedGraphs, store, layers: int = LAYERS):
         weights = {rel: store.tensor(f"enc.L{layer}.{rel.value}.W") for rel in Relation}
         h = message_passing_packed(packed, h, z_means, weights)
     g, alpha = attention_readout(packed, h, store)
-    return EncodeBatch(g=g, alpha=alpha, node_states=h, packed=packed)
+    return EncodeBatch(g=g, alpha=alpha, node_states=h)
 
 
 @dataclass
@@ -223,7 +200,6 @@ class EncodeBatch:
     g: Tensor            # (G, d_g)
     alpha: Tensor        # (N,)
     node_states: Tensor  # (N, d_h)
-    packed: PackedGraphs
 
 
 def encoder_param_spec(d_x: int, d_e: int, d_h: int, d_g: int, layers: int = LAYERS) -> dict:

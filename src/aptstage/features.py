@@ -30,10 +30,11 @@ from .graphs import (
     _KIND_ORDER,
     _RELATION_ORDER,
 )
+from .telemetry.records import Protocol
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _PRIVILEGED = {"system", "root", "administrator", "nt authority\\system"}
-_PROTOCOLS = ("tcp", "udp", "icmp", "other")
+_PROTOCOLS = tuple(p.value for p in Protocol)
 
 CONTINUOUS_COLUMNS = (
     "node_in_degree",
@@ -161,15 +162,15 @@ def node_stats(graph: ProvenanceGraph) -> np.ndarray:
     excluded everywhere (they are constant per node); triggered_by edges count
     toward degree but not toward the host-event count."""
     n = len(graph.nodes)
+    rel, src, dst = graph.edge_index
+    linked = rel != _RELATION_ORDER[Relation.SELF_LOOP]
+    host = linked & (rel != _RELATION_ORDER[Relation.TRIGGERED_BY])
+    count = np.array([e.count for e in graph.edges], dtype=float)[host]
     out = np.zeros((n, 3))
-    for e in graph.edges:
-        if e.relation is Relation.SELF_LOOP:
-            continue
-        out[e.dst, 0] += 1
-        out[e.src, 1] += 1
-        if e.relation is not Relation.TRIGGERED_BY:
-            out[e.src, 2] += e.count
-            out[e.dst, 2] += e.count
+    out[:, 0] = np.bincount(dst[linked], minlength=n)
+    out[:, 1] = np.bincount(src[linked], minlength=n)
+    out[:, 2] = (np.bincount(src[host], weights=count, minlength=n)
+                 + np.bincount(dst[host], weights=count, minlength=n))
     return out
 
 
@@ -270,7 +271,7 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
             X[i, c.n_priv] = 1.0
 
     if edges:
-        rel = np.array([_RELATION_ORDER[e.relation] for e in edges], dtype=np.int64)
+        rel = graph.edge_index[0]
         Z[np.arange(len(edges)), c.e_type + rel] = 1.0
         count = np.array([e.count for e in edges], dtype=float)
         Z[:, c.e_freq] = count / count.max()

@@ -11,6 +11,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .errors import GraphConsistencyError, ValidationError
 from .telemetry.records import (
@@ -51,18 +54,6 @@ NUM_RELATIONS = len(Relation)
 _KIND_ORDER = {k: i for i, k in enumerate(NodeKind)}
 _RELATION_ORDER = {r: i for i, r in enumerate(Relation)}
 
-# when one key is sighted under several entity kinds (payload.exe as written
-# file, then as running process) the node takes the highest-precedence kind
-_KIND_PRECEDENCE = {
-    NodeKind.PROCESS: 0,
-    NodeKind.FILE: 1,
-    NodeKind.SOCKET: 2,
-    NodeKind.USER: 3,
-    NodeKind.HOST: 4,
-    NodeKind.IP: 5,
-    NodeKind.ALERT: 6,
-}
-
 _EVENT_RELATION = {
     EventKind.PROCESS_CREATE: Relation.SPAWN,
     EventKind.FILE_CREATE: Relation.WRITE,
@@ -101,6 +92,16 @@ class ProvenanceGraph:
     window_start: float
     nodes: tuple
     edges: tuple
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only (3, M) int64 rows of relation id (`Relation` order), src
+        and dst, one column per edge. Built on first use; the graph is frozen,
+        so it cannot go stale."""
+        index = np.array([(_RELATION_ORDER[e.relation], e.src, e.dst) for e in self.edges],
+                         dtype=np.int64).reshape(len(self.edges), 3).T.copy()
+        index.flags.writeable = False
+        return index
 
     def validate(self) -> None:
         n = len(self.nodes)
@@ -209,7 +210,10 @@ class _NodeDraft:
         self.extra: dict = {}
 
     def merge_kind(self, kind: NodeKind) -> None:
-        if _KIND_PRECEDENCE[kind] < _KIND_PRECEDENCE[self.kind]:
+        # when one key is sighted under several entity kinds (payload.exe as
+        # written file, then as running process) the node takes the
+        # highest-precedence kind: the one declared first in NodeKind
+        if _KIND_ORDER[kind] < _KIND_ORDER[self.kind]:
             self.kind = kind
 
     def attrs(self) -> dict:

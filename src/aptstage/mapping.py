@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .telemetry.records import WINDOW_SECONDS
 
 STAGE_NAMES = (
     "Normal",
@@ -55,7 +56,7 @@ def decide(probabilities, window_starts=None, window_indices=None):
     if window_indices is None:
         window_indices = range(n)
     if window_starts is None:
-        window_starts = [float(i) * 300.0 for i in window_indices]
+        window_starts = [float(i) * WINDOW_SECONDS for i in window_indices]
     decisions = []
     prev = None
     for i, (wi, ws) in enumerate(zip(window_indices, window_starts)):

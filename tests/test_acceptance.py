@@ -15,6 +15,7 @@ import pytest
 
 from aptstage.benchmark import BenchmarkConfig, run_benchmark
 from aptstage.encoder import (
+    edge_means,
     encode_packed,
     encoder_param_spec,
     message_passing_packed,
@@ -171,7 +172,7 @@ def test_criterion_2_equation_oracles():
         weights = {rel: rng.normal(size=(d_h, 2 * d_h)) for rel in Relation}
         packed = pack_graphs([(np.zeros((nv, 0)), np.zeros((ne, 0)), g)])
         got = message_passing_packed(
-            packed, as_tensor(h), as_tensor(z),
+            packed, as_tensor(h), edge_means(packed, as_tensor(z)),
             {r: as_tensor(W) for r, W in weights.items()}).data
         for i in range(nv):
             acc = np.zeros(d_h)

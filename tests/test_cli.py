@@ -159,6 +159,15 @@ def test_exit_code_feature_spec_widths_differ(pipeline, tmp_path, capsys):
     assert "differ from the configured featurizer" in capsys.readouterr().err
 
 
+def test_exit_code_feature_spec_edited(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    spec = json.loads((workdir / "feature_spec.json").read_text())
+    spec["vocab"]["idf"][0] *= 100
+    (workdir / "feature_spec.json").write_text(json.dumps(spec))
+    assert run("pretrain", "--config", cfg_path) == 3
+    assert "does not match its spec_hash" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,message", [
     ("config_hash", "trained under a different config"),
     ("feature_spec_hash", "trained with a different feature spec"),
@@ -252,9 +261,12 @@ BAD_VALUES = [
     ("pretrain.epochs", "5"),
     ("scenario.schedule", [["x", 0, 10]]),
 ]
+# more bad values under a key already listed, each with its own test id
+BAD_STAGES = [("fractional-stage", [[1.7, 0, 600]]), ("bool-stage", [[True, 0, 600]])]
 
 
-@pytest.mark.parametrize("key,value", BAD_VALUES, ids=[k for k, _ in BAD_VALUES])
+@pytest.mark.parametrize("key,value", [pytest.param(k, v, id=k) for k, v in BAD_VALUES] + [
+    pytest.param("scenario.schedule", v, id=f"scenario.schedule-{name}") for name, v in BAD_STAGES])
 def test_bad_value_fails_at_config_load(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(FAST))
     *sections, name = key.split(".")

@@ -59,6 +59,8 @@ BROKEN_RULES = [
     (ScenarioSettings, {"schedule": [[7, 0, 10]]}, "stage must be in 1..6"),
     (PipelineConfig, {"folds": 1}, "folds"),
     (PipelineConfig, {"seed": -1}, "seed"),
+    (ScenarioSettings, {"schedule": [[1.7, 0, 600]]}, "integer stage"),
+    (ScenarioSettings, {"schedule": [[True, 0, 600]]}, "integer stage"),
 ]
 
 

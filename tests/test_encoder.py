@@ -1,11 +1,13 @@
 """Relation-typed message passing and attention readout."""
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from aptstage.encoder import (
     LAYERS,
+    PackedGraphs,
     edge_means,
     encode_packed,
     encoder_param_spec,
@@ -14,7 +16,15 @@ from aptstage.encoder import (
     write_attention_csv,
 )
 from aptstage.errors import ParamRegistryError
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, build_graph_sequence
+from aptstage.graphs import (
+    _RELATION_ORDER,
+    Edge,
+    Node,
+    NodeKind,
+    ProvenanceGraph,
+    Relation,
+    build_graph_sequence,
+)
 from aptstage.nn import (
     ParamStore,
     as_tensor,
@@ -57,9 +67,9 @@ def encode_one(X, Z, graph, store):
 
 
 def message_passing(graph, h, z, weights):
-    """One message_passing_packed round over a single graph."""
+    """One message_passing_packed round over a single graph, per-edge z̃ given."""
     packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), np.zeros((len(graph.edges), 0)), graph)])
-    return message_passing_packed(packed, as_tensor(h), as_tensor(z), weights)
+    return message_passing_packed(packed, as_tensor(h), edge_means(packed, as_tensor(z)), weights)
 
 
 def rand_feats(graph, rng):
@@ -306,7 +316,7 @@ def test_message_passing_gradients_match_finite_differences(missing):
     probe = as_tensor(rng.normal(size=(n, D_H)))
 
     def loss(st):
-        # two rounds sharing one EdgeMeans, as encode_packed runs them
+        # two rounds sharing one edge_means, as encode_packed runs them
         z_means = edge_means(packed, st.tensor("z"))
         h = st.tensor("h")
         for layer in range(2):
@@ -317,18 +327,25 @@ def test_message_passing_gradients_match_finite_differences(missing):
     assert finite_diff_check(loss, store, max_coords=len(store) * 2 * D_H * D_H) < 1e-4
 
 
-def test_fused_round_matches_transform_then_aggregate_reference():
+def scenario_graphs():
+    """The six windows of a generated full campaign."""
     events, alerts, _ = generate_scenario(ScenarioConfig(
         duration=6 * 300.0, stage_schedule=default_campaign_schedule(6 * 300.0), seed=3))
-    graphs = build_graph_sequence(events, alerts)
+    return build_graph_sequence(events, alerts)
+
+
+def test_fused_round_matches_transform_then_aggregate_reference():
+    graphs = scenario_graphs()
     rng = np.random.default_rng(9)
     values = {"h": rng.normal(size=(sum(len(g.nodes) for g in graphs), D_H)),
               "z": rng.normal(size=(sum(len(g.edges) for g in graphs), D_H)),
               **{rel.value: rng.normal(size=(D_H, 2 * D_H)) for rel in Relation}}
     probe = as_tensor(rng.normal(size=values["h"].shape))
+    def fused(packed, h, z, weights):
+        return message_passing_packed(packed, h, edge_means(packed, z), weights)
+
     results = []
-    for fn, arg in ((message_passing_packed, pack_bare(graphs)),
-                    (reference_message_passing, graphs)):
+    for fn, arg in ((fused, pack_bare(graphs)), (reference_message_passing, graphs)):
         store = ParamStore()
         for name, v in values.items():
             store.add(name, v)
@@ -347,3 +364,84 @@ def test_encoder_tape_stays_one_node_per_round(rng, tape_nodes):
     packed = pack_graphs([(*rand_feats(g, rng), g)])
     assert set(packed.rel_segs) == set(Relation)
     assert tape_nodes(encode_packed(packed, mkstore()).g) <= 70
+
+
+# ------------------------------------------------ edge index and packing
+
+
+def edgeless_graphs():
+    """A graph without nodes and a graph with nodes but no edges."""
+    lone = tuple(Node(NodeKind.FILE, f"f{i}", {"first_ts": 0.0}) for i in range(2))
+    return [ProvenanceGraph(0, 0.0, (), ()), ProvenanceGraph(1, 0.0, lone, ())]
+
+
+def test_edge_index_lists_relation_src_dst_per_edge():
+    relations = list(Relation)
+    for g in fd_batch() + fd_batch(Relation.EXEC) + scenario_graphs() + edgeless_graphs():
+        want = np.array([[relations.index(e.relation) for e in g.edges],
+                         [e.src for e in g.edges],
+                         [e.dst for e in g.edges]], dtype=np.int64).reshape(3, len(g.edges))
+        assert g.edge_index.dtype == np.int64
+        assert np.array_equal(g.edge_index, want)
+        assert g.edge_index is g.edge_index  # built once per graph
+        assert not g.edge_index.flags.writeable
+    for g in edgeless_graphs():
+        assert g.edge_index.shape == (3, 0)
+
+
+def ref_pack_graphs(items) -> PackedGraphs:
+    """pack_graphs as written before `ProvenanceGraph.edge_index`: the edge
+    arrays are gathered edge by edge on every call."""
+    def as_int_array(xs):
+        return np.asarray(xs, dtype=np.int64) if len(xs) else np.zeros(0, dtype=np.int64)
+
+    Xs, Zs, node_graph = [], [], []
+    rel, src, dst = [], [], []
+    node_off = 0
+    for gi, (X, Z, g) in enumerate(items):
+        n = len(g.nodes)
+        Xs.append(X)
+        Zs.append(Z)
+        node_graph.append(np.full(n, gi, dtype=np.int64))
+        for e in g.edges:
+            rel.append(_RELATION_ORDER[e.relation])
+            src.append(e.src + node_off)
+            dst.append(e.dst + node_off)
+        node_off += n
+
+    d_x = Xs[0].shape[1] if Xs else 0
+    d_e = Zs[0].shape[1] if Zs else 0
+    X = np.concatenate(Xs, axis=0) if Xs else np.zeros((0, d_x))
+    Z = np.concatenate(Zs, axis=0) if Zs else np.zeros((0, d_e))
+
+    seg_key, edge_seg, counts = np.unique(
+        as_int_array(rel) * node_off + as_int_array(dst), return_inverse=True, return_counts=True)
+    bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * node_off).tolist()
+    return PackedGraphs(
+        X=X,
+        Z=Z,
+        node_graph=np.concatenate(node_graph) if node_graph else np.zeros(0, dtype=np.int64),
+        n_graphs=len(items),
+        n_nodes=node_off,
+        edge_src=as_int_array(src),
+        edge_seg=edge_seg,
+        seg_dst=seg_key % max(node_off, 1),
+        seg_inv=(1.0 / counts).reshape(-1, 1),
+        rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
+                  if lo < hi},
+    )
+
+
+def test_pack_graphs_equals_per_edge_reference(rng):
+    empty, lone = edgeless_graphs()
+    batches = [[empty, *scenario_graphs(), lone, *fd_batch(), empty], [lone, empty], [empty], []]
+    for graphs in batches:
+        items = [(*rand_feats(g, rng), g) for g in graphs]
+        got, want = pack_graphs(items), ref_pack_graphs(items)
+        for f in dataclasses.fields(PackedGraphs):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name

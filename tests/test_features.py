@@ -373,11 +373,27 @@ def _ref_fill_edge_row(row, edge, max_count, graph, stats, cfg):
         row[cfg.e_aproto + _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")] = 1.0
 
 
+def ref_node_stats(graph):
+    """node_stats as written before `ProvenanceGraph.edge_index`: degrees and
+    event counts accumulated edge by edge."""
+    n = len(graph.nodes)
+    out = np.zeros((n, 3))
+    for e in graph.edges:
+        if e.relation is Relation.SELF_LOOP:
+            continue
+        out[e.dst, 0] += 1
+        out[e.src, 1] += 1
+        if e.relation is not Relation.TRIGGERED_BY:
+            out[e.src, 2] += e.count
+            out[e.dst, 2] += e.count
+    return out
+
+
 def ref_featurize_graph(graph, vocab, stats, config):
     cfg = RowLayout(config)
     X = np.zeros((len(graph.nodes), cfg.node_dim))
     Z = np.zeros((len(graph.edges), cfg.edge_dim))
-    srows = node_stats(graph)
+    srows = ref_node_stats(graph)
     for i, node in enumerate(graph.nodes):
         _ref_fill_node_row(X[i], node, srows[i], graph, vocab, stats, cfg)
     if graph.edges:
@@ -391,7 +407,7 @@ def ref_fit_stats(corpus):
     """(mean, std) of the continuous columns, stat rows taken node by node."""
     stat_rows, sizes = [], []
     for g in corpus:
-        s = node_stats(g)
+        s = ref_node_stats(g)
         stat_rows.extend(s[i] for i, node in enumerate(g.nodes) if node.kind is not NodeKind.ALERT)
         sizes.append(edge_log_bytes(g))
     stat_mat, sizes = np.array(stat_rows), np.concatenate(sizes)
@@ -406,6 +422,15 @@ def dense_graphs():
                          benign_event_rate=0.5, attack_event_rate=2.0, seed=4)
     events, alerts, _ = generate_scenario(cfg)
     return build_graph_sequence(events, alerts)
+
+
+def test_node_stats_equals_per_edge_reference():
+    lone = ProvenanceGraph(0, 0.0, (mknode(NodeKind.FILE, "f"),), ())
+    graphs = campaign_graphs(seed=3, windows=12) + dense_graphs() + [tiny_graph(), lone]
+    assert any(e.relation is Relation.TRIGGERED_BY for g in graphs for e in g.edges)
+    assert any(e.count > 1 for g in graphs for e in g.edges)
+    for g in graphs:
+        assert np.array_equal(node_stats(g), ref_node_stats(g))
 
 
 @pytest.mark.parametrize("config", [CFG, FeaturizerConfig(8, 3, 5, 2)], ids=["default", "small"])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from aptstage.errors import DimensionError, TrainingError
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
+from aptstage.features import fit_vocab_and_stats
+from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, build_graph_sequence
 from aptstage.model import ModelConfig, build_param_store
 from aptstage.nn import AdamState, ParamStore, sqrt, tsum
+from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 from aptstage.training import (
     FinetuneConfig,
     PretrainConfig,
@@ -17,6 +19,7 @@ from aptstage.training import (
     WindowRecord,
     class_weights,
     curriculum_length,
+    featurize_trace,
     finetune,
     loss_contrastive_pooled,
     loss_pred,
@@ -295,6 +298,29 @@ def test_pretrain_rejects_single_window_traces(rng):
     store = build_param_store(MCFG)
     with pytest.raises(TrainingError):
         pretrain(traces, store, MCFG, PretrainConfig(epochs=1))
+
+
+def test_pretrain_with_frozen_encoder_trains_the_recurrence_only(monkeypatch):
+    sequences = [build_graph_sequence(*generate_scenario(ScenarioConfig(
+        num_hosts=1, duration=1800.0, stage_schedule=default_campaign_schedule(1800.0),
+        seed=seed))[:2]) for seed in (0, 1, 2)]
+    vocab, stats = fit_vocab_and_stats([g for gs in sequences for g in gs], MCFG.featurizer)
+    traces = [featurize_trace(f"t{i}", gs, None, vocab, stats, MCFG.featurizer)
+              for i, gs in enumerate(sequences)]
+    encoded = []
+    encode = loops.encode_windows
+    monkeypatch.setattr(loops, "encode_windows",
+                        lambda windows, *args: encoded.append(len(windows)) or encode(windows, *args))
+    store = build_param_store(MCFG)
+    before = store.snapshot()
+    log = pretrain(traces, store, MCFG, PretrainConfig(epochs=2, batch=4, negatives=8,
+                                                       train_encoder=False)).loss_log
+    after = store.snapshot()
+    assert encoded == [len(tr.windows) for tr in traces]  # once per trace, into the cache
+    assert all(np.array_equal(before[k], after[k]) for k in before if k.startswith(("enc.", "proj.")))
+    assert any(not np.array_equal(before[k], after[k]) for k in before if k.startswith("lstm."))
+    assert len(log) == 2
+    assert all(math.isfinite(row[k]) for row in log for k in ("loss_pred", "loss_ctr", "loss_ssl"))
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
