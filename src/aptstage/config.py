@@ -27,6 +27,9 @@ def _stage_interval(entry) -> StageInterval:
     k, start, end = entry
     if isinstance(k, bool):
         raise TypeError(f"stage {k!r} is a bool")
+    for bound in (start, end):
+        if not _accepts(float, bound):
+            raise TypeError(f"start and end must be numbers, got {bound!r}")
     return StageInterval(operator.index(k), float(start), float(end))  # refuses 1.7 and "1"
 
 

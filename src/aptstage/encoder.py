@@ -8,13 +8,15 @@ eq. 2) computed in aggregate-then-transform order: states are averaged over
 each (relation, destination) segment first, and each relation's weight is
 then applied once per segment instead of once per edge. Each round is one
 autodiff op with a hand-written backward. The readout is single-query
-dot-product attention followed by a linear projection; an empty graph embeds
-to the zero vector.
+dot-product attention followed by a linear projection, also one op with a
+hand-written backward; an empty graph embeds to the zero vector.
 
 Batches are "packed": node/edge matrices of many windows are concatenated
 block-diagonally, and `pack_graphs` builds the segment plan once per batch:
 each edge's (relation, destination) segment, and each segment's destination
-and 1/count, with the segments of one relation contiguous.
+and 1/count, with the segments of one relation contiguous. The plan also
+splits the segments into those holding a single edge, whose mean is a copy
+of that edge's row, and those holding several, which are summed.
 """
 from __future__ import annotations
 
@@ -25,9 +27,8 @@ import numpy as np
 
 from .errors import ParamRegistryError
 from .graphs import Relation
-from .nn import Tensor, as_tensor, div, exp, gather_rows, matmul, mul
-from .nn import reshape, segment_sum, sub, transpose
-from .nn.tensor import _accum, _make
+from .nn import Tensor, as_tensor, matmul, transpose
+from .nn.tensor import _accum, _make, _needs_grad
 
 LAYERS = 3
 
@@ -61,6 +62,11 @@ class PackedGraphs:
     seg_dst: np.ndarray      # (S,) destination node per segment
     seg_inv: np.ndarray      # (S, 1) 1 / edges in the segment
     rel_segs: dict           # Relation -> slice of segments, relations with edges only
+    single_seg: np.ndarray   # (S1,) segments holding one edge
+    single_edge: np.ndarray  # (S1,) that edge, per single_seg entry
+    multi_seg: np.ndarray    # (S2,) segments holding two or more edges, ascending
+    multi_edge: np.ndarray   # (M2,) the edges of those segments, ascending
+    multi_group: np.ndarray  # (M2,) position in multi_seg of each multi_edge's segment
 
 
 def pack_graphs(items) -> PackedGraphs:
@@ -75,6 +81,10 @@ def pack_graphs(items) -> PackedGraphs:
     seg_key, edge_seg, counts = np.unique(
         rel * n_nodes + dst + shift, return_inverse=True, return_counts=True)
     bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * n_nodes).tolist()
+    shared = counts > 1
+    edge_shared = shared[edge_seg]
+    single_edge = np.flatnonzero(~edge_shared)
+    multi_edge = np.flatnonzero(edge_shared)
     return PackedGraphs(
         X=np.concatenate([X for X, _, _ in items]) if items else np.zeros((0, 0)),
         Z=np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0)),
@@ -87,6 +97,11 @@ def pack_graphs(items) -> PackedGraphs:
         seg_inv=(1.0 / counts).reshape(-1, 1),
         rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
                   if lo < hi},
+        single_seg=edge_seg[single_edge],
+        single_edge=single_edge,
+        multi_seg=np.flatnonzero(shared),
+        multi_edge=multi_edge,
+        multi_group=(np.cumsum(shared) - 1)[edge_seg[multi_edge]],
     )
 
 
@@ -97,10 +112,20 @@ def project_packed(packed: PackedGraphs, store):
     return Xt, Zt
 
 
-def _segment_mean(edge_rows: np.ndarray, packed: PackedGraphs) -> np.ndarray:
-    """(S, d) mean of per-edge rows over each segment."""
-    out = _scatter_rows(edge_rows, packed.edge_seg, packed.seg_dst.size)
-    out *= packed.seg_inv
+def _segment_mean(rows: np.ndarray, packed: PackedGraphs, edge_row=None) -> np.ndarray:
+    """(S, d) mean over each segment of the edges' rows: edge e's row is
+    rows[edge_row[e]], or rows[e] without `edge_row`. A single-edge segment's
+    mean is a copy of its edge's row; only the edges that share a segment go
+    through bincount. The values equal one bincount over every edge scaled by
+    1/count, since 0 + x and x·1.0 are x."""
+    single, multi = packed.single_edge, packed.multi_edge
+    if edge_row is not None:
+        single, multi = edge_row[single], edge_row[multi]
+    out = np.empty((packed.seg_dst.size, rows.shape[1]))
+    out[packed.single_seg] = rows[single]
+    summed = _scatter_rows(rows[multi], packed.multi_group, packed.multi_seg.size)
+    summed *= packed.seg_inv[packed.multi_seg]
+    out[packed.multi_seg] = summed
     return out
 
 
@@ -127,7 +152,7 @@ def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: di
     h = as_tensor(h)
     zm = as_tensor(z_means)
     d = h.data.shape[1]
-    agg = _segment_mean(h.data[packed.edge_src], packed)
+    agg = _segment_mean(h.data, packed, packed.edge_src)
     out = np.zeros((packed.n_nodes, d))
     for rel, sl in packed.rel_segs.items():
         W = weights[rel].data
@@ -156,31 +181,42 @@ def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: di
     return _make(out, (h, zm, *(weights[rel] for rel in packed.rel_segs)), backward)
 
 
-def _segment_max(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    counts = np.bincount(seg, minlength=n)
-    nonempty = np.nonzero(counts)[0]
-    if nonempty.size:
-        starts = np.searchsorted(seg, nonempty, side="left")
-        out[nonempty] = np.maximum.reduceat(values, starts)
-    return out
-
-
 def attention_readout(packed: PackedGraphs, h: Tensor, store):
-    """α = per-graph softmax of aᵀh_i; g = W_g · Σ_i α_i h_i. Returns
-    (g: (G, d_g), alpha: (N,))."""
+    """α = per-graph softmax of aᵀh_i; g = W_g · Σ_i α_i h_i, as one op with a
+    hand-written backward. Returns (g: (G, d_g), alpha: (N,)); alpha is a
+    constant that carries no gradient."""
+    h = as_tensor(h)
     a = store.tensor("enc.attn.a")
-    d_h = a.data.shape[0]
-    scores = reshape(matmul(h, reshape(a, (d_h, 1))), (packed.n_nodes,))
-    # constant per-segment shift keeps softmax exact and numerically stable
-    shift = _segment_max(scores.data, packed.node_graph, packed.n_graphs)
-    ex = exp(sub(scores, as_tensor(shift[packed.node_graph])))
-    denom = segment_sum(ex, packed.node_graph, packed.n_graphs)
-    alpha = div(ex, gather_rows(denom, packed.node_graph))
-    pooled = segment_sum(mul(reshape(alpha, (packed.n_nodes, 1)), h),
-                         packed.node_graph, packed.n_graphs)
-    g = matmul(pooled, transpose(store.tensor("enc.out.Wg")))
-    return g, alpha
+    Wg = store.tensor("enc.out.Wg")
+    graph = packed.node_graph
+    # node_graph is non-decreasing: each graph with nodes is one run of rows
+    nonempty = np.nonzero(np.bincount(graph, minlength=packed.n_graphs))[0]
+    starts = np.searchsorted(graph, nonempty, side="left")
+
+    def per_graph(ufunc, values):
+        out = np.zeros((packed.n_graphs,) + values.shape[1:])
+        if nonempty.size:
+            out[nonempty] = ufunc.reduceat(values, starts, axis=0)
+        return out
+
+    scores = (h.data @ a.data.reshape(-1, 1)).reshape(packed.n_nodes)
+    # a constant per-graph shift keeps softmax exact and numerically stable
+    ex = np.exp(scores - per_graph(np.maximum, scores)[graph])
+    alpha = ex / per_graph(np.add, ex)[graph]
+    pooled = per_graph(np.add, alpha.reshape(-1, 1) * h.data)
+
+    def backward(dg):
+        _accum(Wg, dg.T @ pooled)
+        d_rows = (dg @ Wg.data)[graph]                 # dL/d pooled, per node
+        d_alpha = (d_rows * h.data).sum(axis=1)
+        d_scores = alpha * (d_alpha - per_graph(np.add, alpha * d_alpha)[graph])
+        _accum(a, h.data.T @ d_scores)
+        if _needs_grad(h):
+            d_rows *= alpha.reshape(-1, 1)
+            d_rows += d_scores.reshape(-1, 1) * a.data
+            _accum(h, d_rows)
+
+    return _make(pooled @ Wg.data.T, (h, a, Wg), backward), as_tensor(alpha)
 
 
 def encode_packed(packed: PackedGraphs, store, layers: int = LAYERS):
@@ -198,7 +234,7 @@ def encode_packed(packed: PackedGraphs, store, layers: int = LAYERS):
 @dataclass
 class EncodeBatch:
     g: Tensor            # (G, d_g)
-    alpha: Tensor        # (N,)
+    alpha: Tensor        # (N,), without gradient
     node_states: Tensor  # (N, d_h)
 
 

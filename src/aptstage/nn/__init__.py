@@ -9,9 +9,6 @@ from .tensor import (
     matmul,
     mul,
     no_grad,
-    reshape,
-    segment_sum,
-    sqrt,
     sub,
     transpose,
     tsum,
@@ -39,10 +36,7 @@ __all__ = [
     "matmul",
     "mul",
     "no_grad",
-    "reshape",
     "save_checkpoint",
-    "segment_sum",
-    "sqrt",
     "sub",
     "transpose",
     "tsum",

@@ -205,16 +205,6 @@ def transpose(a) -> Tensor:
     return _make(a.data.T, (a,), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.data.shape
-
-    def backward(g):
-        _accum(a, g.reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -232,16 +222,6 @@ def log(a) -> Tensor:
         _accum(a, g / a.data)
 
     return _make(np.log(a.data), (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * 0.5 / out)
-
-    return _make(out, (a,), backward)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -269,21 +249,3 @@ def gather_rows(a, idx) -> Tensor:
         _accum(a, full)
 
     return _make(a.data[idx], (a,), backward)
-
-
-def segment_sum(a, seg, num_segments: int) -> Tensor:
-    """Sum rows of `a` into `num_segments` buckets. `seg` must be sorted
-    ascending; empty segments yield zero rows."""
-    a = as_tensor(a)
-    seg = np.asarray(seg, dtype=np.intp)
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=a.data.dtype)
-    if seg.size:
-        counts = np.bincount(seg, minlength=num_segments)
-        nonempty = np.nonzero(counts)[0]
-        starts = np.searchsorted(seg, nonempty, side="left")
-        out[nonempty] = np.add.reduceat(a.data, starts, axis=0)
-
-    def backward(g):
-        _accum(a, g[seg])
-
-    return _make(out, (a,), backward)

@@ -269,8 +269,8 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
         S = arows.shape[0]
         draw = neg_rng.integers(0, U - 1, size=(S, cfg.negatives))
         draw = draw + (draw >= pos_unique[:, None])  # uniform over pool minus positive
-        counts = np.zeros((S, U))
-        np.add.at(counts, (np.repeat(np.arange(S), cfg.negatives), draw.ravel()), 1.0)
+        counts = np.bincount((draw + U * np.arange(S)[:, None]).ravel(),
+                             minlength=S * U).reshape(S, U)
         # pooled form == explicit (S·K, d) gather, without materializing it
         l_ctr = loss_contrastive_pooled(ghat, g_target, g_all, counts, tau=cfg.tau)
 

@@ -5,19 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
-from ..nn import (
-    Tensor,
-    as_tensor,
-    div,
-    exp,
-    log,
-    matmul,
-    mul,
-    sqrt,
-    sub,
-    transpose,
-    tsum,
-)
+from ..nn import Tensor, as_tensor, log, mul, sub, tsum
+from ..nn.tensor import _accum, _make, _needs_grad
 
 COSINE_EPS = 1e-12
 
@@ -38,15 +27,25 @@ def loss_pred(predictions: Tensor, targets: Tensor) -> Tensor:
     return mul(tsum(mul(diff, diff)), as_tensor(1.0 / n))
 
 
-def _row_normalize(v: Tensor) -> Tensor:
-    norms = sqrt(tsum(mul(v, v), axis=1, keepdims=True))
-    return div(v, norms + as_tensor(COSINE_EPS))
+def _unit_rows(v: np.ndarray):
+    """Rows scaled to unit length, v / (‖v‖ + ε), and the norms ‖v‖."""
+    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
+    return v / (norms + COSINE_EPS), norms
+
+
+def _unit_rows_adjoint(d_unit: np.ndarray, v: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Adjoint of `_unit_rows` at v. A zero row gets a zero adjoint: its unit
+    row is 0 whatever the parameters, so no parameter can move it."""
+    live = norms > 0
+    den = norms + COSINE_EPS
+    radial = (v * d_unit).sum(axis=1, keepdims=True) / (np.where(live, norms, 1.0) * den * den)
+    return np.where(live, d_unit / den - v * radial, 0.0)
 
 
 def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
                             neg_counts: np.ndarray, tau: float = 0.2) -> Tensor:
     """Normalized InfoNCE with the positive in the denominator, against a
-    shared candidate pool.
+    shared candidate pool, as one op with a closed-form backward.
 
     anchors/positives: (S, d); pool: (U, d); ``neg_counts[s, u]`` holds the
     number of times pool row u was drawn as a negative for anchor s.
@@ -67,17 +66,28 @@ def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
     if tau <= 0:
         raise TrainingError("temperature must be positive")
 
-    na = _row_normalize(anchors)
-    np_ = _row_normalize(positives)
-    npool = _row_normalize(pool)
-    inv_tau = as_tensor(1.0 / tau)
+    na, norm_a = _unit_rows(anchors.data)
+    np_, norm_p = _unit_rows(positives.data)
+    npool, norm_u = _unit_rows(pool.data)
+    inv_tau = 1.0 / tau
 
-    pos_sim = mul(tsum(mul(na, np_), axis=1), inv_tau)                  # (S,)
-    sims = mul(matmul(na, transpose(npool)), inv_tau)                   # (S, U)
-    neg_den = tsum(mul(exp(sims), as_tensor(counts)), axis=1)           # (S,)
-    den = exp(pos_sim) + neg_den
-    per_anchor = sub(log(den), pos_sim)
-    return mul(tsum(per_anchor), as_tensor(1.0 / S))
+    pos_sim = (na * np_).sum(axis=1) * inv_tau                  # (S,)
+    neg_terms = np.exp((na @ npool.T) * inv_tau) * counts         # (S, U)
+    pos_term = np.exp(pos_sim)
+    den = pos_term + neg_terms.sum(axis=1)                        # (S,)
+    loss = (np.log(den) - pos_sim).sum() * (1.0 / S)
+
+    def backward(g):
+        # loss = mean over anchors of log(den_s) - pos_sim_s
+        scale = g * (inv_tau / S) / den                           # (S,)
+        d_pos = (scale * pos_term - g * (inv_tau / S)).reshape(-1, 1)  # dL/d(na·np_)
+        d_neg = neg_terms * scale.reshape(-1, 1)                  # dL/d(na·npoolᵀ)
+        _accum(anchors, _unit_rows_adjoint(d_pos * np_ + d_neg @ npool, anchors.data, norm_a))
+        _accum(positives, _unit_rows_adjoint(d_pos * na, positives.data, norm_p))
+        if _needs_grad(pool):
+            _accum(pool, _unit_rows_adjoint(d_neg.T @ na, pool.data, norm_u))
+
+    return _make(loss, (anchors, positives, pool), backward)
 
 
 def loss_supervised(probabilities: Tensor, labels, weights, eps: float = 1e-8) -> Tensor:

@@ -1,13 +1,13 @@
 """Reference tape ops and losses that only tests use.
 
 The model runs fused ops (one per message-passing round, one per LSTM
-layer, the pooled InfoNCE). The tests check those against per-step
-compositions of small tape ops; the ops below exist for that composition
-and are gradient-checked in `test_nn_core.py`.
+layer, the attention readout, the pooled InfoNCE). The tests check those
+against compositions of small tape ops; the ops below exist for that
+composition and are gradient-checked in `test_nn_core.py`.
 """
 import numpy as np
 
-from aptstage.nn import as_tensor, div, exp, gather_rows, log, mul, segment_sum, sqrt, sub, tsum
+from aptstage.nn import as_tensor, div, exp, gather_rows, log, matmul, mul, sub, transpose, tsum
 from aptstage.nn.tensor import _accum, _make
 
 
@@ -65,6 +65,62 @@ def slice_cols(a, j0: int, j1: int):
         _accum(a, full)
 
     return _make(a.data[:, j0:j1].copy(), (a,), backward)
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    old = a.data.shape
+
+    def backward(g):
+        _accum(a, g.reshape(old))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def sqrt(a):
+    a = as_tensor(a)
+    out = np.sqrt(a.data)
+
+    def backward(g):
+        _accum(a, g * 0.5 / out)
+
+    return _make(out, (a,), backward)
+
+
+def segment_sum(a, seg, num_segments: int):
+    """Sum rows of `a` into `num_segments` buckets. `seg` must be sorted
+    ascending; empty segments yield zero rows."""
+    a = as_tensor(a)
+    seg = np.asarray(seg, dtype=np.intp)
+    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=a.data.dtype)
+    if seg.size:
+        counts = np.bincount(seg, minlength=num_segments)
+        nonempty = np.nonzero(counts)[0]
+        starts = np.searchsorted(seg, nonempty, side="left")
+        out[nonempty] = np.add.reduceat(a.data, starts, axis=0)
+
+    def backward(g):
+        _accum(a, g[seg])
+
+    return _make(out, (a,), backward)
+
+
+def attention_readout(packed, h, store):
+    """The attention readout as a composition of tape ops; the reference for
+    the fused `encoder.attention_readout`. Returns (g, alpha) tensors."""
+    a = store.tensor("enc.attn.a")
+    d_h = a.data.shape[0]
+    graph, n_graphs = packed.node_graph, packed.n_graphs
+    scores = reshape(matmul(h, reshape(a, (d_h, 1))), (packed.n_nodes,))
+    shift = np.zeros(n_graphs)
+    nonempty = np.nonzero(np.bincount(graph, minlength=n_graphs))[0]
+    if nonempty.size:
+        shift[nonempty] = np.maximum.reduceat(
+            scores.data, np.searchsorted(graph, nonempty, side="left"))
+    ex = exp(sub(scores, as_tensor(shift[graph])))
+    alpha = div(ex, gather_rows(segment_sum(ex, graph, n_graphs), graph))
+    pooled = segment_sum(mul(reshape(alpha, (packed.n_nodes, 1)), h), graph, n_graphs)
+    return matmul(pooled, transpose(store.tensor("enc.out.Wg"))), alpha
 
 
 def _row_normalize(v):

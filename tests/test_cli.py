@@ -262,7 +262,8 @@ BAD_VALUES = [
     ("scenario.schedule", [["x", 0, 10]]),
 ]
 # more bad values under a key already listed, each with its own test id
-BAD_STAGES = [("fractional-stage", [[1.7, 0, 600]]), ("bool-stage", [[True, 0, 600]])]
+BAD_STAGES = [("fractional-stage", [[1.7, 0, 600]]), ("bool-stage", [[True, 0, 600]]),
+              ("string-start", [[1, "0", 600]]), ("bool-end", [[1, 0, True]])]
 
 
 @pytest.mark.parametrize("key,value", [pytest.param(k, v, id=k) for k, v in BAD_VALUES] + [

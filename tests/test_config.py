@@ -61,6 +61,8 @@ BROKEN_RULES = [
     (PipelineConfig, {"seed": -1}, "seed"),
     (ScenarioSettings, {"schedule": [[1.7, 0, 600]]}, "integer stage"),
     (ScenarioSettings, {"schedule": [[True, 0, 600]]}, "integer stage"),
+    (ScenarioSettings, {"schedule": [[1, "0", 600]]}, "start and end must be numbers"),
+    (ScenarioSettings, {"schedule": [[1, 0, True]]}, "start and end must be numbers"),
 ]
 
 

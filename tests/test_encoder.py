@@ -8,6 +8,7 @@ import pytest
 from aptstage.encoder import (
     LAYERS,
     PackedGraphs,
+    attention_readout,
     edge_means,
     encode_packed,
     encoder_param_spec,
@@ -33,13 +34,13 @@ from aptstage.nn import (
     init_params,
     matmul,
     mul,
-    segment_sum,
     transpose,
     tsum,
 )
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 
-from nn_reference import concat, relu
+from nn_reference import attention_readout as reference_readout
+from nn_reference import concat, relu, segment_sum
 
 D_X, D_E, D_H, D_G = 4, 3, 5, 6
 
@@ -366,6 +367,59 @@ def test_encoder_tape_stays_one_node_per_round(rng, tape_nodes):
     assert tape_nodes(encode_packed(packed, mkstore()).g) <= 70
 
 
+# ------------------------------------------------ the fused attention readout
+
+
+def readout_batches():
+    """Packed batches with empty and single-node graphs between larger ones."""
+    empty, lone = edgeless_graphs()
+    single = mkgraph(1, [])
+    return [pack_bare([empty, *scenario_graphs(), single, lone, empty]),
+            pack_bare([single]), pack_bare([empty, single]), pack_bare([empty]), pack_bare([])]
+
+
+def readout_store(rng):
+    store = ParamStore()
+    store.add("enc.attn.a", rng.normal(size=D_H))
+    store.add("enc.out.Wg", rng.normal(size=(D_G, D_H)))
+    return store
+
+
+def test_fused_readout_matches_composition_reference():
+    rng = np.random.default_rng(4)
+    for packed in readout_batches():
+        values = {"h": rng.normal(size=(packed.n_nodes, D_H)) * 2.0,
+                  **readout_store(rng).snapshot()}
+        probe = as_tensor(rng.normal(size=(packed.n_graphs, D_G)))
+        results = []
+        for readout in (attention_readout, reference_readout):
+            store = ParamStore()
+            for name, v in values.items():
+                store.add(name, v)
+            g, alpha = readout(packed, store.tensor("h"), store)
+            tsum(mul(g, probe)).backward()
+            results.append((g.data, alpha.data, {n: store.tensor(n).grad for n in values}))
+        (g, alpha, grads), (want_g, want_alpha, want_grads) = results
+        assert np.array_equal(g, want_g) and np.array_equal(alpha, want_alpha)
+        for name in values:
+            assert np.max(np.abs(grads[name] - want_grads[name]), initial=0.0) < 1e-12, name
+
+
+def test_fused_readout_gradients_match_finite_differences():
+    empty, lone = edgeless_graphs()
+    packed = pack_bare([empty, *fd_batch(), mkgraph(1, []), lone])
+    rng = np.random.default_rng(6)
+    store = readout_store(rng)
+    store.add("h", rng.normal(size=(packed.n_nodes, D_H)))
+    probe = as_tensor(rng.normal(size=(packed.n_graphs, D_G)))
+
+    def loss(st):
+        return tsum(mul(attention_readout(packed, st.tensor("h"), st)[0], probe))
+
+    coords = sum(v.size for v in store.params.values())
+    assert finite_diff_check(loss, store, max_coords=coords) < 1e-5
+
+
 # ------------------------------------------------ edge index and packing
 
 
@@ -391,7 +445,8 @@ def test_edge_index_lists_relation_src_dst_per_edge():
 
 def ref_pack_graphs(items) -> PackedGraphs:
     """pack_graphs as written before `ProvenanceGraph.edge_index`: the edge
-    arrays are gathered edge by edge on every call."""
+    arrays are gathered edge by edge on every call, and the single-edge and
+    multi-edge segment lists are built edge by edge too."""
     def as_int_array(xs):
         return np.asarray(xs, dtype=np.int64) if len(xs) else np.zeros(0, dtype=np.int64)
 
@@ -417,6 +472,10 @@ def ref_pack_graphs(items) -> PackedGraphs:
     seg_key, edge_seg, counts = np.unique(
         as_int_array(rel) * node_off + as_int_array(dst), return_inverse=True, return_counts=True)
     bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * node_off).tolist()
+    single = [(seg, e) for e, seg in enumerate(edge_seg.tolist()) if counts[seg] == 1]
+    multi_seg = [seg for seg in range(len(seg_key)) if counts[seg] > 1]
+    multi = [(e, multi_seg.index(seg)) for e, seg in enumerate(edge_seg.tolist())
+             if counts[seg] > 1]
     return PackedGraphs(
         X=X,
         Z=Z,
@@ -429,6 +488,11 @@ def ref_pack_graphs(items) -> PackedGraphs:
         seg_inv=(1.0 / counts).reshape(-1, 1),
         rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
                   if lo < hi},
+        single_seg=as_int_array([seg for seg, _ in single]),
+        single_edge=as_int_array([e for _, e in single]),
+        multi_seg=as_int_array(multi_seg),
+        multi_edge=as_int_array([e for e, _ in multi]),
+        multi_group=as_int_array([k for _, k in multi]),
     )
 
 

@@ -20,13 +20,11 @@ from aptstage.nn import (
     matmul,
     mul,
     save_checkpoint,
-    segment_sum,
-    sqrt,
     transpose,
     tsum,
 )
 
-from nn_reference import concat, relu, sigmoid, slice_cols, tanh
+from nn_reference import concat, relu, segment_sum, sigmoid, slice_cols, sqrt, tanh
 
 
 def numeric_grad(f, x, eps=1e-6):

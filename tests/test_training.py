@@ -10,7 +10,7 @@ from aptstage.errors import DimensionError, TrainingError
 from aptstage.features import fit_vocab_and_stats
 from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, build_graph_sequence
 from aptstage.model import ModelConfig, build_param_store
-from aptstage.nn import AdamState, ParamStore, sqrt, tsum
+from aptstage.nn import AdamState, ParamStore, finite_diff_check, gather_rows, tsum
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 from aptstage.training import (
     FinetuneConfig,
@@ -29,7 +29,7 @@ from aptstage.training import (
 )
 from aptstage.training import loops
 
-from nn_reference import block_counts, loss_contrastive
+from nn_reference import block_counts, loss_contrastive, sqrt
 
 # ---------------------------------------------------------------- loss_pred
 
@@ -129,6 +129,59 @@ def test_pooled_contrastive_equals_gathered_rows(rng):
     lhs = float(loss_contrastive_pooled(anchors, positives, pool, counts, tau=0.2).data)
     rhs = float(loss_contrastive(anchors, positives, negatives, tau=0.2).data)
     assert abs(lhs - rhs) < 1e-12
+
+
+def contrastive_case(rng, S=5, K=7, U=6, d=4):
+    """Anchors, positives and a pool as parameters, plus K uniform draws per
+    anchor from the pool (repeats included) as integer counts."""
+    store = ParamStore()
+    for name, rows in (("anchors", S), ("positives", S), ("pool", U)):
+        store.add(name, rng.normal(size=(rows, d)))
+    draw = rng.integers(0, U, size=(S, K))
+    counts = np.bincount((draw + U * np.arange(S)[:, None]).ravel(), minlength=S * U)
+    return store, draw, counts.reshape(S, U)
+
+
+def test_fused_contrastive_matches_gathered_reference(rng):
+    for tau in (0.2, 0.05):
+        store, draw, counts = contrastive_case(rng)
+        results = []
+        for pooled in (True, False):
+            store.zero_grad()
+            a, p, pool = (store.tensor(n) for n in ("anchors", "positives", "pool"))
+            loss = (loss_contrastive_pooled(a, p, pool, counts, tau=tau) if pooled else
+                    loss_contrastive(a, p, gather_rows(pool, draw.ravel()), tau=tau))
+            (loss * 1.7).backward()
+            results.append((float(loss.data),
+                            {n: store.tensor(n).grad.copy() for n in store.names()}))
+        (got, got_grads), (want, want_grads) = results
+        assert abs(got - want) < 1e-12
+        for name in want_grads:
+            assert np.max(np.abs(got_grads[name] - want_grads[name])) < 1e-12, name
+
+
+def test_fused_contrastive_gradients_match_finite_differences(rng):
+    store, _, counts = contrastive_case(rng, S=3, K=4, U=5, d=3)
+
+    def loss(st):
+        return loss_contrastive_pooled(st.tensor("anchors"), st.tensor("positives"),
+                                       st.tensor("pool"), counts, tau=0.2)
+
+    assert finite_diff_check(loss, store, max_coords=39) < 1e-6
+
+
+def test_zero_rows_get_a_zero_contrastive_gradient(rng):
+    # an empty window embeds to the zero vector, as an anchor, a positive or
+    # a pool row; its unit row is 0, so its gradient is 0, and the other
+    # rows' gradients stay finite
+    store, _, counts = contrastive_case(rng)
+    zero_rows = {"anchors": 1, "positives": 2, "pool": 3}
+    for name, row in zero_rows.items():
+        store.tensor(name).data[row] = 0.0
+    loss_contrastive_pooled(*(store.tensor(n) for n in zero_rows), counts).backward()
+    for name, row in zero_rows.items():
+        grad = store.tensor(name).grad
+        assert np.isfinite(grad).all() and not grad[row].any(), name
 
 
 def test_contrastive_errors():
@@ -300,13 +353,18 @@ def test_pretrain_rejects_single_window_traces(rng):
         pretrain(traces, store, MCFG, PretrainConfig(epochs=1))
 
 
-def test_pretrain_with_frozen_encoder_trains_the_recurrence_only(monkeypatch):
+def campaign_traces():
+    """Three featurized 6-window campaigns of one host, unlabeled."""
     sequences = [build_graph_sequence(*generate_scenario(ScenarioConfig(
         num_hosts=1, duration=1800.0, stage_schedule=default_campaign_schedule(1800.0),
         seed=seed))[:2]) for seed in (0, 1, 2)]
     vocab, stats = fit_vocab_and_stats([g for gs in sequences for g in gs], MCFG.featurizer)
-    traces = [featurize_trace(f"t{i}", gs, None, vocab, stats, MCFG.featurizer)
-              for i, gs in enumerate(sequences)]
+    return [featurize_trace(f"t{i}", gs, None, vocab, stats, MCFG.featurizer)
+            for i, gs in enumerate(sequences)]
+
+
+def test_pretrain_with_frozen_encoder_trains_the_recurrence_only(monkeypatch):
+    traces = campaign_traces()
     encoded = []
     encode = loops.encode_windows
     monkeypatch.setattr(loops, "encode_windows",
@@ -321,6 +379,39 @@ def test_pretrain_with_frozen_encoder_trains_the_recurrence_only(monkeypatch):
     assert any(not np.array_equal(before[k], after[k]) for k in before if k.startswith("lstm."))
     assert len(log) == 2
     assert all(math.isfinite(row[k]) for row in log for k in ("loss_pred", "loss_ctr", "loss_ssl"))
+
+
+def test_pretrain_on_a_trace_with_an_empty_window():
+    # a generated 6-window campaign without the records of window 2: that
+    # window's graph has no node and embeds to the zero vector
+    events, alerts, _ = generate_scenario(ScenarioConfig(
+        duration=1800.0, stage_schedule=default_campaign_schedule(1800.0), seed=3))
+    t0 = build_graph_sequence(events, alerts)[0].window_start
+
+    def kept(records):
+        return [r for r in records if not t0 + 600.0 <= r.timestamp < t0 + 900.0]
+
+    graphs = build_graph_sequence(kept(events), kept(alerts))
+    assert [len(g.nodes) == 0 for g in graphs] == [False, False, True, False, False, False]
+    vocab, stats = fit_vocab_and_stats(graphs, MCFG.featurizer)
+    trace = featurize_trace("gap", graphs, None, vocab, stats, MCFG.featurizer)
+    log = pretrain([trace], build_param_store(MCFG), MCFG,
+                   PretrainConfig(epochs=2, negatives=8)).loss_log
+    assert all(math.isfinite(row[k]) for row in log for k in ("loss_pred", "loss_ctr", "loss_ssl"))
+
+
+def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
+    # one optimizer step's tape: parameters and inputs, one op per encoder
+    # round, readout, LSTM layer and InfoNCE, and the glue between them
+    traces = campaign_traces()
+    assert {r for tr in traces for w in tr.windows for r in w.graph.edge_index[0]} == \
+        set(range(len(Relation)))  # every relation weight joins the tape
+    counted = []
+    step = loops._optimizer_step
+    monkeypatch.setattr(loops, "_optimizer_step",
+                        lambda loss, *args: counted.append(tape_nodes(loss)) or step(loss, *args))
+    pretrain(traces, build_param_store(MCFG), MCFG, PretrainConfig(epochs=1, negatives=4))
+    assert counted == [76]
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
