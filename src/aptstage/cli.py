@@ -76,7 +76,7 @@ ARTIFACTS = {
 }
 
 _DATA_ERRORS = (TelemetryParseError, InputError, MetricError, FitError,
-                GraphConsistencyError, TrainingError, OSError)
+                GraphConsistencyError, TrainingError, OSError, UnicodeDecodeError)
 _DEP_ERRORS = (DependencyError, CompatibilityError)
 
 

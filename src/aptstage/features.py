@@ -165,7 +165,7 @@ def node_stats(graph: ProvenanceGraph) -> np.ndarray:
     rel, src, dst = graph.edge_index
     linked = rel != _RELATION_ORDER[Relation.SELF_LOOP]
     host = linked & (rel != _RELATION_ORDER[Relation.TRIGGERED_BY])
-    count = np.array([e.count for e in graph.edges], dtype=float)[host]
+    count = graph.edge_count[host]
     out = np.zeros((n, 3))
     out[:, 0] = np.bincount(dst[linked], minlength=n)
     out[:, 1] = np.bincount(src[linked], minlength=n)
@@ -175,7 +175,9 @@ def node_stats(graph: ProvenanceGraph) -> np.ndarray:
 
 
 def edge_log_bytes(graph: ProvenanceGraph) -> np.ndarray:
-    return np.array([math.log1p(e.bytes or 0) for e in graph.edges])
+    """log1p(bytes) per edge, 0 without a byte count. `math.log1p` value by
+    value: `np.log1p` differs from it in the last bit on some inputs."""
+    return np.array([math.log1p(b) for b in np.nan_to_num(graph.edge_bytes).tolist()])
 
 
 def _host_rows(graph: ProvenanceGraph) -> np.ndarray:
@@ -231,9 +233,10 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
                     config: FeaturizerConfig = FeaturizerConfig()):
     """Raw feature matrices (X: |V|×d_x, Z: |E|×d_e) for one graph."""
     c = config
-    nodes, edges = graph.nodes, graph.edges
+    nodes = graph.nodes
+    rel, src, _ = graph.edge_index
     X = np.zeros((len(nodes), c.node_dim))
-    Z = np.zeros((len(edges), c.edge_dim))
+    Z = np.zeros((len(rel), c.edge_dim))
 
     host = _host_rows(graph)
     alert = ~host
@@ -270,19 +273,15 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
         if any(u.lower() in _PRIVILEGED for u in users):
             X[i, c.n_priv] = 1.0
 
-    if edges:
-        rel = graph.edge_index[0]
-        Z[np.arange(len(edges)), c.e_type + rel] = 1.0
-        count = np.array([e.count for e in edges], dtype=float)
-        Z[:, c.e_freq] = count / count.max()
-        Z[:, c.e_size] = stats.apply(3, edge_log_bytes(graph))
-        Z[:, c.e_time] = (np.array([e.timestamp for e in edges], dtype=float)
-                          - graph.window_start) / WINDOW_SECONDS
-        for j in np.flatnonzero(rel == _RELATION_ORDER[Relation.TRIGGERED_BY]):
-            a = nodes[edges[j].src].attrs
-            Z[j, c.e_acat + _bucket(a.get("category", ""), c.category_buckets)] = 1.0
-            Z[j, c.e_asev] = a.get("severity", 0.0)
-            Z[j, c.e_aproto + _proto_column(a)] = 1.0
+    Z[np.arange(len(rel)), c.e_type + rel] = 1.0
+    Z[:, c.e_freq] = graph.edge_count / graph.edge_count.max(initial=1)
+    Z[:, c.e_size] = stats.apply(3, edge_log_bytes(graph))
+    Z[:, c.e_time] = (graph.edge_time - graph.window_start) / WINDOW_SECONDS
+    for j in np.flatnonzero(rel == _RELATION_ORDER[Relation.TRIGGERED_BY]):
+        a = nodes[src[j]].attrs
+        Z[j, c.e_acat + _bucket(a.get("category", ""), c.category_buckets)] = 1.0
+        Z[j, c.e_asev] = a.get("severity", 0.0)
+        Z[j, c.e_aproto + _proto_column(a)] = 1.0
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise InputError("non-finite feature value produced")
     return X, Z

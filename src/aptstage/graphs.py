@@ -18,7 +18,6 @@ import numpy as np
 from .errors import GraphConsistencyError, ValidationError
 from .telemetry.records import (
     WINDOW_SECONDS,
-    EntityKind,
     EventKind,
     HostEvent,
     NetworkAlert,
@@ -53,6 +52,11 @@ NUM_RELATIONS = len(Relation)
 
 _KIND_ORDER = {k: i for i, k in enumerate(NodeKind)}
 _RELATION_ORDER = {r: i for i, r in enumerate(Relation)}
+_RELATIONS = tuple(Relation)
+# str enums: a member, its wire value and a same-valued member of another
+# str enum (an EntityKind) are one dict key, here and in _RELATION_ORDER
+_NODE_KINDS = {k: k for k in NodeKind}
+_TRIGGERED_BY, _SELF_LOOP = _RELATION_ORDER[Relation.TRIGGERED_BY], _RELATION_ORDER[Relation.SELF_LOOP]
 
 _EVENT_RELATION = {
     EventKind.PROCESS_CREATE: Relation.SPAWN,
@@ -86,94 +90,91 @@ class Edge:
     count: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProvenanceGraph:
+    """One window's graph, its edges held as read-only columns in canonical
+    order: `edge_index` (3, M) int64 rows of relation id (`Relation` order),
+    src and dst; `edge_time` float64; `edge_bytes` float64, NaN where the
+    edge has no byte count (exact below 2**53); `edge_count` int64."""
+
     window_index: int
     window_start: float
     nodes: tuple
-    edges: tuple
+    edge_index: np.ndarray
+    edge_time: np.ndarray
+    edge_bytes: np.ndarray
+    edge_count: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.edge_index, self.edge_time, self.edge_bytes, self.edge_count):
+            column.flags.writeable = False
+
+    def _edge_rows(self):
+        """(relation, src, dst, timestamp, bytes or None, count) per edge."""
+        rel, src, dst = self.edge_index.tolist()
+        return ((_RELATIONS[r], s, d, t, None if b != b else int(b), c)
+                for r, s, d, t, b, c in zip(rel, src, dst, self.edge_time.tolist(),
+                                            self.edge_bytes.tolist(), self.edge_count.tolist()))
 
     @cached_property
-    def edge_index(self) -> np.ndarray:
-        """Read-only (3, M) int64 rows of relation id (`Relation` order), src
-        and dst, one column per edge. Built on first use; the graph is frozen,
-        so it cannot go stale."""
-        index = np.array([(_RELATION_ORDER[e.relation], e.src, e.dst) for e in self.edges],
-                         dtype=np.int64).reshape(len(self.edges), 3).T.copy()
-        index.flags.writeable = False
-        return index
+    def edges(self) -> tuple:
+        """The edges as `Edge`s, derived from the columns on first use."""
+        return tuple(Edge(*row) for row in self._edge_rows())
 
     def validate(self) -> None:
         n = len(self.nodes)
-        keys = [nd.key for nd in self.nodes]
-        if len(set(keys)) != n:
+        if len({nd.key for nd in self.nodes}) != n:
             raise GraphConsistencyError("duplicate node keys")
-        hi = self.window_start + WINDOW_SECONDS
-        for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise GraphConsistencyError(
-                    f"edge endpoint out of range: {e.src}->{e.dst} with {n} nodes"
-                )
-            if e.count < 1:
-                raise GraphConsistencyError("edge count must be >= 1")
-            if e.bytes is not None and e.bytes < 0:
-                raise GraphConsistencyError(f"edge bytes must be non-negative: {e.bytes}")
-            if not (self.window_start <= e.timestamp < hi):
-                raise GraphConsistencyError(
-                    f"edge timestamp {e.timestamp} outside [{self.window_start}, {hi})"
-                )
-            if e.relation is Relation.TRIGGERED_BY and self.nodes[e.src].kind is not NodeKind.ALERT:
-                raise GraphConsistencyError("triggered_by edge must originate at an alert node")
+        rel, src, dst = self.edge_index
+        t, b = self.edge_time, self.edge_bytes
+        lo, hi = self.window_start, self.window_start + WINDOW_SECONDS
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        alert = np.array([nd.kind is NodeKind.ALERT for nd in self.nodes] + [False])  # [n]: out of range
+        checks = (
+            (~inside, lambda j: f"edge endpoint out of range: {src[j]}->{dst[j]} with {n} nodes"),
+            (self.edge_count < 1, lambda j: "edge count must be >= 1"),
+            (b < 0, lambda j: f"edge bytes must be non-negative: {int(b[j])}"),
+            (~((lo <= t) & (t < hi)), lambda j: f"edge timestamp {float(t[j])} outside [{lo}, {hi})"),
+            ((rel == _TRIGGERED_BY) & ~alert[np.where(inside, src, n)],
+             lambda j: "triggered_by edge must originate at an alert node"),
+        )
+        for mask, message in checks:
+            if mask.any():
+                raise GraphConsistencyError(message(mask.argmax()))
 
     def to_json_dict(self) -> dict:
         return {
             "window_index": self.window_index,
             "window_start": self.window_start,
-            "nodes": [
-                {"kind": nd.kind.value, "key": nd.key, "attrs": nd.attrs}
-                for nd in self.nodes
-            ],
+            "nodes": [{"kind": nd.kind.value, "key": nd.key, "attrs": nd.attrs} for nd in self.nodes],
             "edges": [
-                {
-                    "relation": e.relation.value,
-                    "src": e.src,
-                    "dst": e.dst,
-                    "timestamp": e.timestamp,
-                    "bytes": e.bytes,
-                    "count": e.count,
-                }
-                for e in self.edges
+                {"relation": r.value, "src": s, "dst": d, "timestamp": t, "bytes": b, "count": c}
+                for r, s, d, t, b, c in self._edge_rows()
             ],
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ProvenanceGraph":
-        nodes = tuple(
-            Node(kind=NodeKind(nd["kind"]), key=nd["key"], attrs=dict(nd.get("attrs", {})))
-            for nd in doc["nodes"]
-        )
-        edges = tuple(
-            Edge(
-                relation=Relation(e["relation"]),
-                src=int(e["src"]),
-                dst=int(e["dst"]),
-                timestamp=float(e["timestamp"]),
-                bytes=None if e.get("bytes") is None else int(e["bytes"]),
-                count=int(e.get("count", 1)),
-            )
-            for e in doc["edges"]
-        )
-        g = ProvenanceGraph(
-            window_index=int(doc["window_index"]),
-            window_start=float(doc["window_start"]),
-            nodes=nodes,
-            edges=edges,
-        )
+        nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
+                      for nd in doc["nodes"])
+        rows = [(e["src"], _RELATION_ORDER[e["relation"]], e["dst"], e["timestamp"], e.get("bytes"),
+                 e.get("count", 1)) for e in doc["edges"]]
+        g = ProvenanceGraph(int(doc["window_index"]), float(doc["window_start"]), nodes,
+                            **_edge_columns(rows))
         g.validate()
         return g
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _edge_columns(rows) -> dict:
+    """The `ProvenanceGraph` edge columns, by field name, of (src, relation
+    id, dst, timestamp, bytes or None, count) rows, one edge per row."""
+    src, rel, dst, ts, nbytes, count = zip(*rows) if rows else ((),) * 6
+    return dict(edge_index=np.array([rel, src, dst], dtype=np.int64),
+                edge_time=np.array(ts, dtype=float), edge_bytes=np.trunc(np.array(nbytes, dtype=float)),
+                edge_count=np.array(count, dtype=np.int64))
 
 
 def window_events(events, alerts):
@@ -208,13 +209,6 @@ class _NodeDraft:
         self.commands: set = set()
         self.users: set = set()
         self.extra: dict = {}
-
-    def merge_kind(self, kind: NodeKind) -> None:
-        # when one key is sighted under several entity kinds (payload.exe as
-        # written file, then as running process) the node takes the
-        # highest-precedence kind: the one declared first in NodeKind
-        if _KIND_ORDER[kind] < _KIND_ORDER[self.kind]:
-            self.kind = kind
 
     def attrs(self) -> dict:
         a = dict(self.extra)
@@ -275,22 +269,18 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     deterministic: canonical node order is (kind, key), canonical edge order
     is (src, relation, dst) after node indexing."""
     lo, hi = window.start, window.start + WINDOW_SECONDS
-    for ev in window.events:
-        if not (lo <= ev.timestamp < hi):
-            raise ValidationError(f"event at t={ev.timestamp} outside window [{lo}, {hi})")
-    for al in window.alerts:
-        if not (lo <= al.timestamp < hi):
-            raise ValidationError(f"alert at t={al.timestamp} outside window [{lo}, {hi})")
-
     drafts: dict = {}
 
     def touch(kind: NodeKind, key: str, ts: float) -> _NodeDraft:
         d = drafts.get(key)
         if d is None:
-            d = _NodeDraft(kind, key, ts)
-            drafts[key] = d
+            d = drafts[key] = _NodeDraft(kind, key, ts)
         else:
-            d.merge_kind(kind)
+            # when one key is sighted under several entity kinds (payload.exe
+            # as written file, then as running process) the node takes the
+            # highest-precedence kind: the one declared first in NodeKind
+            if _KIND_ORDER[kind] < _KIND_ORDER[d.kind]:
+                d.kind = kind
             d.first_ts = min(d.first_ts, ts)
         return d
 
@@ -300,9 +290,11 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     net_sightings: list = []
 
     for ev in window.events:
+        if not (lo <= ev.timestamp < hi):
+            raise ValidationError(f"event at t={ev.timestamp} outside window [{lo}, {hi})")
         touch(NodeKind.HOST, ev.host_id, ev.timestamp)
-        subj = touch(NodeKind(ev.subject.kind.value), ev.subject.key, ev.timestamp)
-        obj = touch(NodeKind(ev.object.kind.value), ev.object.key, ev.timestamp)
+        subj = touch(_NODE_KINDS[ev.subject.kind], ev.subject.key, ev.timestamp)
+        obj = touch(_NODE_KINDS[ev.object.kind], ev.object.key, ev.timestamp)
         if ev.user is not None:
             subj.users.add(ev.user)
         if ev.command is not None:
@@ -329,6 +321,8 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     fusion_edges: list = []  # (alert draft, target_key, ts)
     exact, loose = _sighting_tables(net_sightings) if window.alerts else ({}, {})
     for ordinal, al in enumerate(window.alerts):
+        if not (lo <= al.timestamp < hi):
+            raise ValidationError(f"alert at t={al.timestamp} outside window [{lo}, {hi})")
         ext_ip, ext_port, outbound = external_endpoint(al, host_keys)
         ad = _NodeDraft(NodeKind.ALERT, f"alert:{ordinal}:{al.signature}", al.timestamp)
         ad.extra.update(
@@ -364,27 +358,14 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     index = {d.key: i for i, d in enumerate(order)}
     nodes = tuple(Node(kind=d.kind, key=d.key, attrs=d.attrs()) for d in order)
 
-    edges = [
-        Edge(relation=rel, src=index[sk], dst=index[dk],
-             timestamp=ts, bytes=b, count=c)
-        for (sk, rel, dk), (c, b, ts) in agg.items()
-    ]
-    edges.extend(
-        Edge(relation=Relation.TRIGGERED_BY, src=index[ad.key], dst=index[tk], timestamp=ts)
-        for ad, tk, ts in fusion_edges
-    )
-    edges.extend(
-        Edge(relation=Relation.SELF_LOOP, src=i, dst=i, timestamp=d.first_ts)
-        for i, d in enumerate(order)
-    )
-    edges.sort(key=lambda e: (e.src, _RELATION_ORDER[e.relation], e.dst))
-
-    g = ProvenanceGraph(
-        window_index=window.index,
-        window_start=window.start,
-        nodes=nodes,
-        edges=tuple(edges),
-    )
+    # (src, relation id, dst, timestamp, bytes, count); (src, relation, dst)
+    # is unique per row, so the sort never compares the later fields
+    rows = [(index[sk], _RELATION_ORDER[rel], index[dk], ts, b, c)
+            for (sk, rel, dk), (c, b, ts) in agg.items()]
+    rows.extend((index[ad.key], _TRIGGERED_BY, index[tk], ts, None, 1) for ad, tk, ts in fusion_edges)
+    rows.extend((i, _SELF_LOOP, i, d.first_ts, None, 1) for i, d in enumerate(order))
+    rows.sort()
+    g = ProvenanceGraph(window.index, window.start, nodes, **_edge_columns(rows))
     g.validate()
     return g
 
@@ -400,9 +381,16 @@ def dump_graphs_jsonl(graphs, fh) -> None:
 
 
 def load_graphs_jsonl(fh):
+    """Graphs from JSONL; a line that is not a valid graph raises
+    `GraphConsistencyError` naming its 1-based line number."""
     graphs = []
-    for line in fh:
+    for line_no, line in enumerate(fh, start=1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             graphs.append(ProvenanceGraph.from_json_dict(json.loads(line)))
+        except (GraphConsistencyError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+            # broken JSON is a ValueError; a missing field, kind or relation a KeyError
+            raise GraphConsistencyError(f"line {line_no}: {type(exc).__name__}: {exc}") from None
     return graphs

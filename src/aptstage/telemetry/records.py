@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from ..errors import TelemetryParseError, ValidationError
@@ -57,6 +58,26 @@ class Protocol(str, Enum):
     UDP = "udp"
     ICMP = "icmp"
     OTHER = "other"
+
+
+# wire value -> member
+_EVENT_KINDS = {k.value: k for k in EventKind}
+_ENTITY_KINDS = {k.value: k for k in EntityKind}
+_PROTOCOLS = {p.value: p for p in Protocol}
+
+
+def _member(table: dict, value, what: str):
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, e.g. a list
+        raise ValidationError(f"unknown {what}: {value!r}") from None
+
+
+def _required(rec: dict, *names) -> tuple:
+    try:
+        return itemgetter(*names)(rec)
+    except KeyError as exc:
+        raise ValidationError(f"missing required field: {exc.args[0]}") from None
 
 
 # Event kinds that may carry a byte count.
@@ -126,23 +147,19 @@ class HostEvent:
 
     @classmethod
     def from_record(cls, rec: dict) -> "HostEvent":
-        required = ("ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key")
-        for field in required:
-            if field not in rec:
-                raise ValidationError(f"missing required field: {field}")
-        try:
-            kind = EventKind(rec["kind"])
-        except ValueError:
-            raise ValidationError(f"unknown event kind: {rec['kind']!r}") from None
-        try:
-            subj = EntityRef(EntityKind(rec["subj_kind"]), str(rec["subj_key"]))
-            obj = EntityRef(EntityKind(rec["obj_kind"]), str(rec["obj_key"]))
-        except ValueError as exc:
-            raise ValidationError(f"unknown entity kind: {exc}") from None
+        return cls._from_record(rec, {})
+
+    @classmethod
+    def _from_record(cls, rec: dict, refs: dict) -> "HostEvent":
+        """`from_record`, sharing one `EntityRef` per (kind, key) through `refs`."""
+        ts, host, kind, subj_kind, subj_key, obj_kind, obj_key = _required(
+            rec, "ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key")
+        kind = _member(_EVENT_KINDS, kind, "event kind")
+        subj, obj = _entity(refs, subj_kind, subj_key), _entity(refs, obj_kind, obj_key)
         bytes_val = rec.get("bytes")
         return cls(
-            timestamp=float(rec["ts"]),
-            host_id=str(rec["host"]),
+            timestamp=float(ts),
+            host_id=str(host),
             event_kind=kind,
             subject=subj,
             object=obj,
@@ -195,39 +212,33 @@ class NetworkAlert:
 
     @classmethod
     def from_record(cls, rec: dict) -> "NetworkAlert":
-        required = ("ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")
-        for field in required:
-            if field not in rec:
-                raise ValidationError(f"missing required field: {field}")
-        try:
-            proto = Protocol(rec["proto"])
-        except ValueError:
-            raise ValidationError(f"unknown protocol: {rec['proto']!r}") from None
+        ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = _required(
+            rec, "ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")
+        proto = _member(_PROTOCOLS, proto, "protocol")
         return cls(
-            timestamp=float(rec["ts"]),
-            signature=str(rec["sig"]),
-            severity=float(rec["sev"]),
+            timestamp=float(ts),
+            signature=str(sig),
+            severity=float(sev),
             protocol=proto,
-            category=str(rec["cat"]),
-            src_ip=str(rec["src_ip"]),
-            src_port=int(rec["src_port"]),
-            dst_ip=str(rec["dst_ip"]),
-            dst_port=int(rec["dst_port"]),
+            category=str(cat),
+            src_ip=str(src_ip),
+            src_port=int(src_port),
+            dst_ip=str(dst_ip),
+            dst_port=int(dst_port),
         )
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), separators=(",", ":"))
 
 
-def _iter_lines(stream: Union[str, Iterable[str]]) -> Iterable[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return stream
+def _entity(refs: dict, kind, key) -> EntityRef:
+    k = (_member(_ENTITY_KINDS, kind, "entity kind"), str(key))
+    return refs.get(k) or refs.setdefault(k, EntityRef(*k))
 
 
 def _parse_stream(stream, from_record):
     out = []
-    for line_no, line in enumerate(_iter_lines(stream), start=1):
+    for line_no, line in enumerate(stream.splitlines() if isinstance(stream, str) else stream, start=1):
         line = line.strip()
         if not line:
             continue
@@ -248,8 +259,10 @@ def _parse_stream(stream, from_record):
 
 
 def parse_host_events(stream: Union[str, Iterable[str]]) -> list[HostEvent]:
-    """Parse a JSONL host-event stream, sorted by timestamp (stable on ties)."""
-    return _parse_stream(stream, HostEvent.from_record)
+    """Parse a JSONL host-event stream, sorted by timestamp (stable on ties).
+    Events of one call that name the same entity share one `EntityRef`."""
+    refs: dict = {}
+    return _parse_stream(stream, lambda rec: HostEvent._from_record(rec, refs))
 
 
 def parse_alerts(stream: Union[str, Iterable[str]]) -> list[NetworkAlert]:

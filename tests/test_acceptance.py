@@ -40,7 +40,6 @@ from aptstage.graphs import (
     Edge,
     Node,
     NodeKind,
-    ProvenanceGraph,
     Relation,
     build_graph,
     window_events,
@@ -75,6 +74,7 @@ from aptstage.training import (
     pretrain,
 )
 
+from graph_helpers import make_graph
 from nn_reference import block_counts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,7 +106,7 @@ def _random_graph(rng, n_nodes, n_edges):
         Edge(rels[int(rng.integers(len(rels)))],
              int(rng.integers(n_nodes)), int(rng.integers(n_nodes)), 1.0)
         for _ in range(n_edges))
-    return ProvenanceGraph(0, 0.0, nodes, edges)
+    return make_graph(0, 0.0, nodes, edges)
 
 
 def _softmax_rows(v):
@@ -156,8 +156,8 @@ def test_criterion_2_equation_oracles():
             pstore.add(name, rng.normal(size=shape))
         W_x, b_x = pstore.tensor("proj.Wx").data, pstore.tensor("proj.bx").data
         X, Z = rng.normal(size=(n, d_x)), rng.normal(size=(m, d_e))
-        pg = ProvenanceGraph(0, 0.0, _random_graph(rng, n, 0).nodes,
-                             (Edge(Relation.SELF_LOOP, 0, 0, 0.0),) * m)
+        pg = make_graph(0, 0.0, _random_graph(rng, n, 0).nodes,
+                        (Edge(Relation.SELF_LOOP, 0, 0, 0.0),) * m)
         node_features = project_packed(pack_graphs([(X, Z, pg)]), pstore)[0].data
         for i in range(n):
             for k in range(d_h):
@@ -238,7 +238,7 @@ def _five_node_graph(rng):
              Edge(Relation.CONNECT, 2, 3, 3.0), Edge(Relation.SEND, 3, 4, 4.0),
              Edge(Relation.SPAWN, 4, 0, 5.0)) + tuple(
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(5))
-    return ProvenanceGraph(0, 0.0, g.nodes, edges)
+    return make_graph(0, 0.0, g.nodes, edges)
 
 
 def test_criterion_3_gradient_suite():
@@ -317,7 +317,7 @@ def test_criterion_4_structural_invariants():
     store = init_params(encoder_param_spec(d_x, d_e, d_h, d_g), seed=3)
 
     g = _random_graph(rng, 8, 14)
-    g = ProvenanceGraph(0, 0.0, g.nodes, g.edges + tuple(
+    g = make_graph(0, 0.0, g.nodes, g.edges + tuple(
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(8)))
     X = rng.normal(size=(8, d_x))
     Z = rng.normal(size=(len(g.edges), d_e))
@@ -330,7 +330,7 @@ def test_criterion_4_structural_invariants():
         nodes = tuple(g.nodes[o] for o in order)
         edges = tuple(Edge(e.relation, int(perm[e.src]), int(perm[e.dst]),
                            e.timestamp, e.bytes, e.count) for e in g.edges)
-        g2 = ProvenanceGraph(0, 0.0, nodes, edges)
+        g2 = make_graph(0, 0.0, nodes, edges)
         out = encode_packed(pack_graphs([(X[order], Z, g2)]), store)
         worst_perm = max(worst_perm, float(np.max(np.abs(out.g.data - base.g.data))))
     assert worst_perm < 1e-10, f"permutation deviation {worst_perm:.3e}"

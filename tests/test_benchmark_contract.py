@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
+from aptstage.graphs import Edge, Node, NodeKind, Relation
 from aptstage.model import ModelConfig, build_param_store
 from aptstage.training import (
     FinetuneConfig,
@@ -22,6 +22,8 @@ from aptstage.training import (
     loops,
     pretrain,
 )
+
+from graph_helpers import make_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MCFG = ModelConfig(d_h=8, d_g=8, hidden=8)
@@ -50,7 +52,7 @@ def make_trace(tid, n_windows, rng):
                  Edge(Relation.SELF_LOOP, 1, 1, 0.0))
         windows.append(WindowRecord(X=rng.normal(size=(2, fz.node_dim)),
                                     Z=rng.normal(size=(3, fz.edge_dim)),
-                                    graph=ProvenanceGraph(w, w * 300.0, nodes, edges),
+                                    graph=make_graph(w, w * 300.0, nodes, edges),
                                     label=w % 7))
     return Trace(tid, windows)
 

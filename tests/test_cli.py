@@ -303,6 +303,46 @@ def test_exit_code_data_error(tmp_path):
     assert run("evaluate", "--config", cfg_path) == 2
 
 
+def _edit_graph(edit):
+    def apply(line):
+        doc = json.loads(line)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda line: line[: len(line) // 2], id="broken-json"),
+    pytest.param(_edit_graph(lambda d: d["edges"][0].update(relation="bogus")), id="unknown-relation"),
+    pytest.param(_edit_graph(lambda d: d["nodes"][0].update(kind="daemon")), id="unknown-node-kind"),
+    pytest.param(_edit_graph(lambda d: d["edges"][0].pop("dst")), id="missing-field"),
+])
+def test_exit_code_malformed_graphs(tmp_path, capsys, corrupt):
+    cfg_path = write_config(tmp_path)
+    for cmd in ("generate", "build-graphs"):
+        assert run(cmd, "--config", cfg_path) == 0
+    path = tmp_path / "artifacts" / "graphs.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = corrupt(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("fit-features", "--config", cfg_path) == 2
+    assert "data error: line 2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact,stage", [("events.jsonl", "build-graphs"),
+                                            ("graphs.jsonl", "fit-features")])
+def test_exit_code_input_not_utf8(tmp_path, capsys, artifact, stage):
+    cfg_path = write_config(tmp_path)
+    for cmd in ("generate", "build-graphs"):
+        assert run(cmd, "--config", cfg_path) == 0
+    with open(tmp_path / "artifacts" / artifact, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    capsys.readouterr()
+    assert run(stage, "--config", cfg_path) == 2
+    assert "data error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config API
 
 

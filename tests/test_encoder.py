@@ -22,7 +22,6 @@ from aptstage.graphs import (
     Edge,
     Node,
     NodeKind,
-    ProvenanceGraph,
     Relation,
     build_graph_sequence,
 )
@@ -39,6 +38,7 @@ from aptstage.nn import (
 )
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 
+from graph_helpers import make_graph
 from nn_reference import attention_readout as reference_readout
 from nn_reference import concat, relu, segment_sum
 
@@ -54,7 +54,7 @@ def mkgraph(n, rel_edges, kinds=None):
     edges = tuple(Edge(rel, s, d, 1.0) for rel, s, d in rel_edges) + tuple(
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(n)
     )
-    return ProvenanceGraph(0, 0.0, nodes, edges)
+    return make_graph(0, 0.0, nodes, edges)
 
 
 def mkstore(seed=0, layers=LAYERS):
@@ -152,7 +152,7 @@ def permute_graph(g, X, Z, perm):
     nodes = tuple(g.nodes[o] for o in order)
     edges = tuple(Edge(e.relation, int(perm[e.src]), int(perm[e.dst]),
                        e.timestamp, e.bytes, e.count) for e in g.edges)
-    return ProvenanceGraph(g.window_index, g.window_start, nodes, edges), X[order], Z
+    return make_graph(g.window_index, g.window_start, nodes, edges), X[order], Z
 
 
 def test_embedding_invariant_under_node_relabeling(rng):
@@ -190,7 +190,7 @@ def test_single_node_gets_full_attention(rng):
 
 
 def test_empty_graph_embeds_to_zero():
-    g = ProvenanceGraph(0, 0.0, (), ())
+    g = make_graph(0, 0.0, (), ())
     embedding, _, _ = encode_one(np.zeros((0, D_X)), np.zeros((0, D_E)), g, mkstore())
     assert np.array_equal(embedding, np.zeros(D_G))
     assert np.isfinite(embedding).all()
@@ -199,7 +199,7 @@ def test_empty_graph_embeds_to_zero():
 def test_packed_batch_equals_single_graph_encodings(rng):
     graphs = [mkgraph(4, [(Relation.READ, 0, 1), (Relation.WRITE, 2, 3)]),
               mkgraph(2, [(Relation.CONNECT, 0, 1)]),
-              ProvenanceGraph(0, 0.0, (), ()),
+              make_graph(0, 0.0, (), ()),
               mkgraph(3, [(Relation.RECV, 2, 0)])]
     feats = [rand_feats(g, rng) if len(g.nodes) else
              (np.zeros((0, D_X)), np.zeros((0, D_E))) for g in graphs]
@@ -294,8 +294,8 @@ def fd_batch(missing=None):
     g0 = mkgraph(5, [(rel, i % 5, (2 * i + 1) % 5) for i, rel in enumerate(rels)]
                  + [(rels[0], 0, 1), (rels[0], 0, 1)])
     nodes = tuple(Node(NodeKind.FILE, f"f{i}", {"first_ts": 0.0}) for i in range(4))
-    g1 = ProvenanceGraph(1, 0.0, nodes, (Edge(rels[1], 0, 1, 0.0), Edge(rels[2], 0, 2, 0.0),
-                                         Edge(rels[2], 1, 2, 0.0), Edge(rels[1], 2, 1, 0.0)))
+    g1 = make_graph(1, 0.0, nodes, (Edge(rels[1], 0, 1, 0.0), Edge(rels[2], 0, 2, 0.0),
+                                    Edge(rels[2], 1, 2, 0.0), Edge(rels[1], 2, 1, 0.0)))
     g2 = mkgraph(3, [(rels[-1], 2, 0)])
     return [g0, g1, g2]
 
@@ -426,7 +426,7 @@ def test_fused_readout_gradients_match_finite_differences():
 def edgeless_graphs():
     """A graph without nodes and a graph with nodes but no edges."""
     lone = tuple(Node(NodeKind.FILE, f"f{i}", {"first_ts": 0.0}) for i in range(2))
-    return [ProvenanceGraph(0, 0.0, (), ()), ProvenanceGraph(1, 0.0, lone, ())]
+    return [make_graph(0, 0.0, (), ()), make_graph(1, 0.0, lone, ())]
 
 
 def test_edge_index_lists_relation_src_dst_per_edge():

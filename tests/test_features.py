@@ -31,12 +31,10 @@ from aptstage.graphs import (
     Edge,
     Node,
     NodeKind,
-    ProvenanceGraph,
     Relation,
     _KIND_ORDER,
     _RELATION_ORDER,
     build_graph,
-    build_graph_sequence,
     window_events,
 )
 from aptstage.nn import ParamStore
@@ -45,13 +43,12 @@ from aptstage.telemetry import (
     EntityKind,
     EventKind,
     Protocol,
-    ScenarioConfig,
-    default_campaign_schedule,
-    generate_scenario,
     parse_alerts,
     parse_host_events,
 )
 from aptstage.telemetry.records import BYTES_KINDS, SELF_EDGE_KINDS
+
+from graph_helpers import campaign_graphs, dense_graphs, make_graph
 
 CFG = FeaturizerConfig()
 
@@ -72,17 +69,9 @@ def tiny_graph():
         Edge(Relation.SELF_LOOP, 0, 0, 0.0),
         Edge(Relation.SELF_LOOP, 1, 1, 0.0),
     )
-    g = ProvenanceGraph(0, 0.0, nodes, edges)
+    g = make_graph(0, 0.0, nodes, edges)
     g.validate()
     return g
-
-
-def campaign_graphs(seed=0, windows=8):
-    dur = windows * WINDOW_SECONDS
-    cfg = ScenarioConfig(num_hosts=3, duration=dur,
-                         stage_schedule=default_campaign_schedule(dur), seed=seed)
-    events, alerts, _ = generate_scenario(cfg)
-    return build_graph_sequence(events, alerts)
 
 
 def test_dimensions():
@@ -96,7 +85,7 @@ def test_idf_formula():
         mknode(NodeKind.PROCESS, "a", commands=["wget payload"]),
         mknode(NodeKind.PROCESS, "b", commands=["wget"]),
     )
-    g = ProvenanceGraph(0, 0.0, nodes, ())
+    g = make_graph(0, 0.0, nodes, ())
     vocab, _ = fit_vocab_and_stats([g])
     tok = vocab.token_index
     assert vocab.idf[tok["wget"]] == pytest.approx(1.0)
@@ -107,7 +96,7 @@ def test_idf_formula():
 
 def test_vocab_caps_at_d_cmd():
     many = " ".join(f"tok{i:03d}" for i in range(100))
-    g = ProvenanceGraph(0, 0.0, (mknode(NodeKind.PROCESS, "a", commands=[many]),), ())
+    g = make_graph(0, 0.0, (mknode(NodeKind.PROCESS, "a", commands=[many]),), ())
     vocab, _ = fit_vocab_and_stats([g])
     assert len(vocab.token_index) == CFG.d_cmd
     # all df equal -> lexicographically smallest 64 survive
@@ -168,7 +157,7 @@ def test_node_layout_host_block():
 
 def test_privileged_user_flag():
     nodes = (mknode(NodeKind.PROCESS, "p", users=["SYSTEM"]),)
-    g = ProvenanceGraph(0, 0.0, nodes, ())
+    g = make_graph(0, 0.0, nodes, ())
     vocab, stats = fit_vocab_and_stats([tiny_graph()])
     x = featurize_graph(g, vocab, stats)[0][0]
     assert x[CFG.n_priv] == 1.0
@@ -179,7 +168,7 @@ def test_alert_node_block():
                    severity=1.0, protocol="tcp", category="c2",
                    external_ip="198.51.100.7", external_port=8443, outbound=True,
                    first_ts=150.0)
-    g = ProvenanceGraph(0, 0.0, (alert,), ())
+    g = make_graph(0, 0.0, (alert,), ())
     vocab, stats = fit_vocab_and_stats([g])
     x = featurize_graph(g, vocab, stats)[0][0]
     assert x[list(NodeKind).index(NodeKind.ALERT)] == 1.0
@@ -195,7 +184,7 @@ def test_alert_node_block():
 def test_time_feature_window_relative():
     g = tiny_graph()
     vocab, stats = fit_vocab_and_stats([g])
-    shifted = ProvenanceGraph(3, 900.0, (
+    shifted = make_graph(3, 900.0, (
         mknode(NodeKind.PROCESS, "p", first_ts=930.0),), ())
     x = featurize_graph(shifted, vocab, stats)[0][0]
     assert x[CFG.n_time] == pytest.approx(30.0 / WINDOW_SECONDS)
@@ -228,7 +217,7 @@ def test_edge_bytes_absent_is_zscore_of_zero():
     nodes = (mknode(NodeKind.PROCESS, "a"), mknode(NodeKind.FILE, "b"))
     edges = (Edge(Relation.READ, 0, 1, 1.0, bytes=None),
              Edge(Relation.WRITE, 0, 1, 2.0, bytes=100))
-    g = ProvenanceGraph(0, 0.0, nodes, edges)
+    g = make_graph(0, 0.0, nodes, edges)
     vocab, stats = fit_vocab_and_stats([g])
     z = featurize_graph(g, vocab, stats)[1][0]
     assert z[CFG.e_size] == pytest.approx(stats.apply(3, 0.0))
@@ -238,7 +227,7 @@ def test_most_frequent_edge_has_unit_freq():
     nodes = (mknode(NodeKind.PROCESS, "a"), mknode(NodeKind.FILE, "b"))
     edges = (Edge(Relation.READ, 0, 1, 1.0, count=4),
              Edge(Relation.WRITE, 0, 1, 2.0, count=2))
-    g = ProvenanceGraph(0, 0.0, nodes, edges)
+    g = make_graph(0, 0.0, nodes, edges)
     vocab, stats = fit_vocab_and_stats([g])
     Z = featurize_graph(g, vocab, stats)[1]
     assert Z[0, CFG.e_freq] == 1.0
@@ -249,8 +238,8 @@ def test_triggered_by_edge_alert_block():
     alert = mknode(NodeKind.ALERT, "alert:0:s", signature="s", severity=0.8,
                    protocol="udp", category="c2")
     proc = mknode(NodeKind.PROCESS, "p")
-    g = ProvenanceGraph(0, 0.0, (proc, alert),
-                        (Edge(Relation.TRIGGERED_BY, 1, 0, 3.0),))
+    g = make_graph(0, 0.0, (proc, alert),
+                   (Edge(Relation.TRIGGERED_BY, 1, 0, 3.0),))
     vocab, stats = fit_vocab_and_stats([g])
     z = featurize_graph(g, vocab, stats)[1][0]
     assert z[CFG.e_asev] == pytest.approx(0.8)
@@ -271,7 +260,7 @@ def test_oov_tokens_contribute_nothing():
     g = tiny_graph()
     vocab, stats = fit_vocab_and_stats([g])
     before = dict(vocab.token_index)
-    novel = ProvenanceGraph(0, 0.0, (
+    novel = make_graph(0, 0.0, (
         mknode(NodeKind.PROCESS, "x", commands=["neverseen zyx"]),), ())
     x = featurize_graph(novel, vocab, stats)[0][0]
     assert np.all(x[CFG.n_cmd:CFG.n_cmd + CFG.d_cmd] == 0.0)
@@ -415,17 +404,8 @@ def ref_fit_stats(corpus):
             np.concatenate([stat_mat.std(axis=0), [sizes.std()]]))
 
 
-def dense_graphs():
-    """Ten hosts at ten times the default event and alert rates."""
-    dur = 3 * WINDOW_SECONDS
-    cfg = ScenarioConfig(num_hosts=10, duration=dur, stage_schedule=default_campaign_schedule(dur),
-                         benign_event_rate=0.5, attack_event_rate=2.0, seed=4)
-    events, alerts, _ = generate_scenario(cfg)
-    return build_graph_sequence(events, alerts)
-
-
 def test_node_stats_equals_per_edge_reference():
-    lone = ProvenanceGraph(0, 0.0, (mknode(NodeKind.FILE, "f"),), ())
+    lone = make_graph(0, 0.0, (mknode(NodeKind.FILE, "f"),), ())
     graphs = campaign_graphs(seed=3, windows=12) + dense_graphs() + [tiny_graph(), lone]
     assert any(e.relation is Relation.TRIGGERED_BY for g in graphs for e in g.edges)
     assert any(e.count > 1 for g in graphs for e in g.edges)
@@ -482,8 +462,8 @@ def test_non_positive_width_rejected(field, value):
 def project(X, Z, W_x, b_x, W_z, b_z):
     """project_packed on one graph with |V| = len(X) nodes and |E| = len(Z)
     edges; returns (x̃, z̃) as arrays."""
-    g = ProvenanceGraph(0, 0.0, tuple(mknode(NodeKind.PROCESS, f"n{i}") for i in range(len(X))),
-                        tuple(Edge(Relation.SELF_LOOP, 0, 0, 0.0) for _ in range(len(Z))))
+    g = make_graph(0, 0.0, tuple(mknode(NodeKind.PROCESS, f"n{i}") for i in range(len(X))),
+                   tuple(Edge(Relation.SELF_LOOP, 0, 0, 0.0) for _ in range(len(Z))))
     store = ParamStore()
     for name, value in (("proj.Wx", W_x), ("proj.bx", b_x), ("proj.Wz", W_z), ("proj.bz", b_z)):
         store.add(name, value)

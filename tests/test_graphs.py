@@ -1,6 +1,8 @@
 """Windowing, graph construction, aggregation, and alert fusion."""
+import hashlib
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -12,7 +14,6 @@ from aptstage.graphs import (
     Edge,
     Node,
     NodeKind,
-    ProvenanceGraph,
     Relation,
     build_graph,
     build_graph_sequence,
@@ -31,6 +32,8 @@ from aptstage.telemetry import (
     Protocol,
     window_labels,
 )
+
+from graph_helpers import campaign_graphs, dense_graphs, make_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -324,16 +327,86 @@ def test_event_outside_window_rejected():
 def test_graph_validate_catches_bad_edges():
     node = Node(NodeKind.PROCESS, "p", {})
     with pytest.raises(GraphConsistencyError):
-        ProvenanceGraph(0, 0.0, (node,),
-                        (Edge(Relation.READ, 0, 5, 1.0),)).validate()
+        make_graph(0, 0.0, (node,),
+                   (Edge(Relation.READ, 0, 5, 1.0),)).validate()
     with pytest.raises(GraphConsistencyError):
-        ProvenanceGraph(0, 0.0, (node,),
-                        (Edge(Relation.TRIGGERED_BY, 0, 0, 1.0),)).validate()
+        make_graph(0, 0.0, (node,),
+                   (Edge(Relation.TRIGGERED_BY, 0, 0, 1.0),)).validate()
     with pytest.raises(GraphConsistencyError):
-        ProvenanceGraph(0, 0.0, (node, Node(NodeKind.PROCESS, "p", {})), ()).validate()
+        make_graph(0, 0.0, (node, Node(NodeKind.PROCESS, "p", {})), ()).validate()
     with pytest.raises(GraphConsistencyError, match="bytes"):
-        ProvenanceGraph(0, 0.0, (node,),
-                        (Edge(Relation.READ, 0, 0, 1.0, bytes=-5),)).validate()
+        make_graph(0, 0.0, (node,),
+                   (Edge(Relation.READ, 0, 0, 1.0, bytes=-5),)).validate()
+
+
+_P, _A = Node(NodeKind.PROCESS, "p", {}), Node(NodeKind.ALERT, "a", {})
+# (nodes, edges, the message `validate` gave when it looped over Edge objects)
+_INVALID_GRAPHS = {
+    "dst-out-of-range": ((_P,), [Edge(Relation.READ, 0, 5, 1.0)],
+                         "edge endpoint out of range: 0->5 with 1 nodes"),
+    "negative-src": ((_P,), [Edge(Relation.READ, -1, 0, 1.0)],
+                     "edge endpoint out of range: -1->0 with 1 nodes"),
+    "zero-count": ((_P,), [Edge(Relation.READ, 0, 0, 1.0, count=0)], "edge count must be >= 1"),
+    "negative-bytes": ((_P,), [Edge(Relation.READ, 0, 0, 1.0, bytes=-5)],
+                       "edge bytes must be non-negative: -5"),
+    "at-window-end": ((_P,), [Edge(Relation.READ, 0, 0, 300.0)],
+                      "edge timestamp 300.0 outside [0.0, 300.0)"),
+    "before-window": ((_P,), [Edge(Relation.READ, 0, 0, -0.5)],
+                      "edge timestamp -0.5 outside [0.0, 300.0)"),
+    "nan-timestamp": ((_P,), [Edge(Relation.READ, 0, 0, math.nan)],
+                      "edge timestamp nan outside [0.0, 300.0)"),
+    "triggered-by-from-process": ((_A, _P), [Edge(Relation.TRIGGERED_BY, 1, 0, 1.0)],
+                                  "triggered_by edge must originate at an alert node"),
+    "triggered-by-out-of-range": ((_A,), [Edge(Relation.TRIGGERED_BY, 3, 0, 1.0)],
+                                  "edge endpoint out of range: 3->0 with 1 nodes"),
+    "duplicate-keys": ((_P, _P), [], "duplicate node keys"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_GRAPHS))
+def test_validate_messages(case):
+    nodes, edges, message = _INVALID_GRAPHS[case]
+    valid = [Edge(Relation.READ, 0, 0, 2.0, bytes=0, count=2), Edge(Relation.SELF_LOOP, 0, 0, 0.0)]
+    with pytest.raises(GraphConsistencyError) as ei:
+        make_graph(0, 0.0, nodes, valid + edges).validate()
+    assert str(ei.value) == message
+    make_graph(0, 0.0, (_A, _P), valid + [Edge(Relation.TRIGGERED_BY, 0, 1, 299.5)]).validate()
+
+
+def _graph_line(edit):
+    events, alerts = download_chain()
+    doc = build_graph(window_events(events, alerts)[0]).to_json_dict()
+    edit(doc)
+    return json.dumps(doc)
+
+
+# a graphs.jsonl line and what the loader's error names
+_MALFORMED_LINES = {
+    "broken-json": (lambda: _graph_line(lambda d: None)[:-3], "JSONDecodeError"),
+    "not-an-object": (lambda: "[1, 2]", "TypeError"),
+    "unknown-relation": (lambda: _graph_line(lambda d: d["edges"][0].update(relation="bogus")),
+                         "'bogus'"),
+    "unknown-node-kind": (lambda: _graph_line(lambda d: d["nodes"][0].update(kind="daemon")),
+                          "'daemon'"),
+    "unhashable-node-kind": (lambda: _graph_line(lambda d: d["nodes"][0].update(kind=[])),
+                             "unhashable"),
+    "missing-edge-field": (lambda: _graph_line(lambda d: d["edges"][0].pop("dst")), "'dst'"),
+    "missing-edges": (lambda: _graph_line(lambda d: d.pop("edges")), "'edges'"),
+    "non-numeric-src": (lambda: _graph_line(lambda d: d["edges"][0].update(src="a")), "ValueError"),
+    "count-beyond-int64": (lambda: _graph_line(lambda d: d["edges"][0].update(count=2**70)),
+                           "OverflowError"),
+    "negative-bytes": (lambda: _graph_line(lambda d: d["edges"][0].update(bytes=-5)),
+                       "edge bytes must be non-negative: -5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_LINES))
+def test_load_graphs_jsonl_names_the_bad_line(case):
+    make_line, why = _MALFORMED_LINES[case]
+    good = _graph_line(lambda d: None)
+    with pytest.raises(GraphConsistencyError, match=r"^line 3: ") as ei:
+        load_graphs_jsonl(io.StringIO(f"{good}\n\n{make_line()}\n{good}\n"))
+    assert why in str(ei.value)
 
 
 def test_jsonl_roundtrip():
@@ -344,6 +417,42 @@ def test_jsonl_roundtrip():
     buf.seek(0)
     back = load_graphs_jsonl(buf)
     assert [g.to_json() for g in back] == [g.to_json() for g in graphs]
+
+
+# sha256 of `dump_graphs_jsonl` over each corpus; the JSON text is pure
+# Python, so the pins hold across NumPy versions
+GRAPHS_JSONL_SHA256 = {
+    "campaign": "10fe502d2e6a86f8a5cae7b76918ed485230ace1b54b4c21112dc598c8a457f6",
+    "dense": "6488c69060acb195e2abba7e3b9b68884223cb0dc0910bcd663e4724e5392bc3",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(GRAPHS_JSONL_SHA256))
+def test_graphs_jsonl_bytes_pinned(corpus):
+    graphs = campaign_graphs(seed=3, windows=12) if corpus == "campaign" else dense_graphs()
+    buf = io.StringIO()
+    dump_graphs_jsonl(graphs, buf)
+    text = buf.getvalue()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GRAPHS_JSONL_SHA256[corpus]
+    again = io.StringIO()
+    dump_graphs_jsonl(load_graphs_jsonl(io.StringIO(text)), again)
+    assert again.getvalue() == text
+
+
+def test_jsonl_roundtrip_keeps_missing_bytes_apart_from_zero():
+    nodes = (Node(NodeKind.PROCESS, "p", {"first_ts": 0.0}), Node(NodeKind.FILE, "f", {"first_ts": 0.0}))
+    g = make_graph(2, 600.0, nodes, (Edge(Relation.READ, 0, 1, 601.0, bytes=None, count=3),
+                                     Edge(Relation.WRITE, 0, 1, 602.5, bytes=0),
+                                     Edge(Relation.SEND, 0, 1, 603.0, bytes=2**40)))
+    (back,) = load_graphs_jsonl(io.StringIO(g.to_json() + "\n"))
+    assert back.to_json() == g.to_json()
+    assert [(e.bytes, e.count) for e in back.edges] == [(None, 3), (0, 1), (2**40, 1)]
+    assert [e["bytes"] for e in json.loads(back.to_json())["edges"]] == [None, 0, 2**40]
+    # a fractional count is truncated toward zero, as int() does
+    doc = g.to_json_dict()
+    doc["edges"][1]["bytes"], doc["edges"][2]["bytes"] = 10.7, -0.5
+    (back,) = load_graphs_jsonl(io.StringIO(json.dumps(doc) + "\n"))
+    assert [e.bytes for e in back.edges] == [None, 10, 0]
 
 
 def test_relation_count_stable():

@@ -7,7 +7,7 @@ import pytest
 from aptstage.config import from_dict
 from aptstage.errors import InputError
 
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation
+from aptstage.graphs import Edge, Node, NodeKind, Relation
 from aptstage.model import (
     FREEZE_ENCODER,
     FREEZE_LOWER_RECURRENT,
@@ -21,6 +21,8 @@ from aptstage.nn import no_grad
 from aptstage.training import Trace, WindowRecord
 from aptstage.training.loops import _batch_forward
 
+from graph_helpers import make_graph
+
 MCFG = ModelConfig(d_h=8, d_g=8, hidden=8)
 
 
@@ -29,7 +31,7 @@ def window(rng, tag, n=3):
                   for i in range(n))
     edges = (Edge(Relation.READ, 0, 1, 1.0),) + tuple(
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(n))
-    g = ProvenanceGraph(0, 0.0, nodes, edges)
+    g = make_graph(0, 0.0, nodes, edges)
     fz = MCFG.featurizer
     return (rng.normal(size=(n, fz.node_dim)),
             rng.normal(size=(len(edges), fz.edge_dim)), g)

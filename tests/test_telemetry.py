@@ -99,6 +99,67 @@ def test_parse_alert_fields():
     assert alert.protocol is Protocol.TCP
 
 
+_EVENT_FIELDS = ("ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key")
+_ALERT_FIELDS = ("ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")
+
+
+def _edited(line, field, *value):
+    """`line` with `field` set to `value`, or without `field`."""
+    rec = json.loads(line)
+    if value:
+        rec[field] = value[0]
+    else:
+        del rec[field]
+    return json.dumps(rec)
+
+
+_GOOD_EVENT = ev_line(1.0, "FileRead", WGET, PAYLOAD)
+# id -> (parser, bad line, what the error says)
+_REFUSED = {
+    "event-unknown-kind": (parse_host_events, _edited(_GOOD_EVENT, "kind", "Bogus"),
+                           "unknown event kind: 'Bogus'"),
+    "event-unknown-subj_kind": (parse_host_events, _edited(_GOOD_EVENT, "subj_kind", "daemon"),
+                                "unknown entity kind: 'daemon'"),
+    "event-unknown-obj_kind": (parse_host_events, _edited(_GOOD_EVENT, "obj_kind", "daemon"),
+                               "unknown entity kind: 'daemon'"),
+    "event-unhashable-kind": (parse_host_events, _edited(_GOOD_EVENT, "kind", []),
+                              "unknown event kind: []"),
+    "event-unhashable-subj_kind": (parse_host_events, _edited(_GOOD_EVENT, "subj_kind", {}),
+                                   "unknown entity kind: {}"),
+    "event-unhashable-obj_kind": (parse_host_events, _edited(_GOOD_EVENT, "obj_kind", ["file"]),
+                                  "unknown entity kind: ['file']"),
+    "alert-unknown-proto": (parse_alerts, _edited(alert_line(), "proto", "sctp"),
+                            "unknown protocol: 'sctp'"),
+    "alert-unhashable-proto": (parse_alerts, _edited(alert_line(), "proto", {}), "unknown protocol: {}"),
+    **{f"event-missing-{f}": (parse_host_events, _edited(_GOOD_EVENT, f), f"missing required field: {f}")
+       for f in _EVENT_FIELDS},
+    **{f"alert-missing-{f}": (parse_alerts, _edited(alert_line(), f), f"missing required field: {f}")
+       for f in _ALERT_FIELDS},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_record_names_its_line(case):
+    parse, bad, message = _REFUSED[case]
+    good = _GOOD_EVENT if parse is parse_host_events else alert_line()
+    with pytest.raises(TelemetryParseError) as ei:
+        parse("\n".join([good, "", bad, good]))
+    assert ei.value.line_no == 3 and str(ei.value) == f"line 3: {message}"
+
+
+def test_entity_refs_are_shared_within_one_parse_call_only():
+    proc_payload = EntityRef(EntityKind.PROCESS, PAYLOAD.key)
+    text = "\n".join([ev_line(1.0, "FileRead", WGET, PAYLOAD), ev_line(2.0, "FileWrite", WGET, PAYLOAD),
+                      ev_line(3.0, "ProcessCreate", WGET, proc_payload)])
+    first = parse_host_events(text)
+    assert first[0].subject is first[1].subject is first[2].subject
+    assert first[0].object is first[1].object and first[0].object == PAYLOAD
+    assert first[2].object == proc_payload and first[2].object is not first[0].object
+    again = parse_host_events(text)
+    assert [(e.subject, e.object) for e in again] == [(e.subject, e.object) for e in first]
+    assert all(a.subject is not b.subject and a.object is not b.object for a, b in zip(again, first))
+
+
 def test_alert_severity_boundaries():
     (alert,) = parse_alerts(alert_line(sev=1.0))
     assert alert.severity == 1.0

@@ -8,7 +8,7 @@ import pytest
 
 from aptstage.errors import DimensionError, TrainingError
 from aptstage.features import fit_vocab_and_stats
-from aptstage.graphs import Edge, Node, NodeKind, ProvenanceGraph, Relation, build_graph_sequence
+from aptstage.graphs import Edge, Node, NodeKind, Relation, build_graph_sequence
 from aptstage.model import ModelConfig, build_param_store
 from aptstage.nn import AdamState, ParamStore, finite_diff_check, gather_rows, tsum
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
@@ -29,6 +29,7 @@ from aptstage.training import (
 )
 from aptstage.training import loops
 
+from graph_helpers import make_graph
 from nn_reference import block_counts, loss_contrastive, sqrt
 
 # ---------------------------------------------------------------- loss_pred
@@ -299,7 +300,7 @@ def make_trace(tid, n_windows, rng, offset=0):
                       for i in range(n))
         edges = (Edge(Relation.READ, 0, 1, 1.0), Edge(Relation.WRITE, 1, 2, 2.0)) + tuple(
             Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(n))
-        g = ProvenanceGraph(w, w * 300.0, nodes, edges)
+        g = make_graph(w, w * 300.0, nodes, edges)
         windows.append(WindowRecord(
             X=rng.normal(size=(n, D_X)), Z=rng.normal(size=(len(edges), D_E)),
             graph=g, label=(w + offset) % 7))
