@@ -2,21 +2,22 @@
 readout.
 
 Messages flow along edge direction (src → dst) and are mean-normalized per
-(destination, relation); each node's own state survives through its self_loop
-relation. A round is the R-GCN propagation rule (Schlichtkrull et al. 2018,
-eq. 2) computed in aggregate-then-transform order: states are averaged over
-each (relation, destination) segment first, and each relation's weight is
-then applied once per segment instead of once per edge. Each round is one
-autodiff op with a hand-written backward. The readout is single-query
-dot-product attention followed by a linear projection, also one op with a
-hand-written backward; an empty graph embeds to the zero vector.
+(relation, destination) segment; each node's own state survives through its
+self_loop relation. A round is the R-GCN propagation rule (Schlichtkrull et
+al. 2018, eq. 2) computed in aggregate-then-transform order: states are
+averaged over each segment first, and each relation's weight is then applied
+once per segment instead of once per edge.
 
-Batches are "packed": node/edge matrices of many windows are concatenated
-block-diagonally, and `pack_graphs` builds the segment plan once per batch:
-each edge's (relation, destination) segment, and each segment's destination
-and 1/count, with the segments of one relation contiguous. The plan also
-splits the segments into those holding a single edge, whose mean is a copy
-of that edge's row, and those holding several, which are summed.
+`pack_graphs` concatenates the node matrices of many windows
+block-diagonally and writes the segment averages as one sparse (S, N) mean
+matrix A, A[s, j] = (edges from j in s) / (edges in s). A round's forward
+aggregate is A·h and its backward scatter Aᵀ·g. The raw edge features are
+averaged per segment once, when packing, and projected after: the edge
+projection is affine, so the mean of the projected rows equals the
+projection of the mean row. Each round is one autodiff op with a
+hand-written backward. The readout is single-query dot-product attention
+followed by a linear projection, also one op with a hand-written backward;
+an empty graph embeds to the zero vector.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParamRegistryError
 from .graphs import Relation
@@ -33,40 +35,21 @@ from .nn.tensor import _accum, _make, _needs_grad
 LAYERS = 3
 
 
-def _scatter_rows(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) sums of the rows of `values` (K, d) grouped by `index` (K,),
-    each group summed in row order. One bincount over all K·d entries: its
-    cost does not grow with the number of groups, unlike a per-group
-    reduceat."""
-    d = values.shape[1]
-    if not index.size:
-        return np.zeros((n, d))
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
-
-
 @dataclass
 class PackedGraphs:
     """Block-diagonal concatenation of one or more window graphs, with the
-    message-passing plan. A segment is the set of edges sharing one
+    segment mean matrix. A segment is the set of edges sharing one
     (relation, destination); segments are ordered by relation, then
-    destination."""
+    destination, and only segments holding an edge exist."""
 
     X: np.ndarray            # (N, d_x) raw node features
-    Z: np.ndarray            # (M, d_e) raw edge features
+    Zbar: np.ndarray         # (S, d_e) mean raw edge features per segment
     node_graph: np.ndarray   # (N,) graph id per node, non-decreasing
     n_graphs: int
     n_nodes: int
-    edge_src: np.ndarray     # (M,) source node per edge (row of Z)
-    edge_seg: np.ndarray     # (M,) segment per edge
+    mean: sp.csr_array       # (S, N) A: (A·h)[s] = mean of h over the sources of s's edges
     seg_dst: np.ndarray      # (S,) destination node per segment
-    seg_inv: np.ndarray      # (S, 1) 1 / edges in the segment
     rel_segs: dict           # Relation -> slice of segments, relations with edges only
-    single_seg: np.ndarray   # (S1,) segments holding one edge
-    single_edge: np.ndarray  # (S1,) that edge, per single_seg entry
-    multi_seg: np.ndarray    # (S2,) segments holding two or more edges, ascending
-    multi_edge: np.ndarray   # (M2,) the edges of those segments, ascending
-    multi_group: np.ndarray  # (M2,) position in multi_seg of each multi_edge's segment
 
 
 def pack_graphs(items) -> PackedGraphs:
@@ -81,78 +64,46 @@ def pack_graphs(items) -> PackedGraphs:
     seg_key, edge_seg, counts = np.unique(
         rel * n_nodes + dst + shift, return_inverse=True, return_counts=True)
     bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * n_nodes).tolist()
-    shared = counts > 1
-    edge_shared = shared[edge_seg]
-    single_edge = np.flatnonzero(~edge_shared)
-    multi_edge = np.flatnonzero(edge_shared)
+    # row s of both mean matrices holds segment s's edges in edge order, 1/|s| each
+    order = np.argsort(edge_seg, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    weight = np.repeat(1.0 / counts, counts)
+    n_segs = len(seg_key)
+    edge_mean = sp.csr_array((weight, order, indptr), shape=(n_segs, len(order)))
+    Z = np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0))
     return PackedGraphs(
         X=np.concatenate([X for X, _, _ in items]) if items else np.zeros((0, 0)),
-        Z=np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0)),
+        Zbar=edge_mean @ Z,
         node_graph=np.repeat(np.arange(len(items), dtype=np.int64), n_per),
         n_graphs=len(items),
         n_nodes=n_nodes,
-        edge_src=src + shift,
-        edge_seg=edge_seg,
+        mean=sp.csr_array((weight, (src + shift)[order], indptr), shape=(n_segs, n_nodes)),
         seg_dst=seg_key % max(n_nodes, 1),
-        seg_inv=(1.0 / counts).reshape(-1, 1),
         rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
                   if lo < hi},
-        single_seg=edge_seg[single_edge],
-        single_edge=single_edge,
-        multi_seg=np.flatnonzero(shared),
-        multi_edge=multi_edge,
-        multi_group=(np.cumsum(shared) - 1)[edge_seg[multi_edge]],
     )
 
 
 def project_packed(packed: PackedGraphs, store):
-    """x̃ = W_x·x + b_x, z̃ = W_z·z + b_z over the packed matrices."""
+    """x̃ = W_x·x + b_x per node and z̄ = W_z·mean(z) + b_z per segment, which
+    is the segment mean of the per-edge z̃ = W_z·z + b_z."""
     Xt = matmul(as_tensor(packed.X), transpose(store.tensor("proj.Wx"))) + store.tensor("proj.bx")
-    Zt = matmul(as_tensor(packed.Z), transpose(store.tensor("proj.Wz"))) + store.tensor("proj.bz")
+    Zt = matmul(as_tensor(packed.Zbar), transpose(store.tensor("proj.Wz"))) + store.tensor("proj.bz")
     return Xt, Zt
-
-
-def _segment_mean(rows: np.ndarray, packed: PackedGraphs, edge_row=None) -> np.ndarray:
-    """(S, d) mean over each segment of the edges' rows: edge e's row is
-    rows[edge_row[e]], or rows[e] without `edge_row`. A single-edge segment's
-    mean is a copy of its edge's row; only the edges that share a segment go
-    through bincount. The values equal one bincount over every edge scaled by
-    1/count, since 0 + x and x·1.0 are x."""
-    single, multi = packed.single_edge, packed.multi_edge
-    if edge_row is not None:
-        single, multi = edge_row[single], edge_row[multi]
-    out = np.empty((packed.seg_dst.size, rows.shape[1]))
-    out[packed.single_seg] = rows[single]
-    summed = _scatter_rows(rows[multi], packed.multi_group, packed.multi_seg.size)
-    summed *= packed.seg_inv[packed.multi_seg]
-    out[packed.multi_seg] = summed
-    return out
-
-
-def edge_means(packed: PackedGraphs, z_tilde) -> Tensor:
-    """(S, d) mean of the per-edge rows z̃ (M, d) over each (relation,
-    destination) segment, as one op. The means do not change between rounds,
-    so one call serves every round of a forward pass."""
-    z = as_tensor(z_tilde)
-
-    def backward(g):
-        _accum(z, (g * packed.seg_inv)[packed.edge_seg])
-
-    return _make(_segment_mean(z.data, packed), (z,), backward)
 
 
 def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: dict) -> Tensor:
     """One update, as one op:
     h_i' = relu( Σ_τ W_τ [ mean_{j→i under τ} h_j ‖ mean_{j→i under τ} z̃_ji ] ),
-    where τ counts only if i has τ in-edges. `z_means` holds the segment
-    means of z̃ from `edge_means`."""
+    where τ counts only if i has τ in-edges. `z_means` holds the (S, d)
+    segment means of z̃ from `project_packed`; every round shares them."""
     for rel in Relation:
         if weights.get(rel) is None:
             raise ParamRegistryError(f"no weight configured for relation {rel.value!r}")
     h = as_tensor(h)
     zm = as_tensor(z_means)
     d = h.data.shape[1]
-    agg = _segment_mean(h.data, packed, packed.edge_src)
+    agg = packed.mean @ h.data
     out = np.zeros((packed.n_nodes, d))
     for rel, sl in packed.rel_segs.items():
         W = weights[rel].data
@@ -168,15 +119,15 @@ def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: di
         for rel, sl in packed.rel_segs.items():
             W = weights[rel]
             g_seg = g[packed.seg_dst[sl]]
-            _accum(W, np.concatenate([g_seg.T @ agg[sl], g_seg.T @ zm.data[sl]], axis=1))
+            _accum(W, np.concatenate([g_seg.T @ agg[sl], g_seg.T @ zm.data[sl]], axis=1),
+                   fresh=True)
             np.matmul(g_seg, W.data[:, :d], out=d_agg[sl])
             if d_zm is not None:
                 np.matmul(g_seg, W.data[:, d:], out=d_zm[sl])
         if d_zm is not None:
-            _accum(zm, d_zm)
+            _accum(zm, d_zm, fresh=True)
         if h.requires_grad:
-            d_agg *= packed.seg_inv
-            _accum(h, _scatter_rows(d_agg[packed.edge_seg], packed.edge_src, packed.n_nodes))
+            _accum(h, packed.mean.T @ d_agg, fresh=True)
 
     return _make(out, (h, zm, *(weights[rel] for rel in packed.rel_segs)), backward)
 
@@ -206,15 +157,15 @@ def attention_readout(packed: PackedGraphs, h: Tensor, store):
     pooled = per_graph(np.add, alpha.reshape(-1, 1) * h.data)
 
     def backward(dg):
-        _accum(Wg, dg.T @ pooled)
+        _accum(Wg, dg.T @ pooled, fresh=True)
         d_rows = (dg @ Wg.data)[graph]                 # dL/d pooled, per node
         d_alpha = (d_rows * h.data).sum(axis=1)
         d_scores = alpha * (d_alpha - per_graph(np.add, alpha * d_alpha)[graph])
-        _accum(a, h.data.T @ d_scores)
+        _accum(a, h.data.T @ d_scores, fresh=True)
         if _needs_grad(h):
             d_rows *= alpha.reshape(-1, 1)
             d_rows += d_scores.reshape(-1, 1) * a.data
-            _accum(h, d_rows)
+            _accum(h, d_rows, fresh=True)
 
     return _make(pooled @ Wg.data.T, (h, a, Wg), backward), as_tensor(alpha)
 
@@ -222,8 +173,7 @@ def attention_readout(packed: PackedGraphs, h: Tensor, store):
 def encode_packed(packed: PackedGraphs, store, layers: int = LAYERS):
     """Full encoder over a packed batch: project, L message-passing rounds,
     attention readout. Returns EncodeBatch with gradients intact."""
-    h, z_tilde = project_packed(packed, store)
-    z_means = edge_means(packed, z_tilde)
+    h, z_means = project_packed(packed, store)
     for layer in range(layers):
         weights = {rel: store.tensor(f"enc.L{layer}.{rel.value}.W") for rel in Relation}
         h = message_passing_packed(packed, h, z_means, weights)

@@ -104,11 +104,11 @@ def _lstm_layer(x: Tensor, Wih: Tensor, Whh: Tensor, b: Tensor, batch: int,
             dh_next = d_gates[:, t].reshape(B, 4 * H) @ Whh.data
             dc_next = dc * f[:, t]
         d_flat = d_gates.reshape(B * T, 4 * H)
-        _accum(Wih, d_flat.T @ x.data)
-        _accum(Whh, d_gates[:, 1:].reshape(-1, 4 * H).T @ hs[:, :-1].reshape(-1, H))
-        _accum(b, d_flat.sum(axis=0))
+        _accum(Wih, d_flat.T @ x.data, fresh=True)
+        _accum(Whh, d_gates[:, 1:].reshape(-1, 4 * H).T @ hs[:, :-1].reshape(-1, H), fresh=True)
+        _accum(b, d_flat.sum(axis=0), fresh=True)
         if _needs_grad(x):
-            _accum(x, d_flat @ Wih.data)
+            _accum(x, d_flat @ Wih.data, fresh=True)
 
     return _make(out.reshape(B * T, H), (x, Wih, Whh, b), backward)
 

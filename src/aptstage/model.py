@@ -80,7 +80,7 @@ def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
     packed = pack_graphs(window_feats)
     if not window_feats:  # no window to take the feature widths from
         packed = replace(packed, X=np.zeros((0, cfg.featurizer.node_dim)),
-                         Z=np.zeros((0, cfg.featurizer.edge_dim)))
+                         Zbar=np.zeros((0, cfg.featurizer.edge_dim)))
     return encode_packed(packed, store, layers=cfg.gnn_layers)
 
 

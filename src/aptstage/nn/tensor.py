@@ -110,11 +110,15 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add the adjoint `g` into t.grad. A first adjoint is copied, since an
+    op may pass an array that it or another input still holds (add's one `g`,
+    transpose's view). `fresh=True` says that nothing else holds `g`: a new
+    float64 array that t.grad may take over as it is."""
     if not _needs_grad(t):
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = g if fresh else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -189,9 +193,9 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         # a constant operand's adjoint would be discarded: skip its GEMM
         if _needs_grad(a):
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, fresh=True)
         if _needs_grad(b):
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, fresh=True)
 
     return _make(data, (a, b), backward)
 

@@ -80,6 +80,19 @@ def _required(rec: dict, *names) -> tuple:
         raise ValidationError(f"missing required field: {exc.args[0]}") from None
 
 
+_OPTIONAL_TEXT = frozenset({"cmd", "user"})  # may also be absent or null
+
+
+def _not_text(rec: dict, names) -> ValidationError:
+    """The refusal of the first field of `names` in `rec` that holds no
+    string. Callers test the fields inline and call this only on a failure,
+    so that parsing a good record costs no extra calls."""
+    for name in names:
+        value = rec.get(name)
+        if not (isinstance(value, str) or (value is None and name in _OPTIONAL_TEXT)):
+            return ValidationError(f"{name} must be a string: {value!r}")
+
+
 # Event kinds that may carry a byte count.
 BYTES_KINDS = frozenset(
     {EventKind.NET_SEND, EventKind.NET_RECV, EventKind.FILE_READ, EventKind.FILE_WRITE}
@@ -154,17 +167,21 @@ class HostEvent:
         """`from_record`, sharing one `EntityRef` per (kind, key) through `refs`."""
         ts, host, kind, subj_kind, subj_key, obj_kind, obj_key = _required(
             rec, "ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key")
+        cmd, user = rec.get("cmd"), rec.get("user")
+        if not (isinstance(host, str) and isinstance(subj_key, str) and isinstance(obj_key, str)
+                and (cmd is None or isinstance(cmd, str)) and (user is None or isinstance(user, str))):
+            raise _not_text(rec, ("host", "subj_key", "obj_key", "cmd", "user"))
         kind = _member(_EVENT_KINDS, kind, "event kind")
         subj, obj = _entity(refs, subj_kind, subj_key), _entity(refs, obj_kind, obj_key)
         bytes_val = rec.get("bytes")
         return cls(
             timestamp=float(ts),
-            host_id=str(host),
+            host_id=host,
             event_kind=kind,
             subject=subj,
             object=obj,
-            command=rec.get("cmd"),
-            user=rec.get("user"),
+            command=cmd,
+            user=user,
             bytes=int(bytes_val) if bytes_val is not None else None,
         )
 
@@ -214,16 +231,19 @@ class NetworkAlert:
     def from_record(cls, rec: dict) -> "NetworkAlert":
         ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = _required(
             rec, "ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")
+        if not (isinstance(sig, str) and isinstance(cat, str)
+                and isinstance(src_ip, str) and isinstance(dst_ip, str)):
+            raise _not_text(rec, ("sig", "cat", "src_ip", "dst_ip"))
         proto = _member(_PROTOCOLS, proto, "protocol")
         return cls(
             timestamp=float(ts),
-            signature=str(sig),
+            signature=sig,
             severity=float(sev),
             protocol=proto,
-            category=str(cat),
-            src_ip=str(src_ip),
+            category=cat,
+            src_ip=src_ip,
             src_port=int(src_port),
-            dst_ip=str(dst_ip),
+            dst_ip=dst_ip,
             dst_port=int(dst_port),
         )
 
@@ -232,7 +252,7 @@ class NetworkAlert:
 
 
 def _entity(refs: dict, kind, key) -> EntityRef:
-    k = (_member(_ENTITY_KINDS, kind, "entity kind"), str(key))
+    k = (_member(_ENTITY_KINDS, kind, "entity kind"), key)
     return refs.get(k) or refs.setdefault(k, EntityRef(*k))
 
 

@@ -82,10 +82,11 @@ def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
         scale = g * (inv_tau / S) / den                           # (S,)
         d_pos = (scale * pos_term - g * (inv_tau / S)).reshape(-1, 1)  # dL/d(na·np_)
         d_neg = neg_terms * scale.reshape(-1, 1)                  # dL/d(na·npoolᵀ)
-        _accum(anchors, _unit_rows_adjoint(d_pos * np_ + d_neg @ npool, anchors.data, norm_a))
-        _accum(positives, _unit_rows_adjoint(d_pos * na, positives.data, norm_p))
+        _accum(anchors, _unit_rows_adjoint(d_pos * np_ + d_neg @ npool, anchors.data, norm_a),
+               fresh=True)
+        _accum(positives, _unit_rows_adjoint(d_pos * na, positives.data, norm_p), fresh=True)
         if _needs_grad(pool):
-            _accum(pool, _unit_rows_adjoint(d_neg.T @ na, pool.data, norm_u))
+            _accum(pool, _unit_rows_adjoint(d_neg.T @ na, pool.data, norm_u), fresh=True)
 
     return _make(loss, (anchors, positives, pool), backward)
 

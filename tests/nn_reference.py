@@ -1,12 +1,14 @@
 """Reference tape ops and losses that only tests use.
 
 The model runs fused ops (one per message-passing round, one per LSTM
-layer, the attention readout, the pooled InfoNCE). The tests check those
-against compositions of small tape ops; the ops below exist for that
-composition and are gradient-checked in `test_nn_core.py`.
+layer, the attention readout, the pooled InfoNCE) and averages the raw edge
+features per segment before projecting them. The tests check those against
+compositions of small tape ops; the ops below exist for that composition
+and are gradient-checked in `test_nn_core.py`.
 """
 import numpy as np
 
+from aptstage.graphs import _RELATION_ORDER
 from aptstage.nn import as_tensor, div, exp, gather_rows, log, matmul, mul, sub, transpose, tsum
 from aptstage.nn.tensor import _accum, _make
 
@@ -121,6 +123,38 @@ def attention_readout(packed, h, store):
     alpha = div(ex, gather_rows(segment_sum(ex, graph, n_graphs), graph))
     pooled = segment_sum(mul(reshape(alpha, (packed.n_nodes, 1)), h), graph, n_graphs)
     return matmul(pooled, transpose(store.tensor("enc.out.Wg"))), alpha
+
+
+def packed_edges(graphs) -> list:
+    """(relation index, source, destination, segment) per edge of the graphs
+    packed in order, node ids shifted by each graph's first node, built edge
+    by edge. Segments number the distinct (relation, destination) pairs in
+    ascending order."""
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(_RELATION_ORDER[e.relation], e.src + off, e.dst + off) for e in g.edges]
+        off += len(g.nodes)
+    segment = {key: s for s, key in enumerate(sorted({(r, d) for r, _, d in edges}))}
+    return [(r, src, d, segment[(r, d)]) for r, src, d in edges]
+
+
+def edge_means(graphs, z):
+    """(S, d) mean of the per-edge rows z (M, d) over each segment of the
+    packed graphs: gather the rows in segment order, sum, scale by 1/count."""
+    seg = np.array([e[3] for e in packed_edges(graphs)], dtype=np.intp)
+    n_segs = int(seg.max()) + 1 if seg.size else 0
+    order = np.argsort(seg, kind="stable")
+    inv = (1.0 / np.bincount(seg, minlength=n_segs)).reshape(-1, 1)
+    return mul(segment_sum(gather_rows(z, order), seg[order], n_segs), as_tensor(inv))
+
+
+def project_then_average(graphs, X, Z, store):
+    """The projection as each edge's z̃ = W_z·z + b_z followed by its segment
+    mean; the reference for `encoder.project_packed`, which averages the raw z
+    first. X, Z: the packed raw node and edge features. Returns (x̃, z̄)."""
+    Xt = matmul(as_tensor(X), transpose(store.tensor("proj.Wx"))) + store.tensor("proj.bx")
+    Zt = matmul(as_tensor(Z), transpose(store.tensor("proj.Wz"))) + store.tensor("proj.bz")
+    return Xt, edge_means(graphs, Zt)
 
 
 def _row_normalize(v):

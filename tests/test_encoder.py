@@ -9,16 +9,15 @@ from aptstage.encoder import (
     LAYERS,
     PackedGraphs,
     attention_readout,
-    edge_means,
     encode_packed,
     encoder_param_spec,
     message_passing_packed,
     pack_graphs,
+    project_packed,
     write_attention_csv,
 )
 from aptstage.errors import ParamRegistryError
 from aptstage.graphs import (
-    _RELATION_ORDER,
     Edge,
     Node,
     NodeKind,
@@ -40,7 +39,7 @@ from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, genera
 
 from graph_helpers import make_graph
 from nn_reference import attention_readout as reference_readout
-from nn_reference import concat, relu, segment_sum
+from nn_reference import concat, edge_means, packed_edges, project_then_average, relu, segment_sum
 
 D_X, D_E, D_H, D_G = 4, 3, 5, 6
 
@@ -68,9 +67,10 @@ def encode_one(X, Z, graph, store):
 
 
 def message_passing(graph, h, z, weights):
-    """One message_passing_packed round over a single graph, per-edge z̃ given."""
-    packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), np.zeros((len(graph.edges), 0)), graph)])
-    return message_passing_packed(packed, as_tensor(h), edge_means(packed, as_tensor(z)), weights)
+    """One message_passing_packed round over a single graph, per-edge z̃ given:
+    packed as the raw edge features, z̃ comes out as its segment means."""
+    packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), z, graph)])
+    return message_passing_packed(packed, as_tensor(h), packed.Zbar, weights)
 
 
 def rand_feats(graph, rng):
@@ -304,24 +304,22 @@ def fd_batch(missing=None):
 def test_message_passing_gradients_match_finite_differences(missing):
     graphs = fd_batch(missing)
     n = sum(len(g.nodes) for g in graphs)
-    m = sum(len(g.edges) for g in graphs)
     packed = pack_bare(graphs)
     assert set(packed.rel_segs) == set(Relation) - {missing}
     rng = np.random.default_rng(5)
     store = ParamStore()
     store.add("h", rng.normal(size=(n, D_H)))
-    store.add("z", rng.normal(size=(m, D_H)))
+    store.add("z", rng.normal(size=(packed.mean.shape[0], D_H)))  # z̄, one row per segment
     for layer in range(2):
         for rel in Relation:
             store.add(f"L{layer}.{rel.value}", rng.normal(size=(D_H, 2 * D_H)) / 3)
     probe = as_tensor(rng.normal(size=(n, D_H)))
 
     def loss(st):
-        # two rounds sharing one edge_means, as encode_packed runs them
-        z_means = edge_means(packed, st.tensor("z"))
+        # two rounds sharing one z̄, as encode_packed runs them
         h = st.tensor("h")
         for layer in range(2):
-            h = message_passing_packed(packed, h, z_means,
+            h = message_passing_packed(packed, h, st.tensor("z"),
                                        {r: st.tensor(f"L{layer}.{r.value}") for r in Relation})
         return tsum(mul(h, probe))
 
@@ -343,7 +341,7 @@ def test_fused_round_matches_transform_then_aggregate_reference():
               **{rel.value: rng.normal(size=(D_H, 2 * D_H)) for rel in Relation}}
     probe = as_tensor(rng.normal(size=values["h"].shape))
     def fused(packed, h, z, weights):
-        return message_passing_packed(packed, h, edge_means(packed, z), weights)
+        return message_passing_packed(packed, h, edge_means(graphs, z), weights)
 
     results = []
     for fn, arg in ((fused, pack_bare(graphs)), (reference_message_passing, graphs)):
@@ -444,68 +442,85 @@ def test_edge_index_lists_relation_src_dst_per_edge():
 
 
 def ref_pack_graphs(items) -> PackedGraphs:
-    """pack_graphs as written before `ProvenanceGraph.edge_index`: the edge
-    arrays are gathered edge by edge on every call, and the single-edge and
-    multi-edge segment lists are built edge by edge too."""
-    def as_int_array(xs):
-        return np.asarray(xs, dtype=np.int64) if len(xs) else np.zeros(0, dtype=np.int64)
-
-    Xs, Zs, node_graph = [], [], []
-    rel, src, dst = [], [], []
-    node_off = 0
-    for gi, (X, Z, g) in enumerate(items):
-        n = len(g.nodes)
-        Xs.append(X)
-        Zs.append(Z)
-        node_graph.append(np.full(n, gi, dtype=np.int64))
-        for e in g.edges:
-            rel.append(_RELATION_ORDER[e.relation])
-            src.append(e.src + node_off)
-            dst.append(e.dst + node_off)
-        node_off += n
-
-    d_x = Xs[0].shape[1] if Xs else 0
-    d_e = Zs[0].shape[1] if Zs else 0
-    X = np.concatenate(Xs, axis=0) if Xs else np.zeros((0, d_x))
-    Z = np.concatenate(Zs, axis=0) if Zs else np.zeros((0, d_e))
-
-    seg_key, edge_seg, counts = np.unique(
-        as_int_array(rel) * node_off + as_int_array(dst), return_inverse=True, return_counts=True)
-    bounds = np.searchsorted(seg_key, np.arange(len(Relation) + 1) * node_off).tolist()
-    single = [(seg, e) for e, seg in enumerate(edge_seg.tolist()) if counts[seg] == 1]
-    multi_seg = [seg for seg in range(len(seg_key)) if counts[seg] > 1]
-    multi = [(e, multi_seg.index(seg)) for e, seg in enumerate(edge_seg.tolist())
-             if counts[seg] > 1]
+    """pack_graphs built edge by edge: the mean matrix dense, row s holding
+    1/|s| at the source of each of segment s's edges (summed over duplicate
+    edges), and Zbar as each segment's mean of Z."""
+    graphs = [g for _, _, g in items]
+    n_nodes = sum(len(g.nodes) for g in graphs)
+    d_x = items[0][0].shape[1] if items else 0
+    d_e = items[0][1].shape[1] if items else 0
+    X = np.concatenate([X for X, _, _ in items]) if items else np.zeros((0, d_x))
+    Z = np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, d_e))
+    edges = packed_edges(graphs)
+    n_segs = len({s for *_, s in edges})
+    members = [[e for e, (*_, s) in enumerate(edges) if s == seg] for seg in range(n_segs)]
+    mean = np.zeros((n_segs, n_nodes))
+    for seg, es in enumerate(members):
+        for e in es:
+            mean[seg, edges[e][1]] += 1.0 / len(es)
+    seg_rel = [list(Relation)[edges[es[0]][0]] for es in members]
     return PackedGraphs(
         X=X,
-        Z=Z,
-        node_graph=np.concatenate(node_graph) if node_graph else np.zeros(0, dtype=np.int64),
+        Zbar=np.array([Z[es].mean(axis=0) for es in members]).reshape(n_segs, d_e),
+        node_graph=np.concatenate([np.zeros(0, dtype=np.int64)] +
+                                  [np.full(len(g.nodes), gi, dtype=np.int64)
+                                   for gi, g in enumerate(graphs)]),
         n_graphs=len(items),
-        n_nodes=node_off,
-        edge_src=as_int_array(src),
-        edge_seg=edge_seg,
-        seg_dst=seg_key % max(node_off, 1),
-        seg_inv=(1.0 / counts).reshape(-1, 1),
-        rel_segs={r: slice(lo, hi) for r, lo, hi in zip(Relation, bounds[:-1], bounds[1:])
-                  if lo < hi},
-        single_seg=as_int_array([seg for seg, _ in single]),
-        single_edge=as_int_array([e for _, e in single]),
-        multi_seg=as_int_array(multi_seg),
-        multi_edge=as_int_array([e for e, _ in multi]),
-        multi_group=as_int_array([k for _, k in multi]),
+        n_nodes=n_nodes,
+        mean=mean,
+        seg_dst=np.array([edges[es[0]][2] for es in members], dtype=np.int64),
+        rel_segs={r: slice(seg_rel.index(r), n_segs - seg_rel[::-1].index(r))
+                  for r in Relation if r in seg_rel},
     )
 
 
 def test_pack_graphs_equals_per_edge_reference(rng):
     empty, lone = edgeless_graphs()
-    batches = [[empty, *scenario_graphs(), lone, *fd_batch(), empty], [lone, empty], [empty], []]
+    batches = [[empty, *scenario_graphs(), lone, *fd_batch(), mkgraph(1, []), empty],
+               [lone, empty], [empty], []]
     for graphs in batches:
         items = [(*rand_feats(g, rng), g) for g in graphs]
         got, want = pack_graphs(items), ref_pack_graphs(items)
         for f in dataclasses.fields(PackedGraphs):
             a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(b, np.ndarray):
+            if f.name == "mean":
+                assert a.shape == b.shape and np.array_equal(a.toarray(), b)
+            elif f.name == "Zbar":  # summed in another order
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b), initial=0.0) < 1e-12
+            elif isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and a.shape == b.shape, f.name
                 assert np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+
+def test_projection_and_first_round_match_project_then_average_reference():
+    empty, lone = edgeless_graphs()
+    graphs = [empty, *fd_batch(), lone, mkgraph(1, []), *scenario_graphs()[:2]]
+    rng = np.random.default_rng(8)
+    feats = [rand_feats(g, rng) for g in graphs]
+    packed = pack_graphs([(X, Z, g) for (X, Z), g in zip(feats, graphs)])
+    X, Z = (np.concatenate(parts) for parts in zip(*feats))
+    values = init_params(encoder_param_spec(D_X, D_E, D_H, D_G, layers=1), seed=3).snapshot()
+    probe = as_tensor(rng.normal(size=(packed.n_nodes, D_H)))
+    results = []
+    for path in ("packed", "reference"):
+        store = ParamStore()
+        for name, v in values.items():
+            store.add(name, v)
+        xt, zbar = (project_packed(packed, store) if path == "packed"
+                    else project_then_average(graphs, X, Z, store))
+        out = message_passing_packed(packed, xt, zbar,
+                                     {r: store.tensor(f"enc.L0.{r.value}.W") for r in Relation})
+        tsum(mul(out, probe)).backward()
+        results.append(([xt.data, zbar.data, out.data],
+                        {n: store.tensor(n).grad for n in values}))
+    (got, got_grads), (want, want_grads) = results
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) < 1e-12
+    for name in values:
+        if want_grads[name] is None:  # the readout's parameters
+            assert got_grads[name] is None, name
+        else:
+            assert np.max(np.abs(got_grads[name] - want_grads[name])) < 1e-12, name

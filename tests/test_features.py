@@ -461,9 +461,11 @@ def test_non_positive_width_rejected(field, value):
 
 def project(X, Z, W_x, b_x, W_z, b_z):
     """project_packed on one graph with |V| = len(X) nodes and |E| = len(Z)
-    edges; returns (x̃, z̃) as arrays."""
+    edges, edge j a self-loop on node j (so |E| <= |V|): each edge is a
+    segment of its own, and the segment means of z̃ are its rows. Returns
+    (x̃, z̃) as arrays."""
     g = make_graph(0, 0.0, tuple(mknode(NodeKind.PROCESS, f"n{i}") for i in range(len(X))),
-                   tuple(Edge(Relation.SELF_LOOP, 0, 0, 0.0) for _ in range(len(Z))))
+                   tuple(Edge(Relation.SELF_LOOP, j, j, 0.0) for j in range(len(Z))))
     store = ParamStore()
     for name, value in (("proj.Wx", W_x), ("proj.bx", b_x), ("proj.Wz", W_z), ("proj.bz", b_z)):
         store.add(name, value)

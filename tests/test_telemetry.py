@@ -131,6 +131,13 @@ _REFUSED = {
     "alert-unknown-proto": (parse_alerts, _edited(alert_line(), "proto", "sctp"),
                             "unknown protocol: 'sctp'"),
     "alert-unhashable-proto": (parse_alerts, _edited(alert_line(), "proto", {}), "unknown protocol: {}"),
+    **{f"event-{name}-{f}": (parse_host_events, _edited(_GOOD_EVENT, f, v),
+                            f"{f} must be a string: {v!r}")
+       for f, name, v in (("host", "null", None), ("host", "number", 3), ("subj_key", "list", ["a"]),
+                          ("obj_key", "number", 7), ("cmd", "number", 1), ("user", "list", [1]))},
+    **{f"alert-{name}-{f}": (parse_alerts, _edited(alert_line(), f, v), f"{f} must be a string: {v!r}")
+       for f, name, v in (("sig", "number", 5), ("cat", "list", ["scan"]),
+                          ("src_ip", "null", None), ("dst_ip", "null", None))},
     **{f"event-missing-{f}": (parse_host_events, _edited(_GOOD_EVENT, f), f"missing required field: {f}")
        for f in _EVENT_FIELDS},
     **{f"alert-missing-{f}": (parse_alerts, _edited(alert_line(), f), f"missing required field: {f}")
@@ -145,6 +152,11 @@ def test_refused_record_names_its_line(case):
     with pytest.raises(TelemetryParseError) as ei:
         parse("\n".join([good, "", bad, good]))
     assert ei.value.line_no == 3 and str(ei.value) == f"line 3: {message}"
+
+
+def test_null_cmd_and_user_read_as_absent():
+    (ev,) = parse_host_events(_edited(_edited(_GOOD_EVENT, "cmd", None), "user", None))
+    assert ev.command is None and ev.user is None
 
 
 def test_entity_refs_are_shared_within_one_parse_call_only():

@@ -412,7 +412,7 @@ def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
     monkeypatch.setattr(loops, "_optimizer_step",
                         lambda loss, *args: counted.append(tape_nodes(loss)) or step(loss, *args))
     pretrain(traces, build_param_store(MCFG), MCFG, PretrainConfig(epochs=1, negatives=4))
-    assert counted == [76]
+    assert counted == [75]
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
