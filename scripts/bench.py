@@ -4,25 +4,26 @@
     python3 scripts/bench.py PARENT_DIR CHANGE_DIR --seeds 1 2 3 --out BENCH_11.json
 
 For each seed, one pair of runs: `perfbench/run.py --workload all --trace 0`
-in PARENT_DIR and in CHANGE_DIR, each in a fresh process (run.py starts one
-more per workload) that imports the program from that checkout's ./src. The
-side that runs first alternates from pair to pair, so a slow phase of a
-shared host does not always fall on one side. The output holds every run's
-`{"report": ...}` lines, the environment, the per-metric verdicts of
-`perfbench/compare.py` (imported: its bounds and rule decide), and per
-metric the pairs that the change won and the parent's quartile distance.
+for BENCHMARK.json's `run_seconds` in PARENT_DIR and in CHANGE_DIR, each in a
+fresh process (run.py starts one more per workload) that imports the program
+from that checkout's ./src. The side that runs first alternates from pair to
+pair, so a slow phase of a shared host does not always fall on one side. The
+output holds every run's report, the environment, each checkout's identity
+(its commit and, if its files differ from that commit, a sha256 of the
+difference), and per workload and metric both sides' quartiles, the verdict
+under `perfbench/compare.py`'s bounds, the pairs that the change won and the
+parent's quartile distance. The exit status is 1 if a metric regressed or the
+two sides ran different inputs.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
-import tempfile
 from importlib import metadata
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,10 +34,24 @@ SIDES = ("parent", "change")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _commit(path: str):
-    proc = subprocess.run(["git", "-C", path, "describe", "--always", "--dirty", "--abbrev=12"],
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=False)
-    return proc.stdout.strip() or None
+def _git(path: str, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", path, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, check=False).stdout
+
+
+def _identity(path: str) -> dict:
+    """The commit checked out in `path`; if tracked files differ from it or
+    untracked files exist, `dirty_sha256` hashes `git diff HEAD` and every
+    untracked file's name and content, so the record names the measured tree."""
+    commit = _git(path, "rev-parse", "HEAD").decode().strip() or None
+    digest = hashlib.sha256(_git(path, "diff", "HEAD", "--binary"))
+    untracked = sorted(n for n in _git(path, "ls-files", "--others", "--exclude-standard",
+                                       "-z").split(b"\0") if n)
+    for name in untracked:
+        with open(os.path.join(path, name.decode()), "rb") as fh:
+            digest.update(name + b"\0" + fh.read())
+    dirty = digest.digest() != hashlib.sha256(b"").digest()
+    return {"commit": commit, "dirty_sha256": digest.hexdigest() if dirty else None}
 
 
 def _run(path: str, seed: int, seconds: float) -> list:
@@ -50,44 +65,40 @@ def _run(path: str, seed: int, seconds: float) -> list:
             if line.startswith('{"report"')]
 
 
-def _verdicts(runs: list, specs: dict) -> tuple:
-    """(compare.py's exit status, its printed lines, and per workload and
-    metric: both sides' quartiles, compare.py's verdict, pairs won by the
-    change)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for side in SIDES:
-            os.mkdir(os.path.join(tmp, side))
-            for i, run in enumerate(r for r in runs if r["side"] == side):
-                with open(os.path.join(tmp, side, f"{i:03d}.out"), "w") as fh:
-                    fh.writelines(json.dumps({"report": rep}) + "\n" for rep in run["reports"])
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            status = compare.main([os.path.join(tmp, side) for side in SIDES])
-    lines = out.getvalue().splitlines()
-
-    verdicts, workload = {}, None
-    for line in lines:
-        if line.startswith("== "):
-            workload = line[3:].split(":")[0]
-        elif line.startswith("  ") and workload:
-            metric = line.split()[0]
-            verdicts.setdefault(workload, {})[metric] = {"verdict": line.rsplit(": ", 1)[1]}
-    for workload, metrics in verdicts.items():
-        for metric, row in metrics.items():
-            better = specs[metric][0]
-            sides = {side: [compare.series(run["reports"], workload, metric)
-                            for run in runs if run["side"] == side] for side in SIDES}
-            for side in SIDES:
-                q1, med, q3 = compare.quartiles([v for vals in sides[side] for v in vals])
-                row[side] = {"q1": q1, "median": med, "q3": q3}
-            pairs = [(p[0], c[0]) for p, c in zip(*sides.values()) if p and c]
-            row["pairs"] = len(pairs)
-            row["wins"] = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
-            row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
-            gain = row["change"]["median"] - row["parent"]["median"]
-            row["clear_gain"] = (row["wins"] >= 0.9 * len(pairs)
-                                 and (-gain if better == "lower" else gain) > row["parent_iqr"])
-    return status, lines, verdicts
+def _verdicts(reports: dict) -> dict:
+    """Per workload: each side's failed share and, per metric, both sides'
+    quartiles, the verdict under compare.py's bound, pairs won by the change."""
+    out = {}
+    for workload in sorted({r["workload"] for side in SIDES for r in reports[side]}):
+        metrics = {}
+        for metric, (better, bound) in compare.metric_specs().items():
+            per_run = {side: [compare.series([r], workload, metric) for r in reports[side]
+                              if r["workload"] == workload] for side in SIDES}
+            flat = {side: [v for vals in per_run[side] for v in vals] for side in SIDES}
+            if not all(flat.values()):
+                continue
+            stats = {side: dict(zip(("q1", "median", "q3"), compare.quartiles(flat[side])))
+                     for side in SIDES}
+            sign = -1 if better == "lower" else 1
+            base, new = stats["parent"]["median"], stats["change"]["median"]
+            pairs = [(p[0], c[0]) for p, c in zip(per_run["parent"], per_run["change"]) if p and c]
+            parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+            wins = sum(sign * (c - p) > 0 for p, c in pairs)
+            metrics[metric] = {
+                **stats,
+                "relative_change": (new - base) / base,
+                "bound": bound,
+                "better": better,
+                "verdict": "REGRESSION" if -sign * (new - base) / base > bound else "ok",
+                "pairs": len(pairs),
+                "wins": wins,
+                "parent_iqr": parent_iqr,
+                "clear_gain": wins >= 0.9 * len(pairs) and sign * (new - base) > parent_iqr,
+            }
+        out[workload] = {"failed": {side: compare.failed_share(reports[side], workload)
+                                    for side in SIDES},
+                         "metrics": metrics}
+    return out
 
 
 def main(argv=None) -> int:
@@ -95,29 +106,41 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="timed seconds per workload (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.seconds is None:
-        with open(compare.BENCHMARK_JSON) as fh:
-            args.seconds = json.load(fh)["run_seconds"]
+    with open(compare.BENCHMARK_JSON) as fh:
+        seconds = json.load(fh)["run_seconds"]
     dirs = dict(zip(SIDES, (os.path.abspath(args.parent), os.path.abspath(args.change))))
 
     runs = []
     for pair, seed in enumerate(args.seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            reports = _run(dirs[side], seed, args.seconds)
+            reports = _run(dirs[side], seed, seconds)
             runs.append({"pair": pair, "seed": seed, "side": side, "position": position,
                          "reports": reports})
             wps = {r["workload"]: round(r["metrics"]["windows_per_s"]["value"], 1) for r in reports}
             print(f"pair {pair} seed {seed} {side:6s} windows_per_s {wps}", flush=True)
 
-    status, lines, verdicts = _verdicts(runs, compare.metric_specs())
-    print("\n".join(lines))
+    # In pair order, so a side's n-th report of a workload comes from pair n.
+    reports = {side: [r for run in runs if run["side"] == side for r in run["reports"]]
+               for side in SIDES}
+    conflicts = compare.fingerprint_conflicts(reports["parent"], reports["change"])
+    verdicts = _verdicts(reports)
+    for c in conflicts:
+        print(f"INCOMPARABLE: inputs differ for {c}")
+    regressions = []
+    for workload, row in verdicts.items():
+        print(f"== {workload}: " + "; ".join(row["failed"][side] for side in SIDES))
+        for metric, v in row["metrics"].items():
+            print(f"  {metric:16s} median {v['parent']['median']:.6g} -> "
+                  f"{v['change']['median']:.6g} ({v['relative_change']:+.2%}, bound {v['bound']:.0%}), "
+                  f"won {v['wins']}/{v['pairs']}: {v['verdict']}")
+            if v["verdict"] == "REGRESSION":
+                regressions.append(f"{workload} {metric}")
+
     doc = {
-        "checkouts": {side: {"dir": os.path.basename(d), "commit": _commit(d)}
+        "checkouts": {side: {"dir": os.path.basename(d), **_identity(d)}
                       for side, d in dirs.items()},
         "environment": {
             "nproc": os.cpu_count(),
@@ -128,17 +151,18 @@ def main(argv=None) -> int:
             "threads": {k: os.environ.get(k) for k in THREAD_VARS},
             "threads_in_runs": runs[0]["reports"][0]["environment"]["threads"],
         },
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
+        "incomparable": conflicts,
+        "regressions": regressions,
         "verdicts": verdicts,
-        "compare": lines,
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {args.out}")
-    return status
+    return 1 if conflicts or regressions else 0
 
 
 if __name__ == "__main__":
