@@ -12,8 +12,10 @@ output holds every run's report, the environment, each checkout's identity
 (its commit and, if its files differ from that commit, a sha256 of the
 difference), and per workload and metric both sides' quartiles, the verdict
 under `perfbench/compare.py`'s bounds, the pairs that the change won and the
-parent's quartile distance. The exit status is 1 if a metric regressed or the
-two sides ran different inputs.
+parent's quartile distance. After the pairs, each side runs once more with
+`--trace 1` on the first seed, and the per-layer metrics of those two runs
+(tape nodes and bytes, per-layer times) are recorded next to the pairs. The
+exit status is 1 if a metric regressed or the two sides ran different inputs.
 """
 from __future__ import annotations
 
@@ -54,10 +56,10 @@ def _identity(path: str) -> dict:
     return {"commit": commit, "dirty_sha256": digest.hexdigest() if dirty else None}
 
 
-def _run(path: str, seed: int, seconds: float) -> list:
+def _run(path: str, seed: int, seconds: float, trace: int = 0) -> list:
     """The report dicts of one `--workload all` run in checkout `path`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=path, stdout=subprocess.PIPE, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"bench: {' '.join(cmd)} in {path} exited with {proc.returncode}")
@@ -101,6 +103,18 @@ def _verdicts(reports: dict) -> dict:
     return out
 
 
+def _layers(traced: dict) -> dict:
+    """Per workload and per-layer metric: its unit and each side's value in
+    the traced runs."""
+    out = {}
+    for side in SIDES:
+        for r in traced[side]:
+            for metric, m in r["metrics"].items():
+                row = out.setdefault(r["workload"], {}).setdefault(metric, {"unit": m["unit"]})
+                row[side] = m["value"]
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -121,6 +135,13 @@ def main(argv=None) -> int:
                          "reports": reports})
             wps = {r["workload"]: round(r["metrics"]["windows_per_s"]["value"], 1) for r in reports}
             print(f"pair {pair} seed {seed} {side:6s} windows_per_s {wps}", flush=True)
+
+    traced = {side: _run(dirs[side], args.seeds[0], seconds, trace=1) for side in SIDES}
+    layers = _layers(traced)
+    for workload, row in layers.items():
+        print(f"traced {workload}: " + "; ".join(
+            f"{m} {row[m]['parent']:.4g} -> {row[m]['change']:.4g}"
+            for m in ("nn.tape_nodes", "nn.tape_mb") if m in row))
 
     # In pair order, so a side's n-th report of a workload comes from pair n.
     reports = {side: [r for run in runs if run["side"] == side for r in run["reports"]]
@@ -157,6 +178,7 @@ def main(argv=None) -> int:
         "regressions": regressions,
         "verdicts": verdicts,
         "runs": runs,
+        "traced": {"seed": args.seeds[0], "layers": layers, "reports": traced},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -137,9 +137,19 @@ def _load_labels(cfg: PipelineConfig, n_windows: int):
     path = cfg.path(ARTIFACTS["labels"])
     _require(path, cfg, "generate")
     labels = {}
+    n_classes = cfg.model.num_classes
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels[int(row["window_index"])] = int(row["stage_id"])
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            try:
+                index, stage = int(row["window_index"]), int(row["stage_id"])
+            except (KeyError, TypeError, ValueError):
+                raise InputError(f"{where}: window_index {row.get('window_index')!r} and "
+                                 f"stage_id {row.get('stage_id')!r} must be integers") from None
+            if not 0 <= stage < n_classes:
+                raise InputError(f"{where}: stage_id {stage} is outside 0..{n_classes - 1}")
+            labels[index] = stage
     if sorted(labels) != list(range(n_windows)):
         raise InputError(
             f"labels cover windows {min(labels, default=0)}..{max(labels, default=0)} "

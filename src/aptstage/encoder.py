@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ParamRegistryError
 from .graphs import Relation
-from .nn import Tensor, as_tensor, matmul, transpose
+from .nn import Tensor, as_tensor, linear
 from .nn.tensor import _accum, _make, _needs_grad
 
 LAYERS = 3
@@ -87,9 +87,8 @@ def pack_graphs(items) -> PackedGraphs:
 def project_packed(packed: PackedGraphs, store):
     """x̃ = W_x·x + b_x per node and z̄ = W_z·mean(z) + b_z per segment, which
     is the segment mean of the per-edge z̃ = W_z·z + b_z."""
-    Xt = matmul(as_tensor(packed.X), transpose(store.tensor("proj.Wx"))) + store.tensor("proj.bx")
-    Zt = matmul(as_tensor(packed.Zbar), transpose(store.tensor("proj.Wz"))) + store.tensor("proj.bz")
-    return Xt, Zt
+    return (linear(packed.X, store.tensor("proj.Wx"), store.tensor("proj.bx")),
+            linear(packed.Zbar, store.tensor("proj.Wz"), store.tensor("proj.bz")))
 
 
 def message_passing_packed(packed: PackedGraphs, h: Tensor, z_means, weights: dict) -> Tensor:

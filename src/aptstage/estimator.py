@@ -5,8 +5,9 @@ consumes g_1..g_T with h_0 = c_0 = 0; inverted dropout (rate 0.3) sits between
 the layers in train mode only. Each layer is one autodiff op over the whole
 batch of sequences: one input GEMM for all steps, the recurrence over
 (batch, H) states, and a hand-written backward through time. The classifier
-head emits the 7-class stage distribution via a max-subtracted softmax; the
-prediction head maps h_t to the next-window embedding for self-supervision.
+head emits the 7-class stage distribution via a max-subtracted softmax, one
+op with its own backward; the prediction head, one `linear` op, maps h_t to
+the next-window embedding for self-supervision.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .nn import ParamStore, Tensor, as_tensor, div, exp, matmul, sub, transpose, tsum
-from .nn.tensor import _accum, _make, _needs_grad
+from .nn import ParamStore, Tensor, as_tensor, linear
+from .nn.tensor import _accum, _linear_adjoints, _make, _needs_grad
 
 NUM_STAGES = 7
 
@@ -155,15 +156,20 @@ def recurrent_forward(x: Tensor, store: ParamStore, cfg: EstimatorConfig,
 
 
 def classify(h: Tensor, store: ParamStore) -> Tensor:
-    """p = softmax(W_stage·h + B_stage), row-wise, max-subtracted."""
+    """p = softmax(W_stage·h + B_stage), row-wise, max-subtracted, as one op."""
     h = as_tensor(h)
-    logits = matmul(h, transpose(store.tensor("head.stage.W"))) + store.tensor("head.stage.b")
-    shift = logits.data.max(axis=1, keepdims=True)  # constant; softmax is shift-invariant
-    ex = exp(sub(logits, as_tensor(shift)))
-    return div(ex, tsum(ex, axis=1, keepdims=True))
+    W, b = store.tensor("head.stage.W"), store.tensor("head.stage.b")
+    logits = h.data @ W.data.T + b.data
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = ex / ex.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        # softmax Jacobian-vector product: p ⊙ (g − Σ_row g⊙p)
+        _linear_adjoints(p * (g - (g * p).sum(axis=1, keepdims=True)), h, W, b)
+
+    return _make(p, (h, W, b), backward)
 
 
 def predict_next(h: Tensor, store: ParamStore) -> Tensor:
     """ĝ_{t+1} = W_o·h_t + b_o, row-wise."""
-    h = as_tensor(h)
-    return matmul(h, transpose(store.tensor("head.next.W"))) + store.tensor("head.next.b")
+    return linear(h, store.tensor("head.next.W"), store.tensor("head.next.b"))

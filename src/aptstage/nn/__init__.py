@@ -1,18 +1,4 @@
-from .tensor import (
-    Tensor,
-    add,
-    as_tensor,
-    div,
-    exp,
-    gather_rows,
-    log,
-    matmul,
-    mul,
-    no_grad,
-    sub,
-    transpose,
-    tsum,
-)
+from .tensor import Tensor, as_tensor, gather_rows, linear, no_grad, weighted_sum
 from .params import ParamStore, init_params
 from .optim import AdamState, adam_step, clip_gradients
 from .check import finite_diff_check
@@ -23,21 +9,14 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adam_step",
-    "add",
     "as_tensor",
     "clip_gradients",
-    "div",
-    "exp",
     "finite_diff_check",
     "gather_rows",
     "init_params",
+    "linear",
     "load_checkpoint",
-    "log",
-    "matmul",
-    "mul",
     "no_grad",
     "save_checkpoint",
-    "sub",
-    "transpose",
-    "tsum",
+    "weighted_sum",
 ]

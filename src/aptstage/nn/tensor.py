@@ -4,6 +4,12 @@ A Tensor wraps an ndarray plus a closure that routes an incoming adjoint to
 its parents. Tapes are rebuilt on every forward pass; parameters are leaf
 tensors whose .data the optimizer mutates in place. Everything runs in
 float64 (DTYPE); the oracle tests compare against it at 1e-12.
+
+The model's layers are fused ops with hand-written backwards (the rounds and
+readout in `encoder`, each LSTM layer and the classifier head in
+`estimator`, the losses in `training.losses`). This module holds the tape
+itself and the three generic ops they are joined with: `linear` (the
+projection and the next-embedding head), `gather_rows` and `weighted_sum`.
 """
 from __future__ import annotations
 
@@ -41,36 +47,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
-
-    # Operator sugar; full op set lives in the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Reverse-accumulate adjoints from this scalar into the tape's leaves."""
@@ -112,9 +90,9 @@ def _needs_grad(t: Tensor) -> bool:
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add the adjoint `g` into t.grad. A first adjoint is copied, since an
-    op may pass an array that it or another input still holds (add's one `g`,
-    transpose's view). `fresh=True` says that nothing else holds `g`: a new
-    float64 array that t.grad may take over as it is."""
+    op may pass an array that it or another input still holds (one `g` for
+    both inputs of a sum, or a view). `fresh=True` says that nothing else
+    holds `g`: a new float64 array that t.grad may take over as it is."""
     if not _needs_grad(t):
         return
     if t.grad is None:
@@ -132,116 +110,6 @@ def _make(data, parents, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum an adjoint down to the shape a broadcast input started from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data @ b.data
-
-    def backward(g):
-        # a constant operand's adjoint would be discarded: skip its GEMM
-        if _needs_grad(a):
-            _accum(a, g @ b.data.T, fresh=True)
-        if _needs_grad(b):
-            _accum(b, a.data.T @ g, fresh=True)
-
-    return _make(data, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _make(a.data.T, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out)
-
-    return _make(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(ge, a.data.shape).copy())
-
-    return _make(data, (a,), backward)
-
-
 def gather_rows(a, idx) -> Tensor:
     """Select rows by integer index; adjoint scatter-adds back."""
     a = as_tensor(a)
@@ -253,3 +121,29 @@ def gather_rows(a, idx) -> Tensor:
         _accum(a, full)
 
     return _make(a.data[idx], (a,), backward)
+
+
+def _linear_adjoints(g: np.ndarray, x: Tensor, W: Tensor, b: Tensor) -> None:
+    """Route the adjoint `g` of y = x·Wᵀ + b to x (when kept), W and b."""
+    if _needs_grad(x):
+        _accum(x, g @ W.data, fresh=True)
+    _accum(W, g.T @ x.data, fresh=True)
+    _accum(b, g.sum(axis=0), fresh=True)
+
+
+def linear(x, W: Tensor, b: Tensor) -> Tensor:
+    """x·Wᵀ + b row-wise, as one op."""
+    x = as_tensor(x)
+    return _make(x.data @ W.data.T + b.data, (x, W, b),
+                 lambda g: _linear_adjoints(g, x, W, b))
+
+
+def weighted_sum(terms) -> Tensor:
+    """Σ_k λ_k·t_k over (λ_k, scalar tensor t_k) pairs, as one op."""
+    terms = [(float(lam), as_tensor(t)) for lam, t in terms]
+
+    def backward(g):
+        for lam, t in terms:
+            _accum(t, g * lam, fresh=True)
+
+    return _make(sum(lam * t.data for lam, t in terms), tuple(t for _, t in terms), backward)

@@ -27,7 +27,7 @@ from ..model import (
     frozen_names,
     infer_probabilities,
 )
-from ..nn import AdamState, adam_step, as_tensor, clip_gradients, gather_rows, no_grad
+from ..nn import AdamState, adam_step, as_tensor, clip_gradients, gather_rows, no_grad, weighted_sum
 from .losses import loss_contrastive_pooled, loss_pred, loss_supervised
 
 log = logging.getLogger(__name__)
@@ -274,7 +274,7 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
         # pooled form == explicit (S·K, d) gather, without materializing it
         l_ctr = loss_contrastive_pooled(ghat, g_target, g_all, counts, tau=cfg.tau)
 
-        loss = as_tensor(cfg.lambda_pred) * l_pred + as_tensor(cfg.lambda_ctr) * l_ctr
+        loss = weighted_sum([(cfg.lambda_pred, l_pred), (cfg.lambda_ctr, l_ctr)])
         _optimizer_step(loss, store, adam, cfg.lr, cfg.weight_decay, cfg.clip, frozen,
                         f"pretrain epoch {epoch} batch {bi}")
         return float(l_pred.data), float(l_ctr.data), S

@@ -5,15 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
-from ..nn import Tensor, as_tensor, log, mul, sub, tsum
+from ..nn import Tensor, as_tensor
 from ..nn.tensor import _accum, _make, _needs_grad
 
 COSINE_EPS = 1e-12
 
 
 def loss_pred(predictions: Tensor, targets: Tensor) -> Tensor:
-    """Mean squared Euclidean error over the T−1 predictable steps:
-    (1/(T−1)) Σ_t ‖g_{t+1} − ĝ_{t+1}‖²."""
+    """Mean squared Euclidean error over the T−1 predictable steps,
+    (1/(T−1)) Σ_t ‖g_{t+1} − ĝ_{t+1}‖², as one op."""
     predictions = as_tensor(predictions)
     targets = as_tensor(targets)
     if predictions.data.shape != targets.data.shape:
@@ -23,8 +23,15 @@ def loss_pred(predictions: Tensor, targets: Tensor) -> Tensor:
     n = predictions.data.shape[0]
     if n < 1:
         raise TrainingError("prediction loss needs at least two windows (one transition)")
-    diff = sub(targets, predictions)
-    return mul(tsum(mul(diff, diff)), as_tensor(1.0 / n))
+    diff = targets.data - predictions.data
+
+    def backward(g):
+        d = diff * (g * (2.0 / n))
+        if _needs_grad(predictions):
+            _accum(predictions, -d, fresh=True)
+        _accum(targets, d, fresh=True)
+
+    return _make((diff * diff).sum() * (1.0 / n), (predictions, targets), backward)
 
 
 def _unit_rows(v: np.ndarray):
@@ -92,7 +99,8 @@ def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
 
 
 def loss_supervised(probabilities: Tensor, labels, weights, eps: float = 1e-8) -> Tensor:
-    """Weighted cross-entropy −(1/T) Σ_t w_{y_t} ln(p_t^{(y_t)} + ε)."""
+    """Weighted cross-entropy −(1/T) Σ_t w_{y_t} ln(p_t^{(y_t)} + ε), as one
+    op; a label outside 0..C−1 is refused."""
     probabilities = as_tensor(probabilities)
     T, C = probabilities.data.shape
     labels = np.asarray(labels, dtype=np.int64)
@@ -103,7 +111,14 @@ def loss_supervised(probabilities: Tensor, labels, weights, eps: float = 1e-8) -
         raise DimensionError(f"weights shape {weights.shape} != ({C},)")
     if (weights <= 0).any():
         raise TrainingError("class weights must be positive")
+    bad = np.flatnonzero((labels < 0) | (labels >= C))
+    if bad.size:
+        raise TrainingError(f"label {labels[bad[0]]} at row {bad[0]} is outside 0..{C - 1}")
     onehot = np.zeros((T, C))
     onehot[np.arange(T), labels] = weights[labels]
-    picked = mul(log(probabilities + as_tensor(eps)), as_tensor(onehot))
-    return mul(tsum(picked), as_tensor(-1.0 / T))
+    shifted = probabilities.data + eps
+
+    def backward(g):
+        _accum(probabilities, g * (-1.0 / T) * onehot / shifted, fresh=True)
+
+    return _make((np.log(shifted) * onehot).sum() * (-1.0 / T), (probabilities,), backward)

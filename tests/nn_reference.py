@@ -1,16 +1,127 @@
 """Reference tape ops and losses that only tests use.
 
 The model runs fused ops (one per message-passing round, one per LSTM
-layer, the attention readout, the pooled InfoNCE) and averages the raw edge
-features per segment before projecting them. The tests check those against
-compositions of small tape ops; the ops below exist for that composition
-and are gradient-checked in `test_nn_core.py`.
+layer, the attention readout, the projection and each head, each loss) and
+averages the raw edge features per segment before projecting them. The
+tests check those against compositions of small tape ops; the ops below
+exist for that composition and are gradient-checked in `test_nn_core.py`.
+They are called by name: `Tensor` has no operator overloads.
 """
 import numpy as np
 
 from aptstage.graphs import _RELATION_ORDER
-from aptstage.nn import as_tensor, div, exp, gather_rows, log, matmul, mul, sub, transpose, tsum
-from aptstage.nn.tensor import _accum, _make
+from aptstage.nn import as_tensor, gather_rows
+from aptstage.nn.tensor import _accum, _make, _needs_grad
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum an adjoint down to the shape a broadcast input started from."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
+    return g
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data + b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data - b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data * b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def div(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data / b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def matmul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data @ b.data
+
+    def backward(g):
+        # a constant operand's adjoint would be discarded: skip its GEMM
+        if _needs_grad(a):
+            _accum(a, g @ b.data.T, fresh=True)
+        if _needs_grad(b):
+            _accum(b, a.data.T @ g, fresh=True)
+
+    return _make(data, (a, b), backward)
+
+
+def transpose(a):
+    a = as_tensor(a)
+
+    def backward(g):
+        _accum(a, g.T)
+
+    return _make(a.data.T, (a,), backward)
+
+
+def exp(a):
+    a = as_tensor(a)
+    out = np.exp(a.data)
+
+    def backward(g):
+        _accum(a, g * out)
+
+    return _make(out, (a,), backward)
+
+
+def log(a):
+    a = as_tensor(a)
+
+    def backward(g):
+        _accum(a, g / a.data)
+
+    return _make(np.log(a.data), (a,), backward)
+
+
+def tsum(a, axis=None, keepdims: bool = False):
+    a = as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is None:
+            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        else:
+            ge = g if keepdims else np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(ge, a.data.shape).copy())
+
+    return _make(data, (a,), backward)
 
 
 def relu(a):
@@ -148,18 +259,24 @@ def edge_means(graphs, z):
     return mul(segment_sum(gather_rows(z, order), seg[order], n_segs), as_tensor(inv))
 
 
+def linear(x, W, b):
+    """x·Wᵀ + b as matmul, transpose and a broadcast add; the reference for
+    `nn.linear`."""
+    return add(matmul(as_tensor(x), transpose(W)), b)
+
+
 def project_then_average(graphs, X, Z, store):
     """The projection as each edge's z̃ = W_z·z + b_z followed by its segment
     mean; the reference for `encoder.project_packed`, which averages the raw z
     first. X, Z: the packed raw node and edge features. Returns (x̃, z̄)."""
-    Xt = matmul(as_tensor(X), transpose(store.tensor("proj.Wx"))) + store.tensor("proj.bx")
-    Zt = matmul(as_tensor(Z), transpose(store.tensor("proj.Wz"))) + store.tensor("proj.bz")
+    Xt = linear(X, store.tensor("proj.Wx"), store.tensor("proj.bx"))
+    Zt = linear(Z, store.tensor("proj.Wz"), store.tensor("proj.bz"))
     return Xt, edge_means(graphs, Zt)
 
 
 def _row_normalize(v):
     norms = sqrt(tsum(mul(v, v), axis=1, keepdims=True))
-    return div(v, norms + as_tensor(1e-12))
+    return div(v, add(norms, 1e-12))
 
 
 def loss_contrastive(anchors, positives, negatives, tau: float = 0.2):
@@ -177,7 +294,7 @@ def loss_contrastive(anchors, positives, negatives, tau: float = 0.2):
     pos_sim = mul(tsum(mul(na, np_), axis=1), inv_tau)                  # (S,)
     rows = np.repeat(np.arange(S), K)
     neg_sim = mul(tsum(mul(gather_rows(na, rows), nn_), axis=1), inv_tau)  # (S·K,)
-    den = exp(pos_sim) + segment_sum(exp(neg_sim), rows, S)             # (S,)
+    den = add(exp(pos_sim), segment_sum(exp(neg_sim), rows, S))        # (S,)
     return mul(tsum(sub(log(den), pos_sim)), as_tensor(1.0 / S))
 
 
@@ -187,3 +304,27 @@ def block_counts(S: int, K: int) -> np.ndarray:
     counts = np.zeros((S, S * K))
     counts[np.repeat(np.arange(S), K), np.arange(S * K)] = 1.0
     return counts
+
+
+def classify(h, store):
+    """The max-subtracted softmax head as linear, sub, exp, tsum and div; the
+    reference for `estimator.classify`."""
+    logits = linear(h, store.tensor("head.stage.W"), store.tensor("head.stage.b"))
+    ex = exp(sub(logits, logits.data.max(axis=1, keepdims=True)))
+    return div(ex, tsum(ex, axis=1, keepdims=True))
+
+
+def loss_pred(predictions, targets):
+    """(1/n) Σ ‖target − prediction‖² as sub, mul and tsum; the reference for
+    `losses.loss_pred`."""
+    diff = sub(targets, predictions)
+    return mul(tsum(mul(diff, diff)), 1.0 / predictions.data.shape[0])
+
+
+def loss_supervised(probabilities, labels, weights, eps: float = 1e-8):
+    """−(1/T) Σ_t w_{y_t} ln(p_t^{(y_t)} + ε) as add, log, mul and tsum; the
+    reference for `losses.loss_supervised`."""
+    T, C = probabilities.data.shape
+    onehot = np.zeros((T, C))
+    onehot[np.arange(T), labels] = np.asarray(weights)[labels]
+    return mul(tsum(mul(log(add(probabilities, eps)), onehot)), -1.0 / T)

@@ -57,8 +57,6 @@ from aptstage.nn import (
     finite_diff_check,
     gather_rows,
     init_params,
-    mul,
-    tsum,
 )
 from aptstage.telemetry import HostEvent, NetworkAlert
 from aptstage.training import (
@@ -74,7 +72,7 @@ from aptstage.training import (
 )
 
 from graph_helpers import make_graph
-from nn_reference import block_counts
+from nn_reference import add, block_counts, mul, tsum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -296,7 +294,7 @@ def test_criterion_3_gradient_suite():
         target = gather_rows(g_seq, anchor_rows + 1)
         counts = np.zeros((6, 9))
         counts[:, :3] = 1.0  # windows 0-2 are every anchor's negatives
-        return loss_pred(ghat, target) + loss_contrastive_pooled(ghat, target, enc.g, counts)
+        return add(loss_pred(ghat, target), loss_contrastive_pooled(ghat, target, enc.g, counts))
 
     err_c = finite_diff_check(ssl_loss, full_store, max_coords=200, rng_seed=2)
     assert err_c < 1e-4, f"joint SSL gradient error {err_c:.3e}"

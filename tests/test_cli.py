@@ -150,6 +150,21 @@ def test_exit_code_labels_miss_a_window(pipeline, tmp_path, capsys):
     assert "but 6 graphs exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage_id,message", [
+    ("9", "stage_id 9 is outside 0..6"),
+    ("-1", "stage_id -1 is outside 0..6"),
+    ("2.5", "stage_id '2.5' must be integers"),
+])
+def test_exit_code_label_value_refused(pipeline, tmp_path, capsys, stage_id, message):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    lines = (workdir / "labels.csv").read_text().splitlines(keepends=True)
+    lines[3] = lines[3].split(",")[0] + "," + stage_id + "\n"
+    (workdir / "labels.csv").write_text("".join(lines))
+    assert run("finetune", "--config", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "labels.csv: line 4: " in err and message in err
+
+
 def test_exit_code_feature_spec_widths_differ(pipeline, tmp_path, capsys):
     workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
     spec = json.loads((workdir / "feature_spec.json").read_text())
@@ -180,6 +195,14 @@ def test_exit_code_checkpoint_meta_mismatch(pipeline, tmp_path, capsys, key, mes
     (workdir / "pretrain_ckpt.npz.meta.json").unlink()  # only the embedded hash remains
     assert run("finetune", "--config", cfg_path) == 3
     assert message in capsys.readouterr().err
+
+
+def test_exit_code_truncated_checkpoint(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    ckpt = workdir / "pretrain_ckpt.npz"
+    ckpt.write_bytes(ckpt.read_bytes()[:1000])
+    assert run("finetune", "--config", cfg_path) == 3
+    assert "pretrain_ckpt.npz' is unreadable" in capsys.readouterr().err
 
 
 def test_infer_exit_code_on_non_finite_checkpoint(pipeline, tmp_path):

@@ -30,16 +30,24 @@ from aptstage.nn import (
     finite_diff_check,
     gather_rows,
     init_params,
-    matmul,
-    mul,
-    transpose,
-    tsum,
 )
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 
 from graph_helpers import make_graph
 from nn_reference import attention_readout as reference_readout
-from nn_reference import concat, edge_means, packed_edges, project_then_average, relu, segment_sum
+from nn_reference import (
+    add,
+    concat,
+    edge_means,
+    matmul,
+    mul,
+    packed_edges,
+    project_then_average,
+    relu,
+    segment_sum,
+    transpose,
+    tsum,
+)
 
 D_X, D_E, D_H, D_G = 4, 3, 5, 6
 
@@ -276,7 +284,7 @@ def reference_message_passing(graphs, h, z, weights):
         inv = (1.0 / np.maximum(counts, 1)).reshape(-1, 1)
         m_in = concat([gather_rows(h, src), gather_rows(z, zrow)], axis=1)
         summed = segment_sum(matmul(m_in, transpose(weights[rel])), dst, n)
-        total = total + mul(summed, as_tensor(inv))
+        total = add(total, mul(summed, inv))
     return relu(total)
 
 

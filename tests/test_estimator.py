@@ -12,7 +12,7 @@ from aptstage.estimator import (
     recurrent_forward,
 )
 from aptstage import nn
-from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params, mul, tsum
+from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params
 
 import nn_reference as ref
 
@@ -154,13 +154,14 @@ def test_input_width_mismatch():
 
 
 def _cell_step(x_t, h_prev, c_prev, Wih, Whh, b, H):
-    gates = nn.matmul(x_t, nn.transpose(Wih)) + nn.matmul(h_prev, nn.transpose(Whh)) + b
+    gates = ref.add(ref.add(ref.matmul(x_t, ref.transpose(Wih)),
+                            ref.matmul(h_prev, ref.transpose(Whh))), b)
     i = ref.sigmoid(ref.slice_cols(gates, 0, H))
     f = ref.sigmoid(ref.slice_cols(gates, H, 2 * H))
     g = ref.tanh(ref.slice_cols(gates, 2 * H, 3 * H))
     o = ref.sigmoid(ref.slice_cols(gates, 3 * H, 4 * H))
-    c = mul(f, c_prev) + mul(i, g)
-    h = mul(o, ref.tanh(c))
+    c = ref.add(ref.mul(f, c_prev), ref.mul(i, g))
+    h = ref.mul(o, ref.tanh(c))
     return h, c
 
 
@@ -182,7 +183,7 @@ def reference_recurrent_forward(x, store, cfg, mode="eval", dropout_seed=0, batc
         outs = []
         for t in range(T):
             h, c = _cell_step(nn.gather_rows(layer_in, step_index + t), h, c, Wih, Whh, b, H)
-            outs.append(mul(h, as_tensor(masks[layer, t]))
+            outs.append(ref.mul(h, masks[layer, t])
                         if masks is not None and layer < cfg.layers - 1 else h)
         stacked = ref.concat(outs, axis=0)  # step-major: row t*batch + b
         perm = (np.arange(T)[None, :] * batch + np.arange(batch)[:, None]).ravel()
@@ -211,7 +212,7 @@ def test_fused_layer_matches_per_step_reference(rng, batch, T):
     for forward in (recurrent_forward, reference_recurrent_forward):
         store.zero_grad()
         h = forward(store.tensor("x"), store, cfg, mode="train", dropout_seed=5, batch=batch)
-        tsum(mul(h, as_tensor(probe))).backward()
+        ref.tsum(ref.mul(h, probe)).backward()
         results.append((h.data, {n: store.tensor(n).grad.copy() for n in store.names()}))
     (got, got_grads), (want, want_grads) = results
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -228,7 +229,7 @@ def test_train_mode_gradients_match_finite_differences(rng):
     def loss(st):
         h = recurrent_forward(st.tensor("x"), st, cfg, mode="train", dropout_seed=9,
                               batch=batch)
-        return tsum(mul(h, as_tensor(probe)))
+        return ref.tsum(ref.mul(h, probe))
 
     n_coords = sum(store.tensor(n).data.size for n in store.names())
     assert finite_diff_check(loss, store, max_coords=n_coords) < 1e-5

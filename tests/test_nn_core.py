@@ -1,9 +1,12 @@
 """Autodiff, parameter registry, optimizer, and checkpoint tests."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aptstage.errors import CompatibilityError, ParamRegistryError
+from aptstage.estimator import classify
 from aptstage.nn import (
     AdamState,
     ParamStore,
@@ -11,20 +14,35 @@ from aptstage.nn import (
     adam_step,
     as_tensor,
     clip_gradients,
-    exp,
     finite_diff_check,
     gather_rows,
     init_params,
+    linear,
     load_checkpoint,
+    save_checkpoint,
+    weighted_sum,
+)
+from aptstage.training import loss_pred, loss_supervised
+
+import nn_reference as ref
+from nn_reference import (
+    add,
+    concat,
+    div,
+    exp,
     log,
     matmul,
     mul,
-    save_checkpoint,
+    relu,
+    segment_sum,
+    sigmoid,
+    slice_cols,
+    sqrt,
+    sub,
+    tanh,
     transpose,
     tsum,
 )
-
-from nn_reference import concat, relu, segment_sum, sigmoid, slice_cols, sqrt, tanh
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -53,16 +71,16 @@ def check_op(build, x0, tol=1e-6):
 
 
 @pytest.mark.parametrize("op", [
-    lambda t: t * t + t,
-    lambda t: t - 2.0 * t,
-    lambda t: t / (as_tensor(2.0) + as_tensor(0.0)),
+    lambda t: add(mul(t, t), t),
+    lambda t: sub(t, mul(2.0, t)),
+    lambda t: div(t, add(2.0, 0.0)),
     lambda t: relu(t),
     lambda t: tanh(t),
     lambda t: sigmoid(t),
     lambda t: exp(t),
     lambda t: transpose(t),
-    lambda t: t @ as_tensor(np.arange(6.0).reshape(3, 2)),
-    lambda t: concat([t, t * 3.0], axis=1),
+    lambda t: matmul(t, np.arange(6.0).reshape(3, 2)),
+    lambda t: concat([t, mul(t, 3.0)], axis=1),
     lambda t: slice_cols(t, 1, 3),
     lambda t: gather_rows(t, [1, 1, 0]),
 ])
@@ -80,7 +98,7 @@ def test_broadcast_grad(rng):
     # (2,3) + (1,3) broadcasting must unbroadcast adjoints correctly
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-    tsum((a + b) * (a + b)).backward()
+    tsum(mul(add(a, b), add(a, b))).backward()
     assert b.grad.shape == (1, 3)
     assert np.allclose(b.grad, (2 * (a.data + b.data)).sum(axis=0, keepdims=True))
 
@@ -88,7 +106,7 @@ def test_broadcast_grad(rng):
 def test_tsum_axis_keepdims(rng):
     x = rng.normal(size=(3, 4))
     t = Tensor(x, requires_grad=True)
-    out = tsum(tsum(t, axis=1, keepdims=True) * 2.0)
+    out = tsum(mul(tsum(t, axis=1, keepdims=True), 2.0))
     out.backward()
     assert np.allclose(t.grad, 2.0 * np.ones_like(x))
 
@@ -103,7 +121,7 @@ def test_segment_sum_values_and_empty_segments():
     expect[2] = x[2]
     expect[4] = x[3]
     assert np.array_equal(out.data, expect)
-    tsum(out * out).backward()
+    tsum(mul(out, out)).backward()
     assert np.allclose(t.grad, 2.0 * expect[[1, 1, 2, 4]])
 
 
@@ -119,13 +137,76 @@ def test_segment_sum_matches_bincount(segs):
 def test_backward_requires_scalar():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        (t * 2.0).backward()
+        mul(t, 2.0).backward()
 
 
 def test_gather_rows_accumulates_duplicates():
     t = Tensor(np.ones((3, 2)), requires_grad=True)
     tsum(gather_rows(t, [0, 0, 2])).backward()
     assert np.array_equal(t.grad, np.array([[2.0, 2], [0, 0], [1, 1]]))
+
+
+# ------------------------------------- fused ops against their references
+
+
+def _terms(st):
+    """(λ, scalar term) pairs over a store with "u" and "v", for `weighted_sum`."""
+    return [(0.7, tsum(mul(st.tensor("u"), st.tensor("u")))), (-1.3, tsum(st.tensor("v")))]
+
+
+_LABELS, _WEIGHTS = np.array([0, 6, 3, 3, 1]), np.linspace(0.5, 2.0, 7)
+
+# name -> (parameter shapes, fused op, reference composition), each a
+# function of the store; "p" holds probabilities, so it is drawn positive
+FUSED = {
+    "linear": ({"x": (5, 4), "W": (3, 4), "b": (3,)},
+               lambda st: linear(st.tensor("x"), st.tensor("W"), st.tensor("b")),
+               lambda st: ref.linear(st.tensor("x"), st.tensor("W"), st.tensor("b"))),
+    "classify": ({"h": (5, 4), "head.stage.W": (7, 4), "head.stage.b": (7,)},
+                 lambda st: classify(st.tensor("h"), st),
+                 lambda st: ref.classify(st.tensor("h"), st)),
+    "loss_pred": ({"pred": (4, 3), "target": (4, 3)},
+                  lambda st: loss_pred(st.tensor("pred"), st.tensor("target")),
+                  lambda st: ref.loss_pred(st.tensor("pred"), st.tensor("target"))),
+    "loss_supervised": ({"p": (5, 7)},
+                        lambda st: loss_supervised(st.tensor("p"), _LABELS, _WEIGHTS),
+                        lambda st: ref.loss_supervised(st.tensor("p"), _LABELS, _WEIGHTS)),
+    "weighted_sum": ({"u": (3,), "v": (2,)},
+                     lambda st: weighted_sum(_terms(st)),
+                     lambda st: add(*(mul(lam, t) for lam, t in _terms(st)))),
+}
+
+
+def _fused_case(name, seed=0):
+    shapes, fused, reference = FUSED[name]
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for pname, shape in shapes.items():
+        store.add(pname, rng.uniform(0.05, 1.0, size=shape) if pname == "p"
+                  else rng.normal(size=shape))
+    probe = rng.normal(size=fused(store).data.shape)
+    return store, probe, fused, reference
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_reference_composition(name):
+    store, probe, fused, reference = _fused_case(name)
+    results = []
+    for op in (fused, reference):
+        store.zero_grad()
+        out = op(store)
+        tsum(mul(out, probe)).backward()
+        results.append((out.data, {n: store.tensor(n).grad.copy() for n in store.names()}))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for pname in store.names():
+        assert np.max(np.abs(got_grads[pname] - want_grads[pname])) <= 1e-12, pname
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_gradients_match_finite_differences(name):
+    store, probe, fused, _ = _fused_case(name, seed=1)
+    assert finite_diff_check(lambda st: tsum(mul(fused(st), probe)), store) < 1e-6
 
 
 # ---------------------------------------------------------------- params
@@ -227,7 +308,7 @@ def test_finite_diff_check_passes_on_quadratic():
 
     def loss(s):
         w = s.tensor("w")
-        return tsum(w * w * 0.5)
+        return tsum(mul(mul(w, w), 0.5))
 
     assert finite_diff_check(loss, store) < 1e-6
 
@@ -260,3 +341,44 @@ def test_checkpoint_version_mismatch_refused(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(CompatibilityError):
         load_checkpoint(path)
+
+
+def _rewrite(edit):
+    """Damage that rewrites the archive after `edit` changes its arrays."""
+    def damage(path):
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: path.write_bytes(path.read_bytes()[:-40]),
+    lambda path: path.write_text("not a zip archive"),
+    _rewrite(lambda arrays: arrays.pop("__meta__")),
+    _rewrite(lambda arrays: arrays.pop("param/w")),
+    _rewrite(lambda arrays: arrays.update(
+        __meta__=np.frombuffer(b'{"format_version": 1,', dtype=np.uint8))),
+], ids=["truncated", "not-a-zip", "no-meta", "no-param", "bad-meta-json"])
+def test_unreadable_checkpoint_refused_naming_the_path(tmp_path, damage):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, init_params([("w", (4, 3)), ("b", (4,))], seed=3), {})
+    damage(path)
+    with pytest.raises(CompatibilityError, match=re.escape(f"checkpoint '{path}' is unreadable")):
+        load_checkpoint(path)
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, init_params([("w", (2, 2))], seed=0), {"tag": "old"})
+
+    def savez_fails_midway(fh, **arrays):
+        fh.write(b"PK")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_fails_midway)
+    with pytest.raises(OSError):
+        save_checkpoint(path, init_params([("w", (2, 2))], seed=1), {"tag": "new"})
+    assert load_checkpoint(path)[1]["tag"] == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]

@@ -10,7 +10,7 @@ from aptstage.errors import DimensionError, TrainingError
 from aptstage.features import fit_vocab_and_stats
 from aptstage.graphs import Edge, Node, NodeKind, Relation, build_graph_sequence
 from aptstage.model import ModelConfig, build_param_store
-from aptstage.nn import AdamState, ParamStore, finite_diff_check, gather_rows, tsum
+from aptstage.nn import AdamState, ParamStore, finite_diff_check, gather_rows
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 from aptstage.training import (
     FinetuneConfig,
@@ -30,7 +30,7 @@ from aptstage.training import (
 from aptstage.training import loops
 
 from graph_helpers import make_graph
-from nn_reference import block_counts, loss_contrastive, sqrt
+from nn_reference import add, block_counts, loss_contrastive, mul, sqrt, tsum
 
 # ---------------------------------------------------------------- loss_pred
 
@@ -152,7 +152,7 @@ def test_fused_contrastive_matches_gathered_reference(rng):
             a, p, pool = (store.tensor(n) for n in ("anchors", "positives", "pool"))
             loss = (loss_contrastive_pooled(a, p, pool, counts, tau=tau) if pooled else
                     loss_contrastive(a, p, gather_rows(pool, draw.ravel()), tau=tau))
-            (loss * 1.7).backward()
+            mul(loss, 1.7).backward()
             results.append((float(loss.data),
                             {n: store.tensor(n).grad.copy() for n in store.names()}))
         (got, got_grads), (want, want_grads) = results
@@ -229,6 +229,13 @@ def test_supervised_errors():
         loss_supervised(p, [0, 1], np.ones(5))
     with pytest.raises(TrainingError):
         loss_supervised(p, [0, 1], np.zeros(7))
+
+
+@pytest.mark.parametrize("label", [-1, 7])
+def test_supervised_refuses_a_label_outside_the_classes(label):
+    # fancy indexing would read a -1 as class 6
+    with pytest.raises(TrainingError, match=f"label {label} at row 1 is outside 0..6"):
+        loss_supervised(np.full((2, 7), 1.0 / 7.0), [0, label], np.ones(7))
 
 
 # ---------------------------------------------------------------- weights
@@ -401,18 +408,37 @@ def test_pretrain_on_a_trace_with_an_empty_window():
     assert all(math.isfinite(row[k]) for row in log for k in ("loss_pred", "loss_ctr", "loss_ssl"))
 
 
-def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
-    # one optimizer step's tape: parameters and inputs, one op per encoder
-    # round, readout, LSTM layer and InfoNCE, and the glue between them
-    traces = campaign_traces()
-    assert {r for tr in traces for w in tr.windows for r in w.graph.edge_index[0]} == \
-        set(range(len(Relation)))  # every relation weight joins the tape
+def _count_step_tapes(monkeypatch, tape_nodes):
+    """Wrap `loops._optimizer_step` to record each step's tape size."""
     counted = []
     step = loops._optimizer_step
     monkeypatch.setattr(loops, "_optimizer_step",
                         lambda loss, *args: counted.append(tape_nodes(loss)) or step(loss, *args))
+    return counted
+
+
+def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
+    # one optimizer step's tape: parameters and inputs, one op per encoder
+    # round, readout, LSTM layer, projection, head and loss, and the
+    # gathers and weighted sum between them
+    traces = campaign_traces()
+    assert {r for tr in traces for w in tr.windows for r in w.graph.edge_index[0]} == \
+        set(range(len(Relation)))  # every relation weight joins the tape
+    counted = _count_step_tapes(monkeypatch, tape_nodes)
     pretrain(traces, build_param_store(MCFG), MCFG, PretrainConfig(epochs=1, negatives=4))
-    assert counted == [75]
+    assert counted == [61]
+
+
+def test_finetune_step_tape_nodes(rng, monkeypatch, tape_nodes):
+    # phase 1 starts from cached embeddings: both LSTM layers, the classifier
+    # head and the loss; phase 2 adds the encoder's projection, rounds and
+    # readout, and the gathers of the packed windows
+    counted = _count_step_tapes(monkeypatch, tape_nodes)
+    finetune(corpus(rng), build_param_store(MCFG), MCFG,
+             FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2,
+                            curriculum_start=6, curriculum_end=6),
+             val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
+    assert counted == [13, 13, 36, 36]
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
@@ -526,7 +552,7 @@ def test_non_finite_gradient_names_the_parameter():
     store = ParamStore()
     b = store.add("b", np.array([2.0]))
     a = store.add("a", np.array([1.0, 0.0]))
-    loss = tsum(sqrt(a)) + tsum(b * b)  # finite, but d sqrt(a)/da is inf at a = 0
+    loss = add(tsum(sqrt(a)), tsum(mul(b, b)))  # finite, but d sqrt(a)/da is inf at a = 0
     with np.errstate(divide="ignore"), \
             pytest.raises(TrainingError, match="non-finite gradient at step 3: a$"):
         loops._optimizer_step(loss, store, AdamState(), 1e-3, 0.0, 5.0, frozenset(), "step 3")
