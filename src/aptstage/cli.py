@@ -95,6 +95,22 @@ def _write_sidecar(path: str, cfg: PipelineConfig, stage: str, extra: dict | Non
         fh.write("\n")
 
 
+def _recorded_config_hash(path: str, embedded: bool) -> str:
+    """The config hash in an artifact's embedded `meta` or in its sidecar. A
+    file that is not a JSON object or records no hash is a compatibility
+    error naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        recorded = (doc["meta"] if embedded else doc)["config_hash"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CompatibilityError(
+            f"{path!r} records no config hash: {type(exc).__name__}: {exc}") from None
+    if not isinstance(recorded, str):
+        raise CompatibilityError(f"{path!r} records no config hash: {recorded!r}")
+    return recorded
+
+
 def _require(path: str, cfg: PipelineConfig, producer_stage: str,
              embedded: bool = False) -> None:
     """Fail with a dependency error if the artifact is absent, or a
@@ -104,12 +120,9 @@ def _require(path: str, cfg: PipelineConfig, producer_stage: str,
             f"missing artifact {path!r}; run the {producer_stage!r} stage first")
     recorded = None
     if embedded:
-        with open(path) as fh:
-            doc = json.load(fh)
-        recorded = (doc.get("meta") or {}).get("config_hash")
+        recorded = _recorded_config_hash(path, embedded=True)
     elif os.path.exists(_sidecar_path(path)):
-        with open(_sidecar_path(path)) as fh:
-            recorded = json.load(fh).get("config_hash")
+        recorded = _recorded_config_hash(_sidecar_path(path), embedded=False)
     if recorded is not None and recorded != cfg.config_hash():
         raise CompatibilityError(
             f"artifact {path!r} was produced by config hash {recorded[:12]}…, "
@@ -136,7 +149,7 @@ def _load_graphs(cfg: PipelineConfig):
 def _load_labels(cfg: PipelineConfig, n_windows: int):
     path = cfg.path(ARTIFACTS["labels"])
     _require(path, cfg, "generate")
-    labels = {}
+    labels, line_of = {}, {}
     n_classes = cfg.model.num_classes
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -149,7 +162,10 @@ def _load_labels(cfg: PipelineConfig, n_windows: int):
                                  f"stage_id {row.get('stage_id')!r} must be integers") from None
             if not 0 <= stage < n_classes:
                 raise InputError(f"{where}: stage_id {stage} is outside 0..{n_classes - 1}")
-            labels[index] = stage
+            if index in line_of:
+                raise InputError(f"{path}: window_index {index} appears on line "
+                                 f"{line_of[index]} and on line {reader.line_num}")
+            labels[index], line_of[index] = stage, reader.line_num
     if sorted(labels) != list(range(n_windows)):
         raise InputError(
             f"labels cover windows {min(labels, default=0)}..{max(labels, default=0)} "

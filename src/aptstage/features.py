@@ -322,21 +322,28 @@ def save_feature_spec(path, vocab, stats, config, meta: dict | None = None) -> s
 
 
 def load_feature_spec(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != FEATURE_SPEC_VERSION:
-        raise CompatibilityError(
-            f"feature spec version {payload.get('version')} != {FEATURE_SPEC_VERSION}"
+    """(vocab, stats, config, spec_hash) of a saved feature spec. A file that
+    is not JSON or lacks a field read here raises CompatibilityError naming
+    the path."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("version") != FEATURE_SPEC_VERSION:
+            raise CompatibilityError(
+                f"feature spec version {payload.get('version')} != {FEATURE_SPEC_VERSION}"
+            )
+        config = FeaturizerConfig(**payload["config"])
+        tokens = payload["vocab"]["tokens"]
+        vocab = FeatureVocab(
+            token_index={tok: col for col, tok in enumerate(tokens)},
+            idf=np.array(payload["vocab"]["idf"]),
+            d_cmd=config.d_cmd,
         )
-    config = FeaturizerConfig(**payload["config"])
-    tokens = payload["vocab"]["tokens"]
-    vocab = FeatureVocab(
-        token_index={tok: col for col, tok in enumerate(tokens)},
-        idf=np.array(payload["vocab"]["idf"]),
-        d_cmd=config.d_cmd,
-    )
-    stats = ZScoreStats(
-        mean=np.array(payload["stats"]["mean"]),
-        std=np.array(payload["stats"]["std"]),
-    )
-    return vocab, stats, config, payload["spec_hash"]
+        stats = ZScoreStats(
+            mean=np.array(payload["stats"]["mean"]),
+            std=np.array(payload["stats"]["std"]),
+        )
+        return vocab, stats, config, payload["spec_hash"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CompatibilityError(
+            f"feature spec {str(path)!r} is unreadable: {type(exc).__name__}: {exc}") from None

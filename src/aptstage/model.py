@@ -55,13 +55,9 @@ class ModelConfig:
         )
 
 
-# parameter-name prefixes frozen in fine-tuning phase 1
+# parameter-name prefixes frozen in fine-tuning phase 1 (the encoder's, optionally, in pretraining)
 FREEZE_LOWER_RECURRENT = ("lstm.L0.",)
 FREEZE_ENCODER = ("enc.", "proj.")
-
-
-def frozen_names(store: ParamStore, prefixes) -> frozenset:
-    return frozenset(n for n in store.names() if n.startswith(tuple(prefixes)))
 
 
 def build_param_store(cfg: ModelConfig) -> ParamStore:

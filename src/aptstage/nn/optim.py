@@ -20,8 +20,10 @@ class AdamState:
 
 def clip_gradients(store: ParamStore, max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
-    Returns the applied scale (1.0 when already within bounds). A non-finite
-    norm leaves the gradients as they are and returns nan."""
+    Frozen parameters are off the tape and get no gradient, so they do not
+    count toward the norm. Returns the applied scale (1.0 when already within
+    bounds). A non-finite norm leaves the gradients as they are and returns
+    nan."""
     total = 0.0
     for name in store.names():
         t = store.tensor(name)
@@ -40,24 +42,18 @@ def clip_gradients(store: ParamStore, max_norm: float = 5.0) -> float:
     return scale
 
 
-def adam_step(
-    store: ParamStore,
-    state: AdamState,
-    lr: float,
-    weight_decay: float = 1e-5,
-    frozen: frozenset = frozenset(),
-) -> None:
+def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: float = 1e-5) -> None:
     """Decoupled weight decay (theta -= lr*wd*theta) followed by the
-    bias-corrected Adam update. Frozen parameters are skipped entirely:
-    no decay, no moment update."""
+    bias-corrected Adam update, for each parameter with requires_grad on; one
+    without a gradient takes a zero gradient. Frozen ones stay untouched."""
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name in store.names():
-        if name in frozen:
-            continue
         t = store.tensor(name)
+        if not t.requires_grad:
+            continue
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
         if weight_decay:
             t.data -= lr * weight_decay * t.data
@@ -69,6 +65,4 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        t.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

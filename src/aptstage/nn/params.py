@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .tensor import DTYPE, Tensor
 
 class ParamStore:
     """Holds named leaf tensors. The optimizer mutates .data in place; the
-    autodiff tape writes gradients into .grad."""
+    autodiff tape writes gradients into .grad of those with requires_grad on."""
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
@@ -33,15 +34,25 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._tensors)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __len__(self) -> int:
         return len(self._tensors)
 
     @property
     def params(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self._tensors.items()}
+
+    @contextmanager
+    def frozen(self, prefixes):
+        """Parameters named with one of `prefixes` are constants in the block:
+        requires_grad off, so no tape, gradient or Adam update; on again after."""
+        ts = [t for n, t in self._tensors.items() if n.startswith(tuple(prefixes)) and t.requires_grad]
+        for t in ts:
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t in ts:
+                t.requires_grad = True
 
     def zero_grad(self) -> None:
         for t in self._tensors.values():

@@ -24,7 +24,6 @@ from ..model import (
     FREEZE_LOWER_RECURRENT,
     ModelConfig,
     encode_windows,
-    frozen_names,
     infer_probabilities,
 )
 from ..nn import AdamState, adam_step, as_tensor, clip_gradients, gather_rows, no_grad, weighted_sum
@@ -199,7 +198,7 @@ def _batch_forward(batch, traces, cache, store, mcfg: ModelConfig, dropout_seed:
 
 
 def _optimizer_step(loss, store, adam: AdamState, lr: float, weight_decay: float,
-                    clip: float, frozen, where: str) -> None:
+                    clip: float, where: str) -> None:
     """zero_grad, backward, global-norm clip and Adam. A non-finite loss or
     gradient norm stops training before Adam sees it; the error names the
     first parameter whose gradient is non-finite."""
@@ -212,7 +211,7 @@ def _optimizer_step(loss, store, adam: AdamState, lr: float, weight_decay: float
                and not np.isfinite(store.tensor(n).grad).all()]
         raise TrainingError(f"non-finite gradient at {where}: "
                             + (bad[0] if bad else "the global norm overflows"))
-    adam_step(store, adam, lr=lr, weight_decay=weight_decay, frozen=frozen)
+    adam_step(store, adam, lr=lr, weight_decay=weight_decay)
 
 
 def _embedding_cache(traces, store, mcfg: ModelConfig):
@@ -245,7 +244,6 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
     if not items:
         raise TrainingError("pretraining corpus has no usable sequences (need >= 2 windows)")
 
-    frozen = frozenset() if cfg.train_encoder else frozen_names(store, FREEZE_ENCODER)
     cache = None if cfg.train_encoder else _embedding_cache(traces, store, mcfg)
     adam = AdamState()
     result = PretrainResult()
@@ -275,27 +273,28 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
         l_ctr = loss_contrastive_pooled(ghat, g_target, g_all, counts, tau=cfg.tau)
 
         loss = weighted_sum([(cfg.lambda_pred, l_pred), (cfg.lambda_ctr, l_ctr)])
-        _optimizer_step(loss, store, adam, cfg.lr, cfg.weight_decay, cfg.clip, frozen,
+        _optimizer_step(loss, store, adam, cfg.lr, cfg.weight_decay, cfg.clip,
                         f"pretrain epoch {epoch} batch {bi}")
         return float(l_pred.data), float(l_ctr.data), S
 
-    for epoch in range(1, cfg.epochs + 1):
-        rng = _derive_seed(cfg.seed, 11, epoch)
-        sum_pred = sum_ctr = 0.0
-        n_anchors = 0
-        for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
-            l_pred, l_ctr, S = train_batch(batch, epoch, bi)
-            sum_pred += l_pred * S
-            sum_ctr += l_ctr * S
-            n_anchors += S
-        mean_pred = sum_pred / n_anchors
-        mean_ctr = sum_ctr / n_anchors
-        result.loss_log.append({
-            "epoch": epoch,
-            "loss_pred": mean_pred,
-            "loss_ctr": mean_ctr,
-            "loss_ssl": cfg.lambda_pred * mean_pred + cfg.lambda_ctr * mean_ctr,
-        })
+    with store.frozen(() if cfg.train_encoder else FREEZE_ENCODER):
+        for epoch in range(1, cfg.epochs + 1):
+            rng = _derive_seed(cfg.seed, 11, epoch)
+            sum_pred = sum_ctr = 0.0
+            n_anchors = 0
+            for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
+                l_pred, l_ctr, S = train_batch(batch, epoch, bi)
+                sum_pred += l_pred * S
+                sum_ctr += l_ctr * S
+                n_anchors += S
+            mean_pred = sum_pred / n_anchors
+            mean_ctr = sum_ctr / n_anchors
+            result.loss_log.append({
+                "epoch": epoch,
+                "loss_pred": mean_pred,
+                "loss_ctr": mean_ctr,
+                "loss_ssl": cfg.lambda_pred * mean_pred + cfg.lambda_ctr * mean_ctr,
+            })
     return result
 
 
@@ -372,7 +371,7 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
     weights = class_weights(labels, num_classes=mcfg.num_classes)
     result = FinetuneResult(class_weights=weights)
 
-    def train_batch(batch, cache, adam, lr, frozen, phase: str, pi: int, epoch: int, bi: int):
+    def train_batch(batch, cache, adam, lr, phase: str, pi: int, epoch: int, bi: int):
         """One optimizer step; returns (summed L_sup, rows) as plain numbers
         so no tape outlives the step."""
         _, _, _, h = _batch_forward(batch, train_traces, cache, store, mcfg,
@@ -381,53 +380,53 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
         y = np.array([train_traces[ti].windows[s + t].label
                       for ti, s, L in batch for t in range(L)], dtype=np.int64)
         l_sup = loss_supervised(p, y, weights, eps=cfg.eps)
-        _optimizer_step(l_sup, store, adam, lr, cfg.weight_decay, cfg.clip, frozen,
+        _optimizer_step(l_sup, store, adam, lr, cfg.weight_decay, cfg.clip,
                         f"{phase} epoch {epoch} batch {bi}")
         return float(l_sup.data) * y.shape[0], y.shape[0]
 
-    phases = (
-        ("phase1", cfg.phase1_epochs, cfg.phase1_lr,
-         frozen_names(store, FREEZE_LOWER_RECURRENT + FREEZE_ENCODER)),
-        ("phase2", cfg.phase2_epochs, cfg.phase2_lr, frozenset()),
+    phases = (  # (name, epochs, learning rate, frozen parameter-name prefixes)
+        ("phase1", cfg.phase1_epochs, cfg.phase1_lr, FREEZE_LOWER_RECURRENT + FREEZE_ENCODER),
+        ("phase2", cfg.phase2_epochs, cfg.phase2_lr, ()),
     )
     for pi, (phase, epochs, lr, frozen) in enumerate(phases):
-        cache = _embedding_cache(train_traces, store, mcfg) if frozen else None
-        adam = AdamState()
-        best_f1 = -np.inf
-        best_snap = store.snapshot()
-        bad = 0
-        for epoch in range(1, epochs + 1):
-            seq_len = curriculum_length(cfg.curriculum_start, cfg.curriculum_end,
-                                        epoch, epochs)
-            items = _subsequences(train_traces, seq_len, min_len=1)
-            if not items:
-                raise TrainingError("no training subsequences")
-            rng = _derive_seed(cfg.seed, 19 + pi, epoch)
-            sum_loss = 0.0
-            n_rows = 0
-            for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
-                loss, rows = train_batch(batch, cache, adam, lr, frozen, phase, pi, epoch, bi)
-                sum_loss += loss
-                n_rows += rows
+        with store.frozen(frozen):
+            cache = _embedding_cache(train_traces, store, mcfg) if frozen else None
+            adam = AdamState()
+            best_f1 = -np.inf
+            best_snap = store.snapshot()
+            bad = 0
+            for epoch in range(1, epochs + 1):
+                seq_len = curriculum_length(cfg.curriculum_start, cfg.curriculum_end,
+                                            epoch, epochs)
+                items = _subsequences(train_traces, seq_len, min_len=1)
+                if not items:
+                    raise TrainingError("no training subsequences")
+                rng = _derive_seed(cfg.seed, 19 + pi, epoch)
+                sum_loss = 0.0
+                n_rows = 0
+                for bi, batch in enumerate(_batches(items, cfg.batch, rng)):
+                    loss, rows = train_batch(batch, cache, adam, lr, phase, pi, epoch, bi)
+                    sum_loss += loss
+                    n_rows += rows
 
-            if val_metric_fn is not None:
-                val_f1 = float(val_metric_fn(store, phase, epoch))
-            else:
-                val_f1 = _validation_macro_f1(val_traces, store, mcfg)
-            result.metric_log.append({
-                "phase": phase,
-                "epoch": epoch,
-                "seq_len": seq_len,
-                "loss_sup": sum_loss / max(1, n_rows),
-                "val_f1": val_f1,
-            })
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best_snap = store.snapshot()
-                bad = 0
-            else:
-                bad += 1
-                if bad >= cfg.patience:
-                    break
-        store.set_values(best_snap)
+                if val_metric_fn is not None:
+                    val_f1 = float(val_metric_fn(store, phase, epoch))
+                else:
+                    val_f1 = _validation_macro_f1(val_traces, store, mcfg)
+                result.metric_log.append({
+                    "phase": phase,
+                    "epoch": epoch,
+                    "seq_len": seq_len,
+                    "loss_sup": sum_loss / max(1, n_rows),
+                    "val_f1": val_f1,
+                })
+                if val_f1 > best_f1:
+                    best_f1 = val_f1
+                    best_snap = store.snapshot()
+                    bad = 0
+                else:
+                    bad += 1
+                    if bad >= cfg.patience:
+                        break
+            store.set_values(best_snap)
     return result

@@ -165,6 +165,42 @@ def test_exit_code_label_value_refused(pipeline, tmp_path, capsys, stage_id, mes
     assert "labels.csv: line 4: " in err and message in err
 
 
+def test_exit_code_label_window_named_twice(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    with open(workdir / "labels.csv", "a") as fh:
+        fh.write("1,6\n")  # line 8; window 1 is on line 3
+    assert run("finetune", "--config", cfg_path) == 2
+    assert "labels.csv: window_index 1 appears on line 3 and on line 8" in capsys.readouterr().err
+
+
+def _without(key):
+    def edit(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+    return edit
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize("artifact,edit,stage", [
+    pytest.param("feature_spec.json", _truncated, "finetune", id="spec-not-json"),
+    pytest.param("feature_spec.json", _without("stats"), "pretrain", id="spec-without-stats"),
+    pytest.param("feature_spec.json", _without("meta"), "infer", id="spec-without-meta"),
+    pytest.param("graphs.jsonl.meta.json", _truncated, "fit-features", id="sidecar-not-json"),
+    pytest.param("graphs.jsonl.meta.json", _without("config_hash"), "fit-features",
+                 id="sidecar-without-config-hash"),
+])
+def test_exit_code_unreadable_json_artifact(pipeline, tmp_path, capsys, artifact, edit, stage):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    path = workdir / artifact
+    path.write_text(edit(path.read_text()))
+    assert run(stage, "--config", cfg_path) == 3
+    assert f"{path}'" in capsys.readouterr().err
+
+
 def test_exit_code_feature_spec_widths_differ(pipeline, tmp_path, capsys):
     workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
     spec = json.loads((workdir / "feature_spec.json").read_text())

@@ -14,7 +14,6 @@ from aptstage.model import (
     ModelConfig,
     build_param_store,
     encode_windows,
-    frozen_names,
     infer_probabilities,
 )
 from aptstage.nn import no_grad
@@ -68,7 +67,9 @@ def test_store_applies_forget_bias():
 
 def test_frozen_name_prefixes():
     store = build_param_store(MCFG)
-    frozen = frozen_names(store, FREEZE_LOWER_RECURRENT + FREEZE_ENCODER)
+    with store.frozen(FREEZE_LOWER_RECURRENT + FREEZE_ENCODER):
+        frozen = {n for n in store.names() if not store.tensor(n).requires_grad}
+    assert all(store.tensor(n).requires_grad for n in store.names())
     assert "lstm.L0.Wih" in frozen
     assert "proj.Wx" in frozen
     assert all(n.startswith(("lstm.L0.", "enc.", "proj.")) for n in frozen)

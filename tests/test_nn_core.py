@@ -296,10 +296,24 @@ def test_adam_frozen_params_untouched():
     store.tensor("a").data[:] = 5.0
     store.tensor("b").data[:] = 5.0
     state = AdamState()
-    adam_step(store, state, lr=0.1, weight_decay=0.1, frozen=frozenset({"a"}))
+    with store.frozen(("a",)):
+        adam_step(store, state, lr=0.1, weight_decay=0.1)
     assert store.tensor("a").data[0] == 5.0  # no decay, no update
     assert store.tensor("b").data[0] != 5.0
     assert "a" not in state.m
+
+
+def test_frozen_block_makes_parameters_constants_and_restores_them():
+    store = ParamStore()
+    a, ab, b = (store.add(n, np.ones((1, 1))) for n in ("a", "ab", "b"))
+    with store.frozen(("a",)):
+        assert [t.requires_grad for t in (a, ab, b)] == [False, False, True]
+        assert linear(np.ones((1, 1)), a, ab)._parents == ()  # constants: no tape node
+        with pytest.raises(RuntimeError), store.frozen(("a", "b")):
+            assert not b.requires_grad
+            raise RuntimeError
+        assert [t.requires_grad for t in (a, ab, b)] == [False, False, True]  # its own only
+    assert [t.requires_grad for t in (a, ab, b)] == [True, True, True]
 
 
 def test_finite_diff_check_passes_on_quadratic():

@@ -430,15 +430,17 @@ def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
 
 
 def test_finetune_step_tape_nodes(rng, monkeypatch, tape_nodes):
-    # phase 1 starts from cached embeddings: both LSTM layers, the classifier
-    # head and the loss; phase 2 adds the encoder's projection, rounds and
-    # readout, and the gathers of the packed windows
+    # phase 1 starts from cached embeddings, and its frozen lower LSTM layer
+    # is a constant: the upper layer and its parameters, the classifier head
+    # and the loss (13 nodes while the lower layer and its three parameters
+    # still joined the tape); phase 2 adds both layers' nodes, the encoder's
+    # projection, rounds and readout, and the gathers of the packed windows
     counted = _count_step_tapes(monkeypatch, tape_nodes)
     finetune(corpus(rng), build_param_store(MCFG), MCFG,
              FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2,
                             curriculum_start=6, curriculum_end=6),
              val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
-    assert counted == [13, 13, 36, 36]
+    assert counted == [9, 9, 36, 36]
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
@@ -454,6 +456,73 @@ def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
     assert all(np.array_equal(before[k], after[k])
                for k in before if k.startswith(frozen_prefixes))
     assert any(not np.array_equal(before[k], after[k]) for k in thawed)
+
+
+FROZEN_IN_PHASE1 = ("lstm.L0.", "enc.", "proj.")
+
+
+def _finetune_one_epoch_each(traces, store, **kw):
+    # two steps per phase: phase 1's come first
+    return finetune(traces, store, MCFG,
+                    FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2,
+                                   curriculum_start=6, curriculum_end=6, **kw),
+                    val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
+
+
+def test_phase1_frozen_parameters_get_no_gradient(rng, monkeypatch):
+    store = build_param_store(MCFG)
+    missing = []  # per step: the names whose gradient is None
+    step = loops.adam_step
+    monkeypatch.setattr(loops, "adam_step", lambda st, *a, **kw: missing.append(
+        {n for n in st.names() if st.tensor(n).grad is None}) or step(st, *a, **kw))
+    _finetune_one_epoch_each(corpus(rng), store)
+    frozen = {n for n in store.names() if n.startswith(FROZEN_IN_PHASE1)}
+    head_next = {"head.next.W", "head.next.b"}  # trains, but no loss reaches it
+    assert len(missing) == 4 and missing[:2] == [frozen | head_next] * 2
+    # phase 2 trains them all again (the corpus uses only some relations)
+    assert all(m <= head_next | {n for n in frozen if n.startswith("enc.")} for m in missing[2:])
+    assert all(m.isdisjoint({"lstm.L0.Wih", "proj.Wx"}) for m in missing[2:])
+
+
+def test_phase1_clip_scale_comes_from_the_trainable_gradients(rng, monkeypatch):
+    clip = 1e-3
+    scales = []  # per step: (applied scale, clip / norm of the trainable gradients)
+    clip_gradients = loops.clip_gradients
+
+    def spy(st, max_norm):
+        grads = [st.tensor(n).grad for n in st.names()
+                 if not n.startswith(FROZEN_IN_PHASE1) and st.tensor(n).grad is not None]
+        expected = max_norm / np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        scales.append((clip_gradients(st, max_norm), expected))
+        return scales[-1][0]
+
+    monkeypatch.setattr(loops, "clip_gradients", spy)
+    _finetune_one_epoch_each(corpus(rng), build_param_store(MCFG), clip=clip)
+    assert len(scales) == 4
+    for applied, expected in scales[:2]:
+        assert applied < 1.0 and applied == pytest.approx(expected, rel=1e-12)
+
+
+def test_requires_grad_is_back_on_after_training(rng):
+    def all_trainable(store):
+        return all(store.tensor(n).requires_grad for n in store.names())
+
+    traces = corpus(rng)
+    store = build_param_store(MCFG)
+    _finetune_one_epoch_each(traces, store)
+    assert all_trainable(store)
+    pretrain(traces, store, MCFG, PretrainConfig(epochs=1, batch=2, negatives=4,
+                                                 train_encoder=False))
+    assert all_trainable(store)
+
+    store.tensor("lstm.L1.Wih").data[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="phase1 epoch 1 batch 0"):
+        _finetune_one_epoch_each(traces, store)
+    assert all_trainable(store)
+    with pytest.raises(TrainingError, match="pretrain epoch 1 batch 0"):
+        pretrain(traces, store, MCFG, PretrainConfig(epochs=1, batch=2, negatives=4,
+                                                     train_encoder=False))
+    assert all_trainable(store)
 
 
 def test_finetune_early_stopping_restores_best(rng):
@@ -555,7 +624,7 @@ def test_non_finite_gradient_names_the_parameter():
     loss = add(tsum(sqrt(a)), tsum(mul(b, b)))  # finite, but d sqrt(a)/da is inf at a = 0
     with np.errstate(divide="ignore"), \
             pytest.raises(TrainingError, match="non-finite gradient at step 3: a$"):
-        loops._optimizer_step(loss, store, AdamState(), 1e-3, 0.0, 5.0, frozenset(), "step 3")
+        loops._optimizer_step(loss, store, AdamState(), 1e-3, 0.0, 5.0, "step 3")
     assert np.array_equal(a.data, [1.0, 0.0]) and np.array_equal(b.data, [2.0])
 
 
