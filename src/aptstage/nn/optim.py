@@ -65,4 +65,6 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: floa
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        t.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -34,9 +34,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._tensors)
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     @property
     def params(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self._tensors.items()}

@@ -331,7 +331,7 @@ def test_message_passing_gradients_match_finite_differences(missing):
                                        {r: st.tensor(f"L{layer}.{r.value}") for r in Relation})
         return tsum(mul(h, probe))
 
-    assert finite_diff_check(loss, store, max_coords=len(store) * 2 * D_H * D_H) < 1e-4
+    assert finite_diff_check(loss, store, max_coords=len(store.names()) * 2 * D_H * D_H) < 1e-4
 
 
 def scenario_graphs():
