@@ -166,11 +166,18 @@ def _load_labels(cfg: PipelineConfig, n_windows: int):
                 raise InputError(f"{path}: window_index {index} appears on line "
                                  f"{line_of[index]} and on line {reader.line_num}")
             labels[index], line_of[index] = stage, reader.line_num
-    if sorted(labels) != list(range(n_windows)):
-        raise InputError(
-            f"labels cover windows {min(labels, default=0)}..{max(labels, default=0)} "
-            f"but {n_windows} graphs exist")
+    missing = [i for i in range(n_windows) if i not in labels]
+    beyond = sorted(i for i in labels if not 0 <= i < n_windows)
+    if missing or beyond:
+        named = [f"{what} {_first_few(indexes)}" for what, indexes in
+                 (("no label for windows", missing), ("labels for windows", beyond)) if indexes]
+        raise InputError(f"{path}: {' and '.join(named)}, but {n_windows} graphs exist")
     return [labels[i] for i in range(n_windows)]
+
+
+def _first_few(indexes, shown: int = 5) -> str:
+    more = f" and {len(indexes) - shown} more" if len(indexes) > shown else ""
+    return ", ".join(map(str, indexes[:shown])) + more
 
 
 def _load_trace(cfg: PipelineConfig, labeled: bool):

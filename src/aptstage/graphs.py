@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import GraphConsistencyError, ValidationError
 from .telemetry.records import (
+    ENTITY_KINDS,
+    EVENT_KINDS,
     WINDOW_SECONDS,
     EventKind,
-    HostEvent,
+    EventTable,
     NetworkAlert,
     align_windows,
 )
@@ -53,6 +55,7 @@ NUM_RELATIONS = len(Relation)
 _KIND_ORDER = {k: i for i, k in enumerate(NodeKind)}
 _RELATION_ORDER = {r: i for i, r in enumerate(Relation)}
 _RELATIONS = tuple(Relation)
+_RELATION_VALUES = tuple(r.value for r in Relation)
 # str enums: a member, its wire value and a same-valued member of another
 # str enum (an EntityKind) are one dict key, here and in _RELATION_ORDER
 _NODE_KINDS = {k: k for k in NodeKind}
@@ -71,6 +74,15 @@ _EVENT_RELATION = {
 }
 
 _NET_KINDS = {EventKind.NET_CONNECT, EventKind.NET_SEND, EventKind.NET_RECV}
+
+# by `EventTable` id: an event kind's relation id and whether it is a network
+# sighting, an entity kind's `NodeKind` order
+_EVENT_RELATION_ID = np.array([_RELATION_ORDER[_EVENT_RELATION[k]] for k in EVENT_KINDS])
+_NET_EVENT = np.array([k in _NET_KINDS for k in EVENT_KINDS])
+_ENTITY_NODE_KIND = np.array([_KIND_ORDER[_NODE_KINDS[k]] for k in ENTITY_KINDS])
+_NODE_KIND_OF = tuple(NodeKind)  # `NodeKind` order -> member
+_PROCESS_CREATE = EVENT_KINDS.index(EventKind.PROCESS_CREATE)
+_SPAWN, _EXEC = _RELATION_ORDER[Relation.SPAWN], _RELATION_ORDER[Relation.EXEC]
 
 
 @dataclass(frozen=True)
@@ -109,17 +121,16 @@ class ProvenanceGraph:
         for column in (self.edge_index, self.edge_time, self.edge_bytes, self.edge_count):
             column.flags.writeable = False
 
-    def _edge_rows(self):
-        """(relation, src, dst, timestamp, bytes or None, count) per edge."""
-        rel, src, dst = self.edge_index.tolist()
-        return ((_RELATIONS[r], s, d, t, None if b != b else int(b), c)
-                for r, s, d, t, b, c in zip(rel, src, dst, self.edge_time.tolist(),
-                                            self.edge_bytes.tolist(), self.edge_count.tolist()))
+    def _edge_lists(self):
+        """(relation id, src, dst, timestamp, bytes or NaN, count) per edge."""
+        return zip(*self.edge_index.tolist(), self.edge_time.tolist(), self.edge_bytes.tolist(),
+                   self.edge_count.tolist())
 
     @cached_property
     def edges(self) -> tuple:
         """The edges as `Edge`s, derived from the columns on first use."""
-        return tuple(Edge(*row) for row in self._edge_rows())
+        return tuple(Edge(_RELATIONS[r], s, d, t, None if b != b else int(b), c)
+                     for r, s, d, t, b, c in self._edge_lists())
 
     def validate(self) -> None:
         n = len(self.nodes)
@@ -148,8 +159,9 @@ class ProvenanceGraph:
             "window_start": self.window_start,
             "nodes": [{"kind": nd.kind.value, "key": nd.key, "attrs": nd.attrs} for nd in self.nodes],
             "edges": [
-                {"relation": r.value, "src": s, "dst": d, "timestamp": t, "bytes": b, "count": c}
-                for r, s, d, t, b, c in self._edge_rows()
+                {"relation": _RELATION_VALUES[r], "src": s, "dst": d, "timestamp": t,
+                 "bytes": None if b != b else int(b), "count": c}
+                for r, s, d, t, b, c in self._edge_lists()
             ],
         }
 
@@ -178,46 +190,38 @@ def _edge_columns(rows) -> dict:
 
 
 def window_events(events, alerts):
-    """Partition both streams into the windows of `align_windows`. Empty
-    interior windows are retained so window indices stay time-aligned for
-    the sequence model."""
-    stamps = [e.timestamp for e in events] + [a.timestamp for a in alerts]
+    """Partition both streams into the windows of `align_windows`. The host
+    events are one `EventTable` (a sequence of `HostEvent`s is converted
+    once), split at the window boundaries; each window's alerts keep their
+    input order. Empty interior windows are retained so window indices stay
+    time-aligned for the sequence model."""
+    table = _as_table(events)
+    stamps = np.concatenate([table.ts, [a.timestamp for a in alerts]])
     t0, n, idx = align_windows(stamps, stamps)
-    out = [([], []) for _ in range(n)]
-    for ev, i in zip(events, idx):
-        out[i][0].append(ev)
-    for al, i in zip(alerts, idx[len(events):]):
-        out[i][1].append(al)
-    return [WindowSlice(i, t0 + i * WINDOW_SECONDS, evs, als) for i, (evs, als) in enumerate(out)]
+    cuts = np.searchsorted(idx[:len(table)], np.arange(n + 1)).tolist()
+    out = [[] for _ in range(n)]
+    for al, i in zip(alerts, idx[len(table):].tolist()):
+        out[i].append(al)
+    return [WindowSlice(i, t0 + i * WINDOW_SECONDS, table[cuts[i]:cuts[i + 1]], als)
+            for i, als in enumerate(out)]
+
+
+def _as_table(events) -> EventTable:
+    return events if isinstance(events, EventTable) else EventTable.from_events(events)
 
 
 @dataclass(frozen=True)
 class WindowSlice:
+    """One window's host events, an `EventTable` (a sequence of `HostEvent`s
+    is converted), and its alerts."""
+
     index: int
     start: float
-    events: list
+    events: EventTable
     alerts: list
 
-
-class _NodeDraft:
-    __slots__ = ("kind", "key", "first_ts", "commands", "users", "extra")
-
-    def __init__(self, kind: NodeKind, key: str, ts: float):
-        self.kind = kind
-        self.key = key
-        self.first_ts = ts
-        self.commands: set = set()
-        self.users: set = set()
-        self.extra: dict = {}
-
-    def attrs(self) -> dict:
-        a = dict(self.extra)
-        a["first_ts"] = self.first_ts
-        if self.commands:
-            a["commands"] = sorted(self.commands)
-        if self.users:
-            a["users"] = sorted(self.users)
-        return a
+    def __post_init__(self):
+        object.__setattr__(self, "events", _as_table(self.events))
 
 
 def external_endpoint(alert: NetworkAlert, host_keys) -> tuple:
@@ -269,76 +273,55 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     deterministic: canonical node order is (kind, key), canonical edge order
     is (src, relation, dst) after node indexing."""
     lo, hi = window.start, window.start + WINDOW_SECONDS
-    drafts: dict = {}
+    ev = window.events
+    ts, n_ev = ev.ts, len(ev)
+    outside = ~((lo <= ts) & (ts < hi))
+    if outside.any():
+        raise ValidationError(f"event at t={float(ts[outside.argmax()])} outside window [{lo}, {hi})")
 
-    def touch(kind: NodeKind, key: str, ts: float) -> _NodeDraft:
-        d = drafts.get(key)
-        if d is None:
-            d = drafts[key] = _NodeDraft(kind, key, ts)
-        else:
-            # when one key is sighted under several entity kinds (payload.exe
-            # as written file, then as running process) the node takes the
-            # highest-precedence kind: the one declared first in NodeKind
-            if _KIND_ORDER[kind] < _KIND_ORDER[d.kind]:
-                d.kind = kind
-            d.first_ts = min(d.first_ts, ts)
-        return d
-
-    # (src_key, relation, dst_key) -> [count, bytes_or_None, earliest_ts]
-    agg: dict = {}
-    # raw net sightings for alert attribution: (proc_key, remote_key, ts)
-    net_sightings: list = []
-
-    for ev in window.events:
-        if not (lo <= ev.timestamp < hi):
-            raise ValidationError(f"event at t={ev.timestamp} outside window [{lo}, {hi})")
-        touch(NodeKind.HOST, ev.host_id, ev.timestamp)
-        subj = touch(_NODE_KINDS[ev.subject.kind], ev.subject.key, ev.timestamp)
-        obj = touch(_NODE_KINDS[ev.object.kind], ev.object.key, ev.timestamp)
-        if ev.user is not None:
-            subj.users.add(ev.user)
-        if ev.command is not None:
-            cmd_holder = obj if ev.event_kind is EventKind.PROCESS_CREATE else subj
-            cmd_holder.commands.add(ev.command)
-        rel = _EVENT_RELATION[ev.event_kind]
-        if rel is Relation.SPAWN and ev.subject.key == ev.object.key:
-            rel = Relation.EXEC  # standalone start without a distinct parent
-        k = (ev.subject.key, rel, ev.object.key)
-        slot = agg.get(k)
-        if slot is None:
-            agg[k] = [1, ev.bytes, ev.timestamp]
-        else:
-            slot[0] += 1
-            if ev.bytes is not None:
-                slot[1] = ev.bytes if slot[1] is None else slot[1] + ev.bytes
-            slot[2] = min(slot[2], ev.timestamp)
-        if ev.event_kind in _NET_KINDS:
-            net_sightings.append((ev.subject.key, ev.object.key, ev.timestamp))
-
-    host_keys = {k for k, d in drafts.items() if d.kind is NodeKind.HOST}
+    # Every event sights its host, subject and object. One node per key:
+    # when a key is sighted under several entity kinds (payload.exe as
+    # written file, then as running process) the node takes the
+    # highest-precedence kind, the one declared first in NodeKind, and the
+    # earliest sighting's time.
+    ids, local = np.unique(np.concatenate([ev.host, ev.subj, ev.obj]), return_inverse=True)
+    kind = np.full(len(ids), _KIND_ORDER[NodeKind.ALERT])
+    np.minimum.at(kind, local, np.concatenate([np.full(n_ev, _KIND_ORDER[NodeKind.HOST]),
+                                               _ENTITY_NODE_KIND[ev.subj_kind],
+                                               _ENTITY_NODE_KIND[ev.obj_kind]]))
+    first = np.full(len(ids), np.inf)
+    np.minimum.at(first, local, np.tile(ts, 3))
+    subj, obj = local[n_ev:2 * n_ev], local[2 * n_ev:]
+    keys, kinds = [ev.strings[i] for i in ids.tolist()], kind.tolist()
+    attrs = [{"first_ts": t} for t in first.tolist()]
+    # a ProcessCreate's command belongs to the process it starts
+    for name, holder, sid in (("commands", np.where(ev.kind == _PROCESS_CREATE, obj, subj), ev.cmd),
+                              ("users", subj, ev.user)):
+        present = sid >= 0
+        for i, value in sorted({(i, ev.strings[s]) for i, s in zip(holder[present].tolist(),
+                                                                     sid[present].tolist())}):
+            attrs[i].setdefault(name, []).append(value)
+    host_keys = {k for k, c in zip(keys, kinds) if c == _KIND_ORDER[NodeKind.HOST]}
 
     # early fusion: alert node + external ip node + triggered_by attribution
-    fusion_edges: list = []  # (alert draft, target_key, ts)
-    exact, loose = _sighting_tables(net_sightings) if window.alerts else ({}, {})
+    position = dict(zip(keys, range(len(keys))))
+    fusion: list = []  # (alert key, target key, alert attrs)
+    if window.alerts:
+        net = _NET_EVENT[ev.kind]
+        exact, loose = _sighting_tables(zip([keys[i] for i in subj[net].tolist()],
+                                            [keys[i] for i in obj[net].tolist()], ts[net].tolist()))
     for ordinal, al in enumerate(window.alerts):
         if not (lo <= al.timestamp < hi):
             raise ValidationError(f"alert at t={al.timestamp} outside window [{lo}, {hi})")
         ext_ip, ext_port, outbound = external_endpoint(al, host_keys)
-        ad = _NodeDraft(NodeKind.ALERT, f"alert:{ordinal}:{al.signature}", al.timestamp)
-        ad.extra.update(
-            signature=al.signature,
-            severity=al.severity,
-            protocol=al.protocol.value,
-            category=al.category,
-            src_ip=al.src_ip,
-            src_port=al.src_port,
-            dst_ip=al.dst_ip,
-            dst_port=al.dst_port,
-            external_ip=ext_ip,
-            external_port=ext_port,
-            outbound=outbound,
-        )
-        touch(NodeKind.IP, ext_ip, al.timestamp)
+        j = position.setdefault(ext_ip, len(keys))
+        if j == len(keys):
+            keys.append(ext_ip)
+            kinds.append(_KIND_ORDER[NodeKind.IP])
+            attrs.append({"first_ts": al.timestamp})
+        else:
+            kinds[j] = min(kinds[j], _KIND_ORDER[NodeKind.IP])
+            attrs[j]["first_ts"] = min(attrs[j]["first_ts"], al.timestamp)
 
         target = _latest_sighting(exact, f"{ext_ip}:{ext_port}", al.timestamp)
         if target is None:
@@ -347,25 +330,53 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
             target = al.src_ip if al.src_ip in host_keys else min(host_keys)
         elif target is None:
             target = ext_ip
-        fusion_edges.append((ad, target, al.timestamp))
-    # alert nodes join last, each under a key that no entity node holds
-    for ad, _, _ in fusion_edges:
-        while ad.key in drafts:
-            ad.key += "'"
-        drafts[ad.key] = ad
+        fusion.append((f"alert:{ordinal}:{al.signature}", target, dict(
+            signature=al.signature, severity=al.severity, protocol=al.protocol.value,
+            category=al.category, src_ip=al.src_ip, src_port=al.src_port, dst_ip=al.dst_ip,
+            dst_port=al.dst_port, external_ip=ext_ip, external_port=ext_port, outbound=outbound,
+            first_ts=al.timestamp)))
+    # alert nodes join last, each under a key that no entity node holds; the
+    # rows beyond the events are one triggered_by per alert and one self
+    # loop per node: (src, relation, dst, ts)
+    more = []
+    for key, target, alert_attrs in fusion:
+        while key in position:
+            key += "'"
+        more.append((len(keys), _TRIGGERED_BY, position[target], alert_attrs["first_ts"]))
+        position[key] = len(keys)
+        keys.append(key)
+        kinds.append(_KIND_ORDER[NodeKind.ALERT])
+        attrs.append(alert_attrs)
+    more.extend((i, _SELF_LOOP, i, a["first_ts"]) for i, a in enumerate(attrs))
 
-    order = sorted(drafts.values(), key=lambda d: (_KIND_ORDER[d.kind], d.key))
-    index = {d.key: i for i, d in enumerate(order)}
-    nodes = tuple(Node(kind=d.kind, key=d.key, attrs=d.attrs()) for d in order)
+    order = sorted(range(len(keys)), key=lambda i: (kinds[i], keys[i]))
+    nodes = tuple(Node(kind=_NODE_KIND_OF[kinds[i]], key=keys[i], attrs=attrs[i]) for i in order)
+    n = len(nodes)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
 
-    # (src, relation id, dst, timestamp, bytes, count); (src, relation, dst)
-    # is unique per row, so the sort never compares the later fields
-    rows = [(index[sk], _RELATION_ORDER[rel], index[dk], ts, b, c)
-            for (sk, rel, dk), (c, b, ts) in agg.items()]
-    rows.extend((index[ad.key], _TRIGGERED_BY, index[tk], ts, None, 1) for ad, tk, ts in fusion_edges)
-    rows.extend((i, _SELF_LOOP, i, d.first_ts, None, 1) for i, d in enumerate(order))
-    rows.sort()
-    g = ProvenanceGraph(window.index, window.start, nodes, **_edge_columns(rows))
+    # One edge per distinct (src, relation, dst) of the rows, in canonical
+    # order: count, bytes summed over the rows that have them (NaN if none
+    # does) and the earliest time.
+    more = np.array(more, dtype=float).reshape(-1, 4)
+    more_src, more_rel, more_dst = more[:, :3].T.astype(np.int64)
+    rel = _EVENT_RELATION_ID[ev.kind]
+    rel = np.where((rel == _SPAWN) & (ev.subj == ev.obj), _EXEC, rel)  # start without a distinct parent
+    src, dst = rank[np.concatenate([subj, more_src])], rank[np.concatenate([obj, more_dst])]
+    rel = np.concatenate([rel, more_rel])
+    row_ts = np.concatenate([ts, more[:, 3]])
+    row_bytes = np.concatenate([ev.nbytes, np.full(len(more), np.nan)])
+    code, group, count = np.unique((src * NUM_RELATIONS + rel) * n + dst, return_inverse=True,
+                                   return_counts=True)
+    edge_time = np.full(len(code), np.inf)
+    np.minimum.at(edge_time, group, row_ts)
+    has = row_bytes == row_bytes
+    total = np.bincount(group, weights=np.where(has, row_bytes, 0.0), minlength=len(code))
+    edge_bytes = np.where(np.bincount(group, weights=has, minlength=len(code)) > 0, total, np.nan)
+    src, rest = np.divmod(code, NUM_RELATIONS * n)
+    rel, dst = np.divmod(rest, n)
+    g = ProvenanceGraph(window.index, window.start, nodes, edge_index=np.stack([rel, src, dst]),
+                        edge_time=edge_time, edge_bytes=edge_bytes, edge_count=count.astype(np.int64))
     g.validate()
     return g
 

@@ -3,6 +3,7 @@ from .records import (
     EntityKind,
     EntityRef,
     EventKind,
+    EventTable,
     HostEvent,
     NetworkAlert,
     Protocol,
@@ -23,6 +24,7 @@ __all__ = [
     "EntityKind",
     "EntityRef",
     "EventKind",
+    "EventTable",
     "HostEvent",
     "NetworkAlert",
     "Protocol",

@@ -2,16 +2,21 @@
 
 Host event JSONL fields: ts, host, kind, subj_kind, subj_key, obj_kind,
 obj_key, cmd?, user?, bytes?.  Alert JSONL fields: ts, sig, sev, proto, cat,
-src_ip, src_port, dst_ip, dst_port.  UTF-8, LF line endings.
+src_ip, src_port, dst_ip, dst_port.  UTF-8, LF line endings.  A parsed
+host-event stream is one columnar `EventTable`; alerts stay `NetworkAlert`s.
 """
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from ..errors import TelemetryParseError, ValidationError
 
@@ -23,13 +28,15 @@ def align_windows(stamps, placed) -> tuple:
     contiguous, half-open and WINDOW_SECONDS long, aligned to t0, the
     earliest of the record timestamps `stamps`; there are
     floor(span / WINDOW_SECONDS) + 1 of them. Returns (t0, window count, the
-    window index of each timestamp in `placed`), an index past the end
+    int64 window index of each timestamp in `placed`), an index past the end
     clamped to the last window. No stamps, no windows."""
-    if not stamps:
-        return 0.0, 0, []
-    t0 = min(stamps)
-    n = int(math.floor((max(stamps) - t0) / WINDOW_SECONDS)) + 1
-    return t0, n, [min(n - 1, int(math.floor((ts - t0) / WINDOW_SECONDS))) for ts in placed]
+    stamps = np.asarray(stamps, dtype=float)
+    if not stamps.size:
+        return 0.0, 0, np.zeros(0, dtype=np.int64)
+    t0 = float(stamps.min())
+    n = int(math.floor((float(stamps.max()) - t0) / WINDOW_SECONDS)) + 1
+    idx = np.floor((np.asarray(placed, dtype=float) - t0) / WINDOW_SECONDS)
+    return t0, n, np.minimum(idx, n - 1).astype(np.int64)
 
 
 class EventKind(str, Enum):
@@ -60,37 +67,46 @@ class Protocol(str, Enum):
     OTHER = "other"
 
 
-# wire value -> member
-_EVENT_KINDS = {k.value: k for k in EventKind}
-_ENTITY_KINDS = {k.value: k for k in EntityKind}
+# Declaration order gives each kind its id in an `EventTable`. A str enum
+# member and its wire value are one dict key, so these map both to the id.
+EVENT_KINDS, ENTITY_KINDS = tuple(EventKind), tuple(EntityKind)
+_EVENT_KIND_IDS = {k: i for i, k in enumerate(EVENT_KINDS)}
+_ENTITY_KIND_IDS = {k: i for i, k in enumerate(ENTITY_KINDS)}
 _PROTOCOLS = {p.value: p for p in Protocol}
 
 
-def _member(table: dict, value, what: str):
+def _lookup(table: dict, values, what: str) -> list:
+    """`table[v]` for each of `values`, refusing the first unknown one."""
     try:
-        return table[value]
+        return list(map(table.__getitem__, values))
     except (KeyError, TypeError):  # TypeError: an unhashable value, e.g. a list
-        raise ValidationError(f"unknown {what}: {value!r}") from None
+        bad = next(v for v in values if not isinstance(v, str) or v not in table)
+        raise ValidationError(f"unknown {what}: {bad!r}") from None
 
 
-def _required(rec: dict, *names) -> tuple:
+def _required(recs: list, names: tuple) -> list:
+    """Per field of `names`, its column over the records `recs`."""
     try:
-        return itemgetter(*names)(rec)
+        return [list(map(itemgetter(name), recs)) for name in names]
     except KeyError as exc:
         raise ValidationError(f"missing required field: {exc.args[0]}") from None
 
 
-_OPTIONAL_TEXT = frozenset({"cmd", "user"})  # may also be absent or null
+# (JSON types a field may hold, what to call them): json.loads gives bool for
+# true/false, int for a number without fraction or exponent, float for any
+# other number
+_TEXT, _OPTIONAL_TEXT = ({str}, "a string"), ({str, type(None)}, "a string")
+_NUMBER, _INTEGER = ({int, float}, "a number"), ({int}, "an integer")
+_OPTIONAL_INTEGER = ({int, type(None)}, "an integer")
 
 
-def _not_text(rec: dict, names) -> ValidationError:
-    """The refusal of the first field of `names` in `rec` that holds no
-    string. Callers test the fields inline and call this only on a failure,
-    so that parsing a good record costs no extra calls."""
-    for name in names:
-        value = rec.get(name)
-        if not (isinstance(value, str) or (value is None and name in _OPTIONAL_TEXT)):
-            return ValidationError(f"{name} must be a string: {value!r}")
+def _check_types(name: str, values, rule: tuple) -> None:
+    """Refuse the first of `values` (field `name` of each record) whose JSON
+    type `rule` does not allow."""
+    allowed, what = rule
+    if not set(map(type, values)) <= allowed:
+        bad = next(v for v in values if type(v) not in allowed)
+        raise ValidationError(f"{name} must be {what}: {bad!r}")
 
 
 # Event kinds that may carry a byte count.
@@ -100,6 +116,8 @@ BYTES_KINDS = frozenset(
 # Self-referencing subject/object is only meaningful for "program starts
 # executing itself" records.
 SELF_EDGE_KINDS = frozenset({EventKind.FILE_EXEC, EventKind.PROCESS_CREATE})
+_BYTES_KIND = np.array([k in BYTES_KINDS for k in EVENT_KINDS])
+_SELF_EDGE_KIND = np.array([k in SELF_EDGE_KINDS for k in EVENT_KINDS])
 
 
 @dataclass(frozen=True)
@@ -158,35 +176,123 @@ class HostEvent:
             rec["bytes"] = self.bytes
         return rec
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "HostEvent":
-        return cls._from_record(rec, {})
-
-    @classmethod
-    def _from_record(cls, rec: dict, refs: dict) -> "HostEvent":
-        """`from_record`, sharing one `EntityRef` per (kind, key) through `refs`."""
-        ts, host, kind, subj_kind, subj_key, obj_kind, obj_key = _required(
-            rec, "ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key")
-        cmd, user = rec.get("cmd"), rec.get("user")
-        if not (isinstance(host, str) and isinstance(subj_key, str) and isinstance(obj_key, str)
-                and (cmd is None or isinstance(cmd, str)) and (user is None or isinstance(user, str))):
-            raise _not_text(rec, ("host", "subj_key", "obj_key", "cmd", "user"))
-        kind = _member(_EVENT_KINDS, kind, "event kind")
-        subj, obj = _entity(refs, subj_kind, subj_key), _entity(refs, obj_kind, obj_key)
-        bytes_val = rec.get("bytes")
-        return cls(
-            timestamp=float(ts),
-            host_id=host,
-            event_kind=kind,
-            subject=subj,
-            object=obj,
-            command=cmd,
-            user=user,
-            bytes=int(bytes_val) if bytes_val is not None else None,
-        )
-
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), separators=(",", ":"))
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Host events as columns, one row per event, sorted stably by timestamp.
+
+    `strings` holds each distinct host, entity key, command and user once, and
+    `host`, `subj`, `obj`, `cmd` and `user` are int64 ids into it, -1 where a
+    record has no command or user; an entity is identified by its key alone.
+    `kind` holds `EVENT_KINDS` ids, `subj_kind` and `obj_kind` `ENTITY_KINDS`
+    ids; `ts` is float64, `nbytes` float64 and NaN where a record has no byte
+    count (exact below 2**53). `len(table)`, `table[i]` (a `HostEvent`) and
+    iteration read it as rows; `table[a:b]` is a table sharing `strings`."""
+
+    strings: tuple
+    ts: np.ndarray
+    kind: np.ndarray
+    host: np.ndarray
+    subj: np.ndarray
+    subj_kind: np.ndarray
+    obj: np.ndarray
+    obj_kind: np.ndarray
+    nbytes: np.ndarray
+    cmd: np.ndarray
+    user: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return EventTable(self.strings, *(getattr(self, name)[i] for name in _COLUMNS))
+        s, cmd, user, nbytes = self.strings, self.cmd[i], self.user[i], self.nbytes[i]
+        return HostEvent(float(self.ts[i]), s[self.host[i]], EVENT_KINDS[self.kind[i]],
+                         EntityRef(ENTITY_KINDS[self.subj_kind[i]], s[self.subj[i]]),
+                         EntityRef(ENTITY_KINDS[self.obj_kind[i]], s[self.obj[i]]),
+                         command=s[cmd] if cmd >= 0 else None, user=s[user] if user >= 0 else None,
+                         bytes=None if nbytes != nbytes else int(nbytes))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @staticmethod
+    def from_events(events) -> "EventTable":
+        """The table of a sequence of `HostEvent`s."""
+        rows = list(map(_EVENT_ROW, events))
+        ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user = zip(*rows) if rows else ((),) * 10
+        return _columns(ts, _lookup(_EVENT_KIND_IDS, kind, "event kind"), host, subj,
+                        _lookup(_ENTITY_KIND_IDS, subj_kind, "entity kind"), obj,
+                        _lookup(_ENTITY_KIND_IDS, obj_kind, "entity kind"), nbytes, cmd, user)._sorted()
+
+    def _sorted(self) -> "EventTable":
+        """The rows sorted stably by timestamp; `self` if they already are."""
+        ts = self.ts
+        return self[np.argsort(ts, kind="stable")] if (ts[1:] < ts[:-1]).any() else self
+
+
+_COLUMNS = tuple(f.name for f in fields(EventTable))[1:]
+_EVENT_ROW = attrgetter("timestamp", "event_kind", "host_id", "subject.key", "subject.kind",
+                        "object.key", "object.kind", "bytes", "command", "user")
+
+
+def _columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user) -> EventTable:
+    """An `EventTable` of per-row sequences in input order, its strings
+    interned in order of first appearance."""
+    distinct = dict.fromkeys(chain(host, subj, obj, cmd, user))
+    distinct.pop(None, None)
+    strings = tuple(distinct)
+    ids = dict(zip(strings, range(len(strings))))
+    ids[None] = -1
+
+    def interned(values):
+        return np.array(list(map(ids.__getitem__, values)), dtype=np.int64)
+
+    return EventTable(strings, np.array(ts, dtype=float), np.array(kind, dtype=np.int64),
+                      interned(host), interned(subj), np.array(subj_kind, dtype=np.int64),
+                      interned(obj), np.array(obj_kind, dtype=np.int64),
+                      np.array(nbytes, dtype=float), interned(cmd), interned(user))
+
+
+def _event_table(recs: list) -> EventTable:
+    """The `EventTable` of host-event records (dicts). Each check runs over
+    a whole column and raises `ValidationError` phrased for the first
+    record that fails it; on a single record the checks run in the order a
+    record's fields were checked one at a time."""
+    ts, host, kind, subj_kind, subj, obj_kind, obj = _required(
+        recs, ("ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key"))
+    cmd, user, nbytes = (list(map(dict.get, recs, repeat(name))) for name in ("cmd", "user", "bytes"))
+    for name, values, allowed in (("host", host, _TEXT), ("subj_key", subj, _TEXT), ("obj_key", obj, _TEXT),
+                                  ("cmd", cmd, _OPTIONAL_TEXT), ("user", user, _OPTIONAL_TEXT)):
+        _check_types(name, values, allowed)
+    kind = _lookup(_EVENT_KIND_IDS, kind, "event kind")
+    subj_kind = _lookup(_ENTITY_KIND_IDS, subj_kind, "entity kind")
+    if "" in subj:
+        raise ValidationError("entity key must be non-empty")
+    obj_kind = _lookup(_ENTITY_KIND_IDS, obj_kind, "entity kind")
+    if "" in obj:
+        raise ValidationError("entity key must be non-empty")
+    _check_types("ts", ts, _NUMBER)
+    _check_types("bytes", nbytes, _OPTIONAL_INTEGER)
+    t = _columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user)
+    ts, kind, nbytes = t.ts, t.kind, t.nbytes
+    empty = t.strings.index("") if "" in t.strings else -1
+    checks = (
+        (~(np.isfinite(ts) & (ts >= 0)), lambda j: f"timestamp must be finite and >= 0: {float(ts[j])}"),
+        (t.host == empty, lambda j: "host_id must be non-empty"),
+        ((t.subj == t.obj) & (t.subj_kind == t.obj_kind) & ~_SELF_EDGE_KIND[kind],
+         lambda j: f"subject == object not allowed for {EVENT_KINDS[kind[j]].value}"),
+        ((nbytes == nbytes) & ~_BYTES_KIND[kind], lambda j: f"bytes not allowed for {EVENT_KINDS[kind[j]].value}"),
+        (nbytes < 0, lambda j: f"bytes must be non-negative: {int(nbytes[j])}"),
+    )
+    for mask, message in checks:
+        if mask.any():
+            raise ValidationError(message(mask.argmax()))
+    return t._sorted()
 
 
 @dataclass(frozen=True)
@@ -229,12 +335,15 @@ class NetworkAlert:
 
     @classmethod
     def from_record(cls, rec: dict) -> "NetworkAlert":
-        ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = _required(
-            rec, "ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")
-        if not (isinstance(sig, str) and isinstance(cat, str)
-                and isinstance(src_ip, str) and isinstance(dst_ip, str)):
-            raise _not_text(rec, ("sig", "cat", "src_ip", "dst_ip"))
-        proto = _member(_PROTOCOLS, proto, "protocol")
+        ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = (column[0] for column in _required(
+            [rec], ("ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")))
+        for name, value, allowed in (("sig", sig, _TEXT), ("cat", cat, _TEXT), ("src_ip", src_ip, _TEXT),
+                                     ("dst_ip", dst_ip, _TEXT)):
+            _check_types(name, (value,), allowed)
+        (proto,) = _lookup(_PROTOCOLS, (proto,), "protocol")
+        for name, value, allowed in (("ts", ts, _NUMBER), ("sev", sev, _NUMBER),
+                                     ("src_port", src_port, _INTEGER), ("dst_port", dst_port, _INTEGER)):
+            _check_types(name, (value,), allowed)
         return cls(
             timestamp=float(ts),
             signature=sig,
@@ -242,24 +351,34 @@ class NetworkAlert:
             protocol=proto,
             category=cat,
             src_ip=src_ip,
-            src_port=int(src_port),
+            src_port=src_port,
             dst_ip=dst_ip,
-            dst_port=int(dst_port),
+            dst_port=dst_port,
         )
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), separators=(",", ":"))
 
 
-def _entity(refs: dict, kind, key) -> EntityRef:
-    k = (_member(_ENTITY_KINDS, kind, "entity kind"), key)
-    return refs.get(k) or refs.setdefault(k, EntityRef(*k))
+# json.loads without its wrappers: one JSON value from a string at an index,
+# returned with the index after it; StopIteration where no value starts
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _parse_stream(stream, from_record):
-    out = []
-    for line_no, line in enumerate(stream.splitlines() if isinstance(stream, str) else stream, start=1):
-        line = line.strip()
+def _parse_stream(stream, parse_records):
+    """`parse_records` of the stream's JSON lines. All lines are decoded and
+    checked together; only if that fails are they taken one at a time, to
+    raise `TelemetryParseError` naming the first bad line."""
+    lines = [line.strip() for line in (stream.splitlines() if isinstance(stream, str) else stream)]
+    text = [line for line in lines if line]
+    try:
+        decoded = list(map(_scan_json, text, repeat(0)))  # (value, end) per line
+        if list(map(itemgetter(1), decoded)) != list(map(len, text)):
+            raise ValueError("extra data after a JSON value")
+        return parse_records(list(map(itemgetter(0), decoded)))
+    except (ValidationError, ValueError, TypeError, KeyError, OverflowError, StopIteration) as exc:
+        failure = exc
+    for line_no, line in enumerate(lines, start=1):
         if not line:
             continue
         try:
@@ -269,25 +388,24 @@ def _parse_stream(stream, from_record):
         if not isinstance(rec, dict):
             raise TelemetryParseError(line_no, "record is not a JSON object")
         try:
-            out.append(from_record(rec))
+            parse_records([rec])
         except ValidationError as exc:
             raise TelemetryParseError(line_no, str(exc)) from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TelemetryParseError(line_no, f"bad field value: {exc}") from None
-    out.sort(key=lambda r: r.timestamp)  # stable: preserves input order on ties
-    return out
+    raise failure
 
 
-def parse_host_events(stream: Union[str, Iterable[str]]) -> list[HostEvent]:
-    """Parse a JSONL host-event stream, sorted by timestamp (stable on ties).
-    Events of one call that name the same entity share one `EntityRef`."""
-    refs: dict = {}
-    return _parse_stream(stream, lambda rec: HostEvent._from_record(rec, refs))
+def parse_host_events(stream: Union[str, Iterable[str]]) -> EventTable:
+    """Parse a JSONL host-event stream into an `EventTable`, sorted by
+    timestamp (stable on ties)."""
+    return _parse_stream(stream, _event_table)
 
 
 def parse_alerts(stream: Union[str, Iterable[str]]) -> list[NetworkAlert]:
     """Parse a JSONL network-alert stream, sorted by timestamp (stable on ties)."""
-    return _parse_stream(stream, NetworkAlert.from_record)
+    return _parse_stream(stream, lambda recs: sorted(map(NetworkAlert.from_record, recs),
+                                                     key=attrgetter("timestamp")))
 
 
 def dump_jsonl(records, fh) -> None:

@@ -150,6 +150,21 @@ def test_exit_code_labels_miss_a_window(pipeline, tmp_path, capsys):
     assert "but 6 graphs exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:4] + lines[5:], "labels.csv: no label for windows 3, but 6 graphs exist"),
+    (lambda lines: lines[:2] + lines[5:] + ["6,0\n", "-1,0\n"],
+     "labels.csv: no label for windows 1, 2, 3 and labels for windows -1, 6, but 6 graphs exist"),
+    (lambda lines: lines + [f"{i},0\n" for i in range(6, 14)],
+     "labels.csv: labels for windows 6, 7, 8, 9, 10 and 3 more, but 6 graphs exist"),
+])
+def test_exit_code_labels_name_missing_and_extra_windows(pipeline, tmp_path, capsys, edit, message):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    lines = (workdir / "labels.csv").read_text().splitlines(keepends=True)
+    (workdir / "labels.csv").write_text("".join(edit(lines)))
+    assert run("finetune", "--config", cfg_path) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stage_id,message", [
     ("9", "stage_id 9 is outside 0..6"),
     ("-1", "stage_id -1 is outside 0..6"),

@@ -6,7 +6,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aptstage.errors import GraphConsistencyError, ValidationError
 from aptstage.graphs import (
@@ -30,9 +30,13 @@ from aptstage.telemetry import (
     HostEvent,
     NetworkAlert,
     Protocol,
+    dump_jsonl,
+    parse_host_events,
     window_labels,
 )
+from aptstage.telemetry.records import BYTES_KINDS, SELF_EDGE_KINDS
 
+import graph_reference
 from graph_helpers import campaign_graphs, dense_graphs, make_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -96,7 +100,7 @@ def test_alert_only_window():
     alert = NetworkAlert(305.0, "sig", 0.5, Protocol.TCP, "c", HOST, 1, "9.9.9.9", 2)
     windows = window_events(events, [alert])
     assert len(windows) == 2
-    assert windows[1].events == [] and windows[1].alerts == [alert]
+    assert list(windows[1].events) == [] and windows[1].alerts == [alert]
 
 
 def test_interior_empty_window_retained():
@@ -104,7 +108,7 @@ def test_interior_empty_window_retained():
               ev(650.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     windows = window_events(events, [])
     assert [w.index for w in windows] == [0, 1, 2]
-    assert windows[1].events == []
+    assert list(windows[1].events) == []
     g = build_graph(windows[1])
     assert g.nodes == () and g.edges == ()
 
@@ -121,7 +125,7 @@ def test_labels_land_in_the_window_that_holds_their_record(ev_stamps, al_stamps,
     k = data.draw(st.integers(0, len(events) - 1))
     windows = window_events(events, alerts)
     labels = window_labels(events, alerts, [(ev_stamps[k], 3)])
-    (home,) = {w.index for w in windows if any(e is events[k] for e in w.events)}
+    (home,) = {w.index for w in windows if any(e == events[k] for e in w.events)}
     assert labels == [3 if w.index == home else 0 for w in windows]
 
 
@@ -282,6 +286,58 @@ def test_alert_attribution_matches_two_comprehension_oracle(events, alerts):
     assert got == oracle_attribution(window)
 
 
+# Small pools, so that draws repeat: a key under several entity kinds (the
+# host key also as an ip), keys shaped like alert keys, timestamp ties,
+# window edges and empty interior windows (nothing in 600..1500).
+_KEYS = ("p", "q", "f", "alert:0:sig", "alert:0:sig'", HOST, "9.9.9.9", "9.9.9.9:80")
+_TIMES = (0.0, 1.0, 1.0, 2.5, 299.9, 300.0, 450.0, 1500.0)
+
+
+@st.composite
+def any_event(draw):
+    kind = draw(st.sampled_from(list(EventKind)))
+    subj = EntityRef(draw(st.sampled_from(list(EntityKind))), draw(st.sampled_from(_KEYS)))
+    obj = EntityRef(draw(st.sampled_from(list(EntityKind))), draw(st.sampled_from(_KEYS)))
+    if subj == obj and kind not in SELF_EDGE_KINDS:
+        obj = EntityRef(obj.kind, obj.key + "#")
+    nbytes = draw(st.one_of(st.none(), st.integers(0, 10**6))) if kind in BYTES_KINDS else None
+    return HostEvent(draw(st.sampled_from(_TIMES)), draw(st.sampled_from(HOSTS)), kind, subj, obj,
+                     command=draw(st.sampled_from((None, "a", "b"))),
+                     user=draw(st.sampled_from((None, "u", "v"))), bytes=nbytes)
+
+
+any_alert = st.builds(
+    lambda ts, src, dst, port: NetworkAlert(ts, "sig", 0.5, Protocol.TCP, "c", src, 1111, dst, port),
+    st.sampled_from(_TIMES), st.sampled_from(HOSTS + ("7.7.7.7",)),
+    st.sampled_from(HOSTS + ("9.9.9.9", "7.7.7.7")), st.sampled_from((80, 443)))
+
+
+def _reference_graph_text(events, alerts):
+    return [graph_reference.build_graph(w).to_json()
+            for w in graph_reference.window_events(events, alerts)]
+
+
+@settings(max_examples=300)
+@given(st.lists(any_event(), max_size=14), st.lists(any_alert, max_size=4))
+@example(  # every case at once, with windows 1..4 empty
+    [ev(1.0, EventKind.FILE_CREATE, proc("p.exe"), fileref(f"{HOST}/p.exe")),
+     ev(1.0, EventKind.PROCESS_CREATE, proc("p.exe"), proc("p.exe"), command="p.exe"),
+     ev(2.0, EventKind.NET_SEND, proc("p.exe"), ipref("9.9.9.9:80")),
+     ev(2.0, EventKind.NET_SEND, proc("p.exe"), ipref("9.9.9.9:80"), bytes=5),
+     ev(3.0, EventKind.NET_SEND, proc("p.exe"), ipref("9.9.9.9:80"), bytes=7),
+     ev(4.0, EventKind.FILE_READ, proc("r.exe"), fileref("alert:0:sig")),
+     ev(1500.0, EventKind.FILE_READ, proc("r.exe"), fileref("f"))],
+    [NetworkAlert(2.5, "sig", 0.5, Protocol.TCP, "c", HOST, 1111, "9.9.9.9", 80),
+     NetworkAlert(0.5, "sig", 0.5, Protocol.TCP, "c", HOST, 1111, "7.7.7.7", 443)])
+def test_columnar_builder_matches_row_wise_reference(events, alerts):
+    expected = _reference_graph_text(events, alerts)
+    assert [build_graph(w).to_json() for w in window_events(events, alerts)] == expected
+    buf = io.StringIO()
+    dump_jsonl(events, buf)
+    parsed = parse_host_events(buf.getvalue())
+    assert [build_graph(w).to_json() for w in window_events(parsed, alerts)] == expected
+
+
 def test_unmatched_alert_falls_back_to_host():
     events = [ev(1.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     alert = NetworkAlert(3.0, "sig", 0.5, Protocol.UDP, "c", HOST, 1111, "9.9.9.9", 53)
@@ -319,7 +375,7 @@ def test_canonical_ordering():
 def test_event_outside_window_rejected():
     events = [ev(1.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     window = window_events(events, [])[0]
-    bad = window.events + [ev(999.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
+    bad = list(window.events) + [ev(999.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     with pytest.raises(ValidationError):
         build_graph(type(window)(window.index, window.start, bad, window.alerts))
 

@@ -53,7 +53,7 @@ def test_parse_download_chain():
 
 
 def test_parse_empty_stream():
-    assert parse_host_events("") == []
+    assert list(parse_host_events("")) == []
     assert parse_alerts("") == []
 
 
@@ -138,6 +138,16 @@ _REFUSED = {
     **{f"alert-{name}-{f}": (parse_alerts, _edited(alert_line(), f, v), f"{f} must be a string: {v!r}")
        for f, name, v in (("sig", "number", 5), ("cat", "list", ["scan"]),
                           ("src_ip", "null", None), ("dst_ip", "null", None))},
+    **{f"event-{name}-{f}": (parse_host_events, _edited(_GOOD_EVENT, f, v), f"{f} must be {what}: {v!r}")
+       for f, name, v, what in (("ts", "string", "5", "a number"), ("ts", "bool", True, "a number"),
+                                ("bytes", "bool", True, "an integer"), ("bytes", "string", "12", "an integer"),
+                                ("bytes", "fraction", 12.9, "an integer"))},
+    **{f"alert-{name}-{f}": (parse_alerts, _edited(alert_line(), f, v), f"{f} must be {what}: {v!r}")
+       for f, name, v, what in (("ts", "string", "13", "a number"), ("sev", "string", "0.5", "a number"),
+                                ("sev", "bool", True, "a number"), ("src_port", "string", "80", "an integer"),
+                                ("src_port", "fraction", 80.7, "an integer"),
+                                ("src_port", "bool", False, "an integer"),
+                                ("dst_port", "float", 80.0, "an integer"))},
     **{f"event-missing-{f}": (parse_host_events, _edited(_GOOD_EVENT, f), f"missing required field: {f}")
        for f in _EVENT_FIELDS},
     **{f"alert-missing-{f}": (parse_alerts, _edited(alert_line(), f), f"missing required field: {f}")
@@ -164,12 +174,14 @@ def test_entity_refs_are_shared_within_one_parse_call_only():
     text = "\n".join([ev_line(1.0, "FileRead", WGET, PAYLOAD), ev_line(2.0, "FileWrite", WGET, PAYLOAD),
                       ev_line(3.0, "ProcessCreate", WGET, proc_payload)])
     first = parse_host_events(text)
-    assert first[0].subject is first[1].subject is first[2].subject
-    assert first[0].object is first[1].object and first[0].object == PAYLOAD
-    assert first[2].object == proc_payload and first[2].object is not first[0].object
+    assert first.subj[0] == first.subj[1] == first.subj[2]
+    assert first.obj[0] == first.obj[1] and first[0].object == PAYLOAD
+    # one key is one interned id, whatever kind it is sighted under
+    assert first[2].object == proc_payload and first.obj[2] == first.obj[0]
+    assert first.strings.count(PAYLOAD.key) == 1
     again = parse_host_events(text)
-    assert [(e.subject, e.object) for e in again] == [(e.subject, e.object) for e in first]
-    assert all(a.subject is not b.subject and a.object is not b.object for a, b in zip(again, first))
+    assert list(again) == list(first)
+    assert again.strings == first.strings and again.strings is not first.strings
 
 
 def test_alert_severity_boundaries():
@@ -202,7 +214,7 @@ def test_event_roundtrip_with_optionals():
     ev = HostEvent(3.5, "h2", EventKind.NET_SEND, WGET,
                    EntityRef(EntityKind.IP, "203.0.113.10:80"),
                    command=None, user="alice", bytes=512)
-    back = HostEvent.from_record(json.loads(ev.to_json_line()))
+    (back,) = parse_host_events(ev.to_json_line())
     assert back == ev
 
 
@@ -212,7 +224,7 @@ def test_dump_then_parse_roundtrip():
                         command="x", user="u")]
     buf = io.StringIO()
     dump_jsonl(events, buf)
-    assert parse_host_events(buf.getvalue()) == events
+    assert list(parse_host_events(buf.getvalue())) == events
 
 
 # ---------------------------------------------------------------- scenario
