@@ -223,11 +223,15 @@ class EventTable:
     @staticmethod
     def from_events(events) -> "EventTable":
         """The table of a sequence of `HostEvent`s."""
-        rows = list(map(_EVENT_ROW, events))
-        ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user = zip(*rows) if rows else ((),) * 10
-        return _columns(ts, _lookup(_EVENT_KIND_IDS, kind, "event kind"), host, subj,
-                        _lookup(_ENTITY_KIND_IDS, subj_kind, "entity kind"), obj,
-                        _lookup(_ENTITY_KIND_IDS, obj_kind, "entity kind"), nbytes, cmd, user)._sorted()
+        subjects, objects = [e.subject for e in events], [e.object for e in events]
+        return _columns([e.timestamp for e in events],
+                        _lookup(_EVENT_KIND_IDS, [e.event_kind for e in events], "event kind"),
+                        [e.host_id for e in events], [s.key for s in subjects],
+                        _lookup(_ENTITY_KIND_IDS, [s.kind for s in subjects], "entity kind"),
+                        [o.key for o in objects],
+                        _lookup(_ENTITY_KIND_IDS, [o.kind for o in objects], "entity kind"),
+                        [e.bytes for e in events], [e.command for e in events],
+                        [e.user for e in events])._sorted()
 
     def _sorted(self) -> "EventTable":
         """The rows sorted stably by timestamp; `self` if they already are."""
@@ -236,33 +240,29 @@ class EventTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(EventTable))[1:]
-_EVENT_ROW = attrgetter("timestamp", "event_kind", "host_id", "subject.key", "subject.kind",
-                        "object.key", "object.kind", "bytes", "command", "user")
+_STRING_IDS = frozenset({"host", "subj", "obj", "cmd", "user"})
 
 
 def _columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user) -> EventTable:
-    """An `EventTable` of per-row sequences in input order, its strings
-    interned in order of first appearance."""
-    distinct = dict.fromkeys(chain(host, subj, obj, cmd, user))
+    """An `EventTable` of per-row lists in input order, its strings interned
+    in order of first appearance."""
+    text = host + subj + obj + cmd + user
+    distinct = dict.fromkeys(text)
     distinct.pop(None, None)
     strings = tuple(distinct)
     ids = dict(zip(strings, range(len(strings))))
     ids[None] = -1
-
-    def interned(values):
-        return np.array(list(map(ids.__getitem__, values)), dtype=np.int64)
-
-    return EventTable(strings, np.array(ts, dtype=float), np.array(kind, dtype=np.int64),
-                      interned(host), interned(subj), np.array(subj_kind, dtype=np.int64),
-                      interned(obj), np.array(obj_kind, dtype=np.int64),
-                      np.array(nbytes, dtype=float), interned(cmd), interned(user))
+    host, subj, obj, cmd, user = np.fromiter(map(ids.__getitem__, text), np.int64, len(text)).reshape(5, -1)
+    return EventTable(strings, np.array(ts, dtype=float), np.array(kind, dtype=np.int64), host, subj,
+                      np.array(subj_kind, dtype=np.int64), obj, np.array(obj_kind, dtype=np.int64),
+                      np.array(nbytes, dtype=float), cmd, user)
 
 
 def _event_table(recs: list) -> EventTable:
-    """The `EventTable` of host-event records (dicts). Each check runs over
-    a whole column and raises `ValidationError` phrased for the first
-    record that fails it; on a single record the checks run in the order a
-    record's fields were checked one at a time."""
+    """The `EventTable` of host-event records (dicts), rows in input order.
+    Each check runs over a whole column and raises `ValidationError` phrased
+    for the first record that fails it; on a single record the checks run in
+    the order a record's fields were checked one at a time."""
     ts, host, kind, subj_kind, subj, obj_kind, obj = _required(
         recs, ("ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key"))
     cmd, user, nbytes = (list(map(dict.get, recs, repeat(name))) for name in ("cmd", "user", "bytes"))
@@ -292,7 +292,20 @@ def _event_table(recs: list) -> EventTable:
     for mask, message in checks:
         if mask.any():
             raise ValidationError(message(mask.argmax()))
-    return t._sorted()
+    return t
+
+
+def _concat(tables: list) -> EventTable:
+    """The rows of `tables`, in order, as one table with one string table."""
+    if len(tables) == 1:
+        return tables[0]
+    strings = tuple(dict.fromkeys(chain.from_iterable(t.strings for t in tables)))
+    ids = dict(zip(strings, range(len(strings))))
+    # per table, its string ids -> the merged ids; the -1 appended keeps -1
+    remaps = [np.array([ids[s] for s in t.strings] + [-1], dtype=np.int64) for t in tables]
+    return EventTable(strings, *(np.concatenate([remap[getattr(t, name)] if name in _STRING_IDS
+                                                 else getattr(t, name) for t, remap in zip(tables, remaps)])
+                                 for name in _COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -363,22 +376,37 @@ class NetworkAlert:
 # json.loads without its wrappers: one JSON value from a string at an index,
 # returned with the index after it; StopIteration where no value starts
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
+# Lines decoded at once. A decoded record (a dict and its strings) takes
+# several times the memory of its table row, so a stream is decoded a chunk
+# at a time and only the chunks' parsed rows are kept.
+_CHUNK = 2048
 
 
-def _parse_stream(stream, parse_records):
-    """`parse_records` of the stream's JSON lines. All lines are decoded and
-    checked together; only if that fails are they taken one at a time, to
-    raise `TelemetryParseError` naming the first bad line."""
+def _parse_stream(stream, parse_records, combine):
+    """`combine` of `parse_records` over the stream's JSON lines, taken a
+    chunk at a time. A chunk's lines are decoded and checked together; only
+    if that fails are they taken one at a time, to raise
+    `TelemetryParseError` naming the first bad line."""
     lines = [line.strip() for line in (stream.splitlines() if isinstance(stream, str) else stream)]
-    text = [line for line in lines if line]
-    try:
-        decoded = list(map(_scan_json, text, repeat(0)))  # (value, end) per line
-        if list(map(itemgetter(1), decoded)) != list(map(len, text)):
-            raise ValueError("extra data after a JSON value")
-        return parse_records(list(map(itemgetter(0), decoded)))
-    except (ValidationError, ValueError, TypeError, KeyError, OverflowError, StopIteration) as exc:
-        failure = exc
-    for line_no, line in enumerate(lines, start=1):
+    parts = []
+    for first in range(0, max(len(lines), 1), _CHUNK):
+        chunk = lines[first:first + _CHUNK]
+        text = [line for line in chunk if line]
+        try:
+            decoded = list(map(_scan_json, text, repeat(0)))  # (value, end) per line
+            if list(map(itemgetter(1), decoded)) != list(map(len, text)):
+                raise ValueError("extra data after a JSON value")
+            parts.append(parse_records(list(map(itemgetter(0), decoded))))
+        except (ValidationError, ValueError, TypeError, KeyError, OverflowError, StopIteration):
+            _refuse_first_bad_line(chunk, first + 1, parse_records)
+            raise
+    return combine(parts)
+
+
+def _refuse_first_bad_line(lines, first_no: int, parse_records) -> None:
+    """Raise `TelemetryParseError` for the first of `lines`, numbered from
+    `first_no`, that does not parse on its own."""
+    for line_no, line in enumerate(lines, start=first_no):
         if not line:
             continue
         try:
@@ -393,19 +421,18 @@ def _parse_stream(stream, parse_records):
             raise TelemetryParseError(line_no, str(exc)) from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise TelemetryParseError(line_no, f"bad field value: {exc}") from None
-    raise failure
 
 
 def parse_host_events(stream: Union[str, Iterable[str]]) -> EventTable:
     """Parse a JSONL host-event stream into an `EventTable`, sorted by
     timestamp (stable on ties)."""
-    return _parse_stream(stream, _event_table)
+    return _parse_stream(stream, _event_table, lambda tables: _concat(tables)._sorted())
 
 
 def parse_alerts(stream: Union[str, Iterable[str]]) -> list[NetworkAlert]:
     """Parse a JSONL network-alert stream, sorted by timestamp (stable on ties)."""
-    return _parse_stream(stream, lambda recs: sorted(map(NetworkAlert.from_record, recs),
-                                                     key=attrgetter("timestamp")))
+    return _parse_stream(stream, lambda recs: list(map(NetworkAlert.from_record, recs)),
+                         lambda parts: sorted(chain.from_iterable(parts), key=attrgetter("timestamp")))
 
 
 def dump_jsonl(records, fh) -> None:

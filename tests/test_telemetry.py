@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aptstage.errors import TelemetryParseError, ValidationError
+from aptstage.telemetry import records
 from aptstage.telemetry import (
     WINDOW_SECONDS,
     EntityKind,
@@ -182,6 +183,23 @@ def test_entity_refs_are_shared_within_one_parse_call_only():
     again = parse_host_events(text)
     assert list(again) == list(first)
     assert again.strings == first.strings and again.strings is not first.strings
+
+
+def test_chunked_parse_matches_one_chunk(monkeypatch):
+    procs = (PS, WGET, EntityRef(EntityKind.PROCESS, "host1/pid:14/cmd.exe"))
+    lines = [ev_line(float(i % 7), "FileRead", procs[i % 3], PAYLOAD, user=f"u{i % 4}",
+                     **({"cmd": f"c{i % 5}"} if i % 2 else {})) for i in range(20)]
+    alerts = [alert_line(ts=float(i % 4), src_port=i) for i in range(9)]
+    whole, whole_alerts = parse_host_events("\n".join(lines)), parse_alerts("\n".join(alerts))
+    monkeypatch.setattr(records, "_CHUNK", 3)
+    chunked = parse_host_events("\n".join(lines))
+    assert list(chunked) == list(whole) and sorted(chunked.strings) == sorted(whole.strings)
+    assert chunked.ts.tolist() == sorted(float(i % 7) for i in range(20))
+    assert parse_alerts("\n".join(alerts)) == whole_alerts
+    lines[10] = _edited(lines[10], "kind", "Bogus")
+    with pytest.raises(TelemetryParseError) as ei:
+        parse_host_events("\n".join(lines))
+    assert str(ei.value) == "line 11: unknown event kind: 'Bogus'"
 
 
 def test_alert_severity_boundaries():
