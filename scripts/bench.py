@@ -14,8 +14,12 @@ difference), and per workload and metric both sides' quartiles, the verdict
 under `perfbench/compare.py`'s bounds, the pairs that the change won and the
 parent's quartile distance. After the pairs, each side runs once more with
 `--trace 1` on the first seed, and the per-layer metrics of those two runs
-(tape nodes and bytes, per-layer times) are recorded next to the pairs. The
-exit status is 1 if a metric regressed or the two sides ran different inputs.
+(tape nodes and bytes, per-layer times) are recorded next to the pairs. Last,
+each side runs the seed-0 `scripts/run_benchmark.py` (criterion 8, about a
+minute) in a fresh process with one BLAS thread, and its macro-F1, TFR, SSL
+ratio and the ablation's figures go under `quality`, so a change that moves
+results shows up. The exit status is 1 if a metric regressed or the two sides
+ran different inputs.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,6 +39,7 @@ import compare  # noqa: E402
 
 SIDES = ("parent", "change")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+QUALITY = ("macro_f1", "tfr", "macro_f1_ablation", "tfr_ablation", "ssl_ratio", "runtime_s")
 
 
 def _git(path: str, *args: str) -> bytes:
@@ -65,6 +71,23 @@ def _run(path: str, seed: int, seconds: float, trace: int = 0) -> list:
         sys.exit(f"bench: {' '.join(cmd)} in {path} exited with {proc.returncode}")
     return [json.loads(line)["report"] for line in proc.stdout.splitlines()
             if line.startswith('{"report"')]
+
+
+def _quality(path: str) -> dict:
+    """The `QUALITY` figures of one seed-0 `scripts/run_benchmark.py` run in
+    checkout `path`, importing the program from its ./src."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(path, "src"),
+                                                    os.environ.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "benchmark.json")
+        cmd = [sys.executable, "scripts/run_benchmark.py", "--seeds", "0", "--out", out]
+        proc = subprocess.run(cmd, cwd=path, env=env, stdout=subprocess.DEVNULL, check=False)
+        if proc.returncode != 0:
+            sys.exit(f"bench: {' '.join(cmd)} in {path} exited with {proc.returncode}")
+        with open(out, encoding="utf-8") as fh:
+            (result,) = json.load(fh)
+    return {k: result[k] for k in QUALITY}
 
 
 def _verdicts(reports: dict) -> dict:
@@ -142,6 +165,9 @@ def main(argv=None) -> int:
         print(f"traced {workload}: " + "; ".join(
             f"{m} {row[m]['parent']:.4g} -> {row[m]['change']:.4g}"
             for m in ("nn.tape_nodes", "nn.tape_mb") if m in row))
+    quality = {side: _quality(dirs[side]) for side in SIDES}
+    print("quality (seed-0 run_benchmark): " + "; ".join(
+        f"{k} {quality['parent'][k]:.4g} -> {quality['change'][k]:.4g}" for k in QUALITY))
 
     # In pair order, so a side's n-th report of a workload comes from pair n.
     reports = {side: [r for run in runs if run["side"] == side for r in run["reports"]]
@@ -179,6 +205,7 @@ def main(argv=None) -> int:
         "verdicts": verdicts,
         "runs": runs,
         "traced": {"seed": args.seeds[0], "layers": layers, "reports": traced},
+        "quality": {"seed": 0, **quality},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -8,9 +8,11 @@ al. 2018, eq. 2) computed in aggregate-then-transform order: states are
 averaged over each segment first, and each relation's weight is then applied
 once per segment instead of once per edge.
 
-`pack_graphs` concatenates the node matrices of many windows
-block-diagonally and writes the segment averages as one sparse (S, N) mean
-matrix A, A[s, j] = (edges from j in s) / (edges in s). A round's forward
+`pack_graphs` stacks the sparse (CSR) node feature rows of many windows
+and concatenates their graphs block-diagonally; the node projection is a
+sparse × dense product, since about 4 % of the raw node features are set.
+It writes the segment averages as one sparse (S, N) mean matrix A,
+A[s, j] = (edges from j in s) / (edges in s). A round's forward
 aggregate is A·h and its backward scatter Aᵀ·g. The raw edge features are
 averaged per segment once, when packing, and projected after: the edge
 projection is affine, so the mean of the projected rows equals the
@@ -42,7 +44,7 @@ class PackedGraphs:
     (relation, destination); segments are ordered by relation, then
     destination, and only segments holding an edge exist."""
 
-    X: np.ndarray            # (N, d_x) raw node features
+    X: sp.csr_array          # (N, d_x) raw node features
     Zbar: np.ndarray         # (S, d_e) mean raw edge features per segment
     node_graph: np.ndarray   # (N,) graph id per node, non-decreasing
     n_graphs: int
@@ -53,8 +55,10 @@ class PackedGraphs:
 
 
 def pack_graphs(items) -> PackedGraphs:
-    """items: sequence of (X_raw, Z_raw, ProvenanceGraph). Each graph's
-    `edge_index` joins the batch shifted by its first node's offset."""
+    """items: sequence of (X_raw, Z_raw, ProvenanceGraph) with X_raw a CSR
+    array. Each graph's `edge_index` joins the batch shifted by its first
+    node's offset, and each X_raw's rows join it by `indptr` shifted by the
+    non-zeros before them."""
     graphs = [g for _, _, g in items]
     n_per = np.array([len(g.nodes) for g in graphs], dtype=np.int64)
     n_nodes = int(n_per.sum())
@@ -71,8 +75,17 @@ def pack_graphs(items) -> PackedGraphs:
     n_segs = len(seg_key)
     edge_mean = sp.csr_array((weight, order, indptr), shape=(n_segs, len(order)))
     Z = np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0))
+    blocks = [X for X, _, _ in items] or [sp.csr_array((0, 0))]
+    width, *others = {X.shape[1] for X in blocks}
+    if others:
+        raise ValueError(f"node feature widths differ across windows: {sorted([width, *others])}")
+    offsets = np.cumsum([0] + [X.nnz for X in blocks[:-1]])
+    X = sp.csr_array((np.concatenate([X.data for X in blocks]),
+                      np.concatenate([X.indices for X in blocks]),
+                      np.concatenate([[0]] + [X.indptr[1:] + off for X, off in zip(blocks, offsets)])),
+                     shape=(n_nodes, width))
     return PackedGraphs(
-        X=np.concatenate([X for X, _, _ in items]) if items else np.zeros((0, 0)),
+        X=X,
         Zbar=edge_mean @ Z,
         node_graph=np.repeat(np.arange(len(items), dtype=np.int64), n_per),
         n_graphs=len(items),
@@ -85,8 +98,8 @@ def pack_graphs(items) -> PackedGraphs:
 
 
 def project_packed(packed: PackedGraphs, store):
-    """x̃ = W_x·x + b_x per node and z̄ = W_z·mean(z) + b_z per segment, which
-    is the segment mean of the per-edge z̃ = W_z·z + b_z."""
+    """x̃ = W_x·x + b_x per node, from the sparse X, and z̄ = W_z·mean(z) + b_z
+    per segment, which is the segment mean of the per-edge z̃ = W_z·z + b_z."""
     return (linear(packed.X, store.tensor("proj.Wx"), store.tensor("proj.bx")),
             linear(packed.Zbar, store.tensor("proj.Wz"), store.tensor("proj.bz")))
 

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CompatibilityError, FitError, InputError, ValidationError
 from .graphs import (
@@ -231,7 +232,8 @@ def _proto_column(attrs: dict) -> int:
 
 def featurize_graph(graph: ProvenanceGraph, vocab, stats,
                     config: FeaturizerConfig = FeaturizerConfig()):
-    """Raw feature matrices (X: |V|×d_x, Z: |E|×d_e) for one graph."""
+    """Raw feature matrices for one graph: X, |V|×d_x, as a canonical
+    `scipy.sparse.csr_array` of its non-zero values, and Z, |E|×d_e, dense."""
     c = config
     nodes = graph.nodes
     rel, src, _ = graph.edge_index
@@ -284,7 +286,12 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
         Z[j, c.e_aproto + _proto_column(a)] = 1.0
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise InputError("non-finite feature value produced")
-    return X, Z
+    # row-major non-zeros are CSR's data in order; row i starts at the first one past i·d_x
+    flat = X.ravel()
+    nz = (flat != 0).nonzero()[0]
+    bounds = np.arange(0, X.size + 1, c.node_dim)
+    return sp.csr_array((flat[nz], nz % c.node_dim, np.searchsorted(nz, bounds)),
+                        shape=X.shape), Z
 
 
 # --- persistence ("feature spec" artifact) ---

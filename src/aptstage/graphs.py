@@ -231,28 +231,39 @@ def external_endpoint(alert: NetworkAlert, host_keys) -> tuple:
     return alert.dst_ip, alert.dst_port, True
 
 
-def _sighting_tables(net_sightings):
-    """Index a window's network sightings (proc_key, remote_key, ts) for
-    alert attribution. `exact` maps each remote key, `loose` the remote key
-    and every prefix ending before one of its colons (the ips it matches as
-    `remote == ip or remote.startswith(ip + ":")`), to (sorted distinct
-    sighting times, smallest process key sighted at each time)."""
-    exact: dict = {}
-    loose: dict = {}
-    for proc, remote, ts in net_sightings:
-        exact.setdefault(remote, []).append((ts, proc))
-        end = len(remote)
-        while end >= 0:
-            loose.setdefault(remote[:end], []).append((ts, proc))
-            end = remote.rfind(":", 0, end)
+def _sighting_tables(keys, proc, remote, ts, lookups):
+    """Index a window's network sightings for alert attribution, under only
+    the keys that its alerts look up. `proc`, `remote` and `ts` are each
+    sighting's process and remote ids into `keys` and its time; `lookups`
+    holds each alert's (ip, port). `exact` maps "ip:port", `loose` maps ip
+    (matching a remote key r as `r == ip or r.startswith(ip + ":")`), to
+    (sorted distinct sighting times, smallest process key sighted at each
+    time)."""
+    exact = {f"{ip}:{port}": [] for ip, port in lookups}
+    loose = {ip: [] for ip, _ in lookups}
+    joins = {}  # remote id -> the lists its sightings join
+    for r in np.unique(remote).tolist():
+        key = keys[r]
+        lists = [exact[key]] if key in exact else []
+        end = len(key)
+        while end >= 0:  # the key, then each prefix ending before one of its colons
+            if key[:end] in loose:
+                lists.append(loose[key[:end]])
+            end = key.rfind(":", 0, end)
+        if lists:
+            joins[r] = lists
+    seen = np.isin(remote, list(joins))
+    for p, r, t in zip(proc[seen].tolist(), remote[seen].tolist(), ts[seen].tolist()):
+        for pairs in joins[r]:
+            pairs.append((t, keys[p]))
     for table in (exact, loose):
         for key, pairs in table.items():
             pairs.sort()  # by time, then process key: each time's first pair wins
             times, procs = [], []
-            for ts, proc in pairs:
-                if not times or ts != times[-1]:
-                    times.append(ts)
-                    procs.append(proc)
+            for t, p in pairs:
+                if not times or t != times[-1]:
+                    times.append(t)
+                    procs.append(p)
             table[key] = (times, procs)
     return exact, loose
 
@@ -306,14 +317,14 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     # early fusion: alert node + external ip node + triggered_by attribution
     position = dict(zip(keys, range(len(keys))))
     fusion: list = []  # (alert key, target key, alert attrs)
+    endpoints = [external_endpoint(al, host_keys) for al in window.alerts]
     if window.alerts:
         net = _NET_EVENT[ev.kind]
-        exact, loose = _sighting_tables(zip([keys[i] for i in subj[net].tolist()],
-                                            [keys[i] for i in obj[net].tolist()], ts[net].tolist()))
-    for ordinal, al in enumerate(window.alerts):
+        exact, loose = _sighting_tables(keys, subj[net], obj[net], ts[net],
+                                        [(ip, port) for ip, port, _ in endpoints])
+    for ordinal, (al, (ext_ip, ext_port, outbound)) in enumerate(zip(window.alerts, endpoints)):
         if not (lo <= al.timestamp < hi):
             raise ValidationError(f"alert at t={al.timestamp} outside window [{lo}, {hi})")
-        ext_ip, ext_port, outbound = external_endpoint(al, host_keys)
         j = position.setdefault(ext_ip, len(keys))
         if j == len(keys):
             keys.append(ext_ip)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .encoder import LAYERS, encode_packed, encoder_param_spec, pack_graphs
 from .estimator import (
@@ -17,7 +18,7 @@ from .estimator import (
 )
 from .errors import InputError, ValidationError
 from .features import FeaturizerConfig
-from .nn import ParamStore, init_params, no_grad
+from .nn import ParamStore, as_tensor, init_params, no_grad
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,29 @@ def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
     tensor (row order follows the input order); no windows give zero rows."""
     packed = pack_graphs(window_feats)
     if not window_feats:  # no window to take the feature widths from
-        packed = replace(packed, X=np.zeros((0, cfg.featurizer.node_dim)),
+        packed = replace(packed, X=sp.csr_array((0, cfg.featurizer.node_dim)),
                          Zbar=np.zeros((0, cfg.featurizer.edge_dim)))
     return encode_packed(packed, store, layers=cfg.gnn_layers)
 
 
-def infer_probabilities(window_feats, store: ParamStore, cfg: ModelConfig) -> np.ndarray:
-    """Eval-mode stage probabilities for one time-ordered window sequence.
-    Raises InputError if any probability is non-finite."""
-    if not window_feats:
+def stage_probabilities(g, store: ParamStore, cfg: ModelConfig) -> np.ndarray:
+    """Eval-mode stage probabilities from one time-ordered sequence of window
+    embeddings g, (T, d_g). Raises InputError if any probability is
+    non-finite."""
+    g = as_tensor(g)
+    if not g.data.shape[0]:
         return np.zeros((0, cfg.num_classes))
     with no_grad():
-        batch_enc = encode_windows(window_feats, store, cfg)
-        h = recurrent_forward(batch_enc.g, store, cfg.estimator, mode="eval", batch=1)
+        h = recurrent_forward(g, store, cfg.estimator, mode="eval", batch=1)
         p = classify(h, store)
     if not np.isfinite(p.data).all():
         raise InputError("non-finite stage probability; check the checkpoint weights")
     return p.data.copy()
+
+
+def infer_probabilities(window_feats, store: ParamStore, cfg: ModelConfig) -> np.ndarray:
+    """Eval-mode stage probabilities for one time-ordered window sequence:
+    encode the windows, then `stage_probabilities`."""
+    with no_grad():
+        g = encode_windows(window_feats, store, cfg).g
+    return stage_probabilities(g, store, cfg)

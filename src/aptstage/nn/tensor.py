@@ -9,13 +9,15 @@ The model's layers are fused ops with hand-written backwards (the rounds and
 readout in `encoder`, each LSTM layer and the classifier head in
 `estimator`, the losses in `training.losses`). This module holds the tape
 itself and the three generic ops they are joined with: `linear` (the
-projection and the next-embedding head), `gather_rows` and `weighted_sum`.
+projection, whose input may be a constant sparse array, and the
+next-embedding head), `gather_rows` and `weighted_sum`.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.sparse as sp
 
 DTYPE = np.float64
 _GRAD_ENABLED = True
@@ -123,19 +125,30 @@ def gather_rows(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def _linear_adjoints(g: np.ndarray, x: Tensor, W: Tensor, b: Tensor) -> None:
-    """Route the adjoint `g` of y = x·Wᵀ + b to x (when kept), W and b."""
-    if _needs_grad(x):
-        _accum(x, g @ W.data, fresh=True)
-    _accum(W, g.T @ x.data, fresh=True)
+def _linear_adjoints(g: np.ndarray, x, W: Tensor, b: Tensor) -> None:
+    """Route the adjoint `g` of y = x·Wᵀ + b to x (when kept), W and b. A
+    sparse x is a constant: dW is xᵀ·g, sparse × dense."""
+    if sp.issparse(x):
+        dW = np.ascontiguousarray((x.T @ g).T)
+    else:
+        if _needs_grad(x):
+            _accum(x, g @ W.data, fresh=True)
+        dW = g.T @ x.data
+    _accum(W, dW, fresh=True)
     _accum(b, g.sum(axis=0), fresh=True)
 
 
 def linear(x, W: Tensor, b: Tensor) -> Tensor:
-    """x·Wᵀ + b row-wise, as one op."""
-    x = as_tensor(x)
-    return _make(x.data @ W.data.T + b.data, (x, W, b),
-                 lambda g: _linear_adjoints(g, x, W, b))
+    """x·Wᵀ + b row-wise, as one op. `x` is a tensor or a scipy sparse
+    array; a sparse x (the raw node features) is a constant that joins no
+    tape."""
+    if sp.issparse(x):
+        out, parents = x @ W.data.T, (W, b)
+    else:
+        x = as_tensor(x)
+        out, parents = x.data @ W.data.T, (x, W, b)
+    out += b.data
+    return _make(out, parents, lambda g: _linear_adjoints(g, x, W, b))
 
 
 def weighted_sum(terms) -> Tensor:

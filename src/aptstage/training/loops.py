@@ -3,10 +3,11 @@
 Pretraining slides length-20 subsequences over each trace and optimizes
 λ_pred·L_pred + λ_ctr·L_ctr with Adam; negatives are drawn uniformly with
 replacement from the batch's other windows. Fine-tuning phase 1 trains the
-upper recurrent layer and heads with everything else frozen (embeddings are
-cached since the encoder cannot change); phase 2 unfreezes end-to-end. Both
-phases use a linear 10→30 sequence-length curriculum and early stopping on
-validation macro F1 with best-checkpoint restore.
+upper recurrent layer and heads with everything else frozen (the training
+and validation windows' embeddings are cached once, since the encoder cannot
+change); phase 2 unfreezes end-to-end. Both phases use a linear 10→30
+sequence-length curriculum and early stopping on validation macro F1 with
+best-checkpoint restore.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import TrainingError, ValidationError
 from ..estimator import classify, predict_next, recurrent_forward
@@ -25,6 +27,7 @@ from ..model import (
     ModelConfig,
     encode_windows,
     infer_probabilities,
+    stage_probabilities,
 )
 from ..nn import AdamState, adam_step, as_tensor, clip_gradients, gather_rows, no_grad, weighted_sum
 from .losses import loss_contrastive_pooled, loss_pred, loss_supervised
@@ -34,8 +37,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class WindowRecord:
-    X: np.ndarray
-    Z: np.ndarray
+    X: sp.csr_array  # (|V|, d_x) raw node features, sparse
+    Z: np.ndarray    # (|E|, d_e) raw edge features
     graph: object
     label: int | None = None
 
@@ -298,18 +301,23 @@ def pretrain(traces, store, mcfg: ModelConfig, cfg: PretrainConfig) -> PretrainR
     return result
 
 
-def predict_trace(trace, store, mcfg: ModelConfig) -> np.ndarray:
-    """Eval-mode per-window stage probabilities for one trace."""
+def predict_trace(trace, store, mcfg: ModelConfig, g=None) -> np.ndarray:
+    """Eval-mode per-window stage probabilities for one trace. `g`, the
+    trace's window embeddings from `_embedding_cache`, replaces encoding
+    while the encoder is frozen."""
+    if g is not None:
+        return stage_probabilities(g, store, mcfg)
     return infer_probabilities([(w.X, w.Z, w.graph) for w in trace.windows], store, mcfg)
 
 
-def predict_traces(traces, store, mcfg: ModelConfig):
-    """Eval-mode predictions over labeled traces, one `predict_trace` each.
-    Returns (y_true, y_pred, probabilities (n_windows, C), per-trace
-    predicted stage sequences)."""
+def predict_traces(traces, store, mcfg: ModelConfig, cache=None):
+    """Eval-mode predictions over labeled traces, one `predict_trace` each
+    (from `cache[i]`, the embeddings of trace i, if given). Returns (y_true,
+    y_pred, probabilities (n_windows, C), per-trace predicted stage
+    sequences)."""
     y_true, y_pred, probs, sequences = [], [], [np.zeros((0, mcfg.num_classes))], []
-    for tr in traces:
-        p = predict_trace(tr, store, mcfg)
+    for i, tr in enumerate(traces):
+        p = predict_trace(tr, store, mcfg, None if cache is None else cache[i])
         pred = p.argmax(axis=1)
         y_true.extend(int(w.label) for w in tr.windows)
         y_pred.extend(int(k) for k in pred)
@@ -327,8 +335,8 @@ def featurize_trace(trace_id: str, graphs, labels, vocab, stats, config) -> Trac
         for i, g in enumerate(graphs)])
 
 
-def _validation_macro_f1(val_traces, store, mcfg: ModelConfig) -> float:
-    y_true, y_pred, _, _ = predict_traces(val_traces, store, mcfg)
+def _validation_macro_f1(val_traces, store, mcfg: ModelConfig, cache=None) -> float:
+    y_true, y_pred, _, _ = predict_traces(val_traces, store, mcfg, cache)
     if not y_true:
         raise TrainingError("validation split has no labeled windows")
     return macro_f1(y_true, y_pred, num_classes=mcfg.num_classes)
@@ -391,6 +399,8 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
     for pi, (phase, epochs, lr, frozen) in enumerate(phases):
         with store.frozen(frozen):
             cache = _embedding_cache(train_traces, store, mcfg) if frozen else None
+            val_cache = (_embedding_cache(val_traces, store, mcfg)
+                         if frozen and val_metric_fn is None else None)
             adam = AdamState()
             best_f1 = -np.inf
             best_snap = store.snapshot()
@@ -412,7 +422,7 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
                 if val_metric_fn is not None:
                     val_f1 = float(val_metric_fn(store, phase, epoch))
                 else:
-                    val_f1 = _validation_macro_f1(val_traces, store, mcfg)
+                    val_f1 = _validation_macro_f1(val_traces, store, mcfg, val_cache)
                 result.metric_log.append({
                     "phase": phase,
                     "epoch": epoch,

@@ -20,10 +20,35 @@ from aptstage.graphs import (
     Relation,
     _edge_columns,
     _latest_sighting,
-    _sighting_tables,
     external_endpoint,
 )
 from aptstage.telemetry import WINDOW_SECONDS, EventKind
+
+
+def sighting_tables(net_sightings):
+    """Index every network sighting (proc_key, remote_key, ts) of a window.
+    `exact` maps each remote key, `loose` the remote key and every prefix
+    ending before one of its colons (the ips it matches as `remote == ip or
+    remote.startswith(ip + ":")`), to (sorted distinct sighting times,
+    smallest process key sighted at each time)."""
+    exact: dict = {}
+    loose: dict = {}
+    for proc, remote, ts in net_sightings:
+        exact.setdefault(remote, []).append((ts, proc))
+        end = len(remote)
+        while end >= 0:
+            loose.setdefault(remote[:end], []).append((ts, proc))
+            end = remote.rfind(":", 0, end)
+    for table in (exact, loose):
+        for key, pairs in table.items():
+            pairs.sort()  # by time, then process key: each time's first pair wins
+            times, procs = [], []
+            for ts, proc in pairs:
+                if not times or ts != times[-1]:
+                    times.append(ts)
+                    procs.append(proc)
+            table[key] = (times, procs)
+    return exact, loose
 
 
 def align_windows(stamps, placed) -> tuple:
@@ -124,7 +149,7 @@ def build_graph(window) -> ProvenanceGraph:
     host_keys = {k for k, d in drafts.items() if d.kind is NodeKind.HOST}
 
     fusion_edges: list = []  # (alert draft, target_key, ts)
-    exact, loose = _sighting_tables(net_sightings) if window.alerts else ({}, {})
+    exact, loose = sighting_tables(net_sightings) if window.alerts else ({}, {})
     for ordinal, al in enumerate(window.alerts):
         if not (lo <= al.timestamp < hi):
             raise ValidationError(f"alert at t={al.timestamp} outside window [{lo}, {hi})")

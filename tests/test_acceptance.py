@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aptstage.benchmark import BenchmarkConfig, run_benchmark
 from aptstage.encoder import (
@@ -155,7 +156,7 @@ def test_criterion_2_equation_oracles():
         X, Z = rng.normal(size=(n, d_x)), rng.normal(size=(m, d_e))
         pg = make_graph(0, 0.0, _random_graph(rng, n, 0).nodes,
                         (Edge(Relation.SELF_LOOP, 0, 0, 0.0),) * m)
-        node_features = project_packed(pack_graphs([(X, Z, pg)]), pstore)[0].data
+        node_features = project_packed(pack_graphs([(sp.csr_array(X), Z, pg)]), pstore)[0].data
         for i in range(n):
             for k in range(d_h):
                 want = b_x[k] + sum(W_x[k, j] * X[i, j] for j in range(d_x))
@@ -168,7 +169,7 @@ def test_criterion_2_equation_oracles():
         z = rng.normal(size=(ne, d_h))
         weights = {rel: rng.normal(size=(d_h, 2 * d_h)) for rel in Relation}
         # packed as the raw edge features, z comes out as its segment means
-        packed = pack_graphs([(np.zeros((nv, 0)), z, g)])
+        packed = pack_graphs([(sp.csr_array((nv, 0)), z, g)])
         got = message_passing_packed(
             packed, as_tensor(h), packed.Zbar,
             {r: as_tensor(W) for r, W in weights.items()}).data
@@ -251,7 +252,7 @@ def test_criterion_3_gradient_suite():
     probe = rng.normal(size=d_g)
     enc_store = init_params(encoder_param_spec(d_x, d_e, d_h, d_g), seed=1)
 
-    packed = pack_graphs([(X, Z, g)])
+    packed = pack_graphs([(sp.csr_array(X), Z, g)])
 
     def enc_loss(st):
         emb = encode_packed(packed, st).g  # (1, d_g)
@@ -281,7 +282,7 @@ def test_criterion_3_gradient_suite():
     wins = []
     for i in range(9):  # 3 traces x 3 windows
         gw = _five_node_graph(rng)
-        wins.append((rng.normal(size=(5, mcfg.featurizer.node_dim)),
+        wins.append((sp.csr_array(rng.normal(size=(5, mcfg.featurizer.node_dim))),
                      rng.normal(size=(len(gw.edges), mcfg.featurizer.edge_dim)), gw))
     seq_rows = np.arange(9).reshape(3, 3)
     anchor_rows = np.array([0, 1, 3, 4, 6, 7])  # rows b*L+t for t < L-1
@@ -319,7 +320,7 @@ def test_criterion_4_structural_invariants():
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(8)))
     X = rng.normal(size=(8, d_x))
     Z = rng.normal(size=(len(g.edges), d_e))
-    base = encode_packed(pack_graphs([(X, Z, g)]), store)
+    base = encode_packed(pack_graphs([(sp.csr_array(X), Z, g)]), store)
 
     worst_perm = 0.0
     for _ in range(50):
@@ -329,7 +330,7 @@ def test_criterion_4_structural_invariants():
         edges = tuple(Edge(e.relation, int(perm[e.src]), int(perm[e.dst]),
                            e.timestamp, e.bytes, e.count) for e in g.edges)
         g2 = make_graph(0, 0.0, nodes, edges)
-        out = encode_packed(pack_graphs([(X[order], Z, g2)]), store)
+        out = encode_packed(pack_graphs([(sp.csr_array(X[order]), Z, g2)]), store)
         worst_perm = max(worst_perm, float(np.max(np.abs(out.g.data - base.g.data))))
     assert worst_perm < 1e-10, f"permutation deviation {worst_perm:.3e}"
 
@@ -342,7 +343,7 @@ def test_criterion_4_structural_invariants():
     wins = []
     for i in range(6):
         gw = _five_node_graph(rng)
-        wins.append((rng.normal(size=(5, mcfg.featurizer.node_dim)),
+        wins.append((sp.csr_array(rng.normal(size=(5, mcfg.featurizer.node_dim))),
                      rng.normal(size=(len(gw.edges), mcfg.featurizer.edge_dim)), gw))
     full = infer_probabilities(wins, full_store, mcfg)
     assert np.all(full > 0)
@@ -467,7 +468,7 @@ def _tiny_trace(rng, tid, n_windows=6):
     for w in range(n_windows):
         g = _five_node_graph(rng)
         windows.append(WindowRecord(
-            X=rng.normal(size=(5, mcfg.featurizer.node_dim)),
+            X=sp.csr_array(rng.normal(size=(5, mcfg.featurizer.node_dim))),
             Z=rng.normal(size=(len(g.edges), mcfg.featurizer.edge_dim)),
             graph=g, label=w % 7))
     return Trace(tid, windows)

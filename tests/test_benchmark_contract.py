@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 from aptstage.graphs import Edge, Node, NodeKind, Relation
 from aptstage.model import ModelConfig, build_param_store
@@ -50,7 +51,7 @@ def make_trace(tid, n_windows, rng):
                  Node(NodeKind.FILE, f"{tid}f", {"first_ts": 0.0}))
         edges = (Edge(Relation.READ, 0, 1, 1.0), Edge(Relation.SELF_LOOP, 0, 0, 0.0),
                  Edge(Relation.SELF_LOOP, 1, 1, 0.0))
-        windows.append(WindowRecord(X=rng.normal(size=(2, fz.node_dim)),
+        windows.append(WindowRecord(X=sp.csr_array(rng.normal(size=(2, fz.node_dim))),
                                     Z=rng.normal(size=(3, fz.edge_dim)),
                                     graph=make_graph(w, w * 300.0, nodes, edges),
                                     label=w % 7))

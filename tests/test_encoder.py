@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aptstage.encoder import (
     LAYERS,
@@ -17,6 +18,7 @@ from aptstage.encoder import (
     write_attention_csv,
 )
 from aptstage.errors import ParamRegistryError
+from aptstage.features import FeaturizerConfig, featurize_graph, fit_vocab_and_stats
 from aptstage.graphs import (
     Edge,
     Node,
@@ -35,6 +37,7 @@ from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, genera
 
 from graph_helpers import make_graph
 from nn_reference import attention_readout as reference_readout
+from nn_reference import linear as reference_linear
 from nn_reference import (
     add,
     concat,
@@ -68,16 +71,22 @@ def mkstore(seed=0, layers=LAYERS):
     return init_params(encoder_param_spec(D_X, D_E, D_H, D_G, layers), seed=seed)
 
 
+def pack(items):
+    """pack_graphs over (X, Z, graph) items with dense X, each X given as the
+    CSR array that featurization emits."""
+    return pack_graphs([(sp.csr_array(X), Z, g) for X, Z, g in items])
+
+
 def encode_one(X, Z, graph, store):
     """encode_packed on a single window: (embedding (d_g,), alpha, node states)."""
-    batch = encode_packed(pack_graphs([(X, Z, graph)]), store)
+    batch = encode_packed(pack([(X, Z, graph)]), store)
     return batch.g.data[0], batch.alpha.data, batch.node_states.data
 
 
 def message_passing(graph, h, z, weights):
     """One message_passing_packed round over a single graph, per-edge z̃ given:
     packed as the raw edge features, z̃ comes out as its segment means."""
-    packed = pack_graphs([(np.zeros((len(graph.nodes), 0)), z, graph)])
+    packed = pack([(np.zeros((len(graph.nodes), 0)), z, graph)])
     return message_passing_packed(packed, as_tensor(h), packed.Zbar, weights)
 
 
@@ -181,7 +190,7 @@ def test_attention_weights_sum_to_one_per_graph(rng):
     graphs = [mkgraph(3, [(Relation.READ, 0, 1)]),
               mkgraph(5, [(Relation.WRITE, 1, 2), (Relation.SEND, 2, 4)])]
     items = [(g, *rand_feats(g, rng)) for g in graphs]
-    packed = pack_graphs([(X, Z, g) for g, X, Z in items])
+    packed = pack([(X, Z, g) for g, X, Z in items])
     batch = encode_packed(packed, mkstore())
     alpha = batch.alpha.data
     assert alpha.shape == (8,)
@@ -212,7 +221,7 @@ def test_packed_batch_equals_single_graph_encodings(rng):
     feats = [rand_feats(g, rng) if len(g.nodes) else
              (np.zeros((0, D_X)), np.zeros((0, D_E))) for g in graphs]
     store = mkstore()
-    packed = pack_graphs([(X, Z, g) for (X, Z), g in zip(feats, graphs)])
+    packed = pack([(X, Z, g) for (X, Z), g in zip(feats, graphs)])
     batch = encode_packed(packed, store)
     off = 0
     for i, ((X, Z), g) in enumerate(zip(feats, graphs)):
@@ -290,7 +299,7 @@ def reference_message_passing(graphs, h, z, weights):
 
 def pack_bare(graphs):
     """pack_graphs over graphs without raw features."""
-    return pack_graphs([(np.zeros((len(g.nodes), 0)), np.zeros((len(g.edges), 0)), g)
+    return pack([(np.zeros((len(g.nodes), 0)), np.zeros((len(g.edges), 0)), g)
                         for g in graphs])
 
 
@@ -368,7 +377,7 @@ def test_fused_round_matches_transform_then_aggregate_reference():
 
 def test_encoder_tape_stays_one_node_per_round(rng, tape_nodes):
     g = mkgraph(11, [(rel, i, i + 1) for i, rel in enumerate(Relation)])
-    packed = pack_graphs([(*rand_feats(g, rng), g)])
+    packed = pack([(*rand_feats(g, rng), g)])
     assert set(packed.rel_segs) == set(Relation)
     assert tape_nodes(encode_packed(packed, mkstore()).g) <= 70
 
@@ -488,10 +497,13 @@ def test_pack_graphs_equals_per_edge_reference(rng):
                [lone, empty], [empty], []]
     for graphs in batches:
         items = [(*rand_feats(g, rng), g) for g in graphs]
-        got, want = pack_graphs(items), ref_pack_graphs(items)
+        got, want = pack(items), ref_pack_graphs(items)
         for f in dataclasses.fields(PackedGraphs):
             a, b = getattr(got, f.name), getattr(want, f.name)
-            if f.name == "mean":
+            if f.name == "X":  # stacked CSR blocks: the dense rows, canonical
+                assert isinstance(a, sp.csr_array) and a.has_canonical_format
+                assert a.shape == b.shape and np.array_equal(a.toarray(), b)
+            elif f.name == "mean":
                 assert a.shape == b.shape and np.array_equal(a.toarray(), b)
             elif f.name == "Zbar":  # summed in another order
                 assert a.shape == b.shape
@@ -503,12 +515,65 @@ def test_pack_graphs_equals_per_edge_reference(rng):
                 assert a == b, f.name
 
 
+def projection_batches():
+    """name -> packed batch with CSR X: the empty batch (with the (0, d_x)
+    X that `encode_windows` gives it), graphs without nodes or edges, a
+    single node, and the featurized windows of a generated campaign."""
+    fcfg = FeaturizerConfig()
+    graphs = scenario_graphs()
+    vocab, stats = fit_vocab_and_stats(graphs, fcfg)
+    rng = np.random.default_rng(5)
+
+    def sparse_rows(n):
+        return sp.csr_array(rng.normal(size=(n, fcfg.node_dim))
+                            * (rng.random((n, fcfg.node_dim)) < 0.05))
+
+    def bare(gs):
+        return pack_graphs([(sparse_rows(len(g.nodes)), np.zeros((len(g.edges), fcfg.edge_dim)), g)
+                            for g in gs])
+
+    return {
+        "empty": dataclasses.replace(pack_graphs([]), X=sp.csr_array((0, fcfg.node_dim)),
+                                     Zbar=np.zeros((0, fcfg.edge_dim))),
+        "edgeless": bare(edgeless_graphs()),
+        "single node": bare([mkgraph(1, [])]),
+        "generated": pack_graphs([(*featurize_graph(g, vocab, stats, fcfg), g) for g in graphs]),
+    }
+
+
+@pytest.mark.parametrize("name", ["empty", "edgeless", "single node", "generated"])
+def test_sparse_projection_matches_dense_linear_reference(name):
+    packed = projection_batches()[name]
+    fcfg = FeaturizerConfig()
+    values = init_params(encoder_param_spec(fcfg.node_dim, fcfg.edge_dim, D_H, D_G), seed=6).snapshot()
+    probe = as_tensor(np.random.default_rng(7).normal(size=(packed.n_nodes, D_H)))
+    results = []
+    for path in ("sparse", "dense"):
+        store = ParamStore()
+        for n in ("proj.Wx", "proj.bx", "proj.Wz", "proj.bz"):
+            store.add(n, values[n])
+        xt = (project_packed(packed, store)[0] if path == "sparse"
+              else reference_linear(packed.X.toarray(), store.tensor("proj.Wx"), store.tensor("proj.bx")))
+        tsum(mul(xt, probe)).backward()
+        results.append((xt.data, store.tensor("proj.Wx").grad, store.tensor("proj.bx").grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def test_pack_graphs_refuses_node_features_of_different_widths(rng):
+    g = mkgraph(2, [(Relation.READ, 0, 1)])
+    items = [(sp.csr_array(rng.normal(size=(2, width))), rng.normal(size=(len(g.edges), D_E)), g)
+             for width in (D_X, D_X + 1)]
+    with pytest.raises(ValueError, match="widths differ"):
+        pack_graphs(items)
+
+
 def test_projection_and_first_round_match_project_then_average_reference():
     empty, lone = edgeless_graphs()
     graphs = [empty, *fd_batch(), lone, mkgraph(1, []), *scenario_graphs()[:2]]
     rng = np.random.default_rng(8)
     feats = [rand_feats(g, rng) for g in graphs]
-    packed = pack_graphs([(X, Z, g) for (X, Z), g in zip(feats, graphs)])
+    packed = pack([(X, Z, g) for (X, Z), g in zip(feats, graphs)])
     X, Z = (np.concatenate(parts) for parts in zip(*feats))
     values = init_params(encoder_param_spec(D_X, D_E, D_H, D_G, layers=1), seed=3).snapshot()
     probe = as_tensor(rng.normal(size=(packed.n_nodes, D_H)))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from aptstage.encoder import pack_graphs, project_packed
@@ -144,7 +145,7 @@ def test_bucket_is_stable():
 def test_node_layout_host_block():
     g = tiny_graph()
     vocab, stats = fit_vocab_and_stats([g])
-    x = featurize_graph(g, vocab, stats)[0][0]
+    x = featurize_graph(g, vocab, stats)[0].toarray()[0]
     assert x.shape == (CFG.node_dim,)
     kind_pos = list(NodeKind).index(NodeKind.PROCESS)
     assert x[kind_pos] == 1.0 and x[:7].sum() == 1.0
@@ -159,7 +160,7 @@ def test_privileged_user_flag():
     nodes = (mknode(NodeKind.PROCESS, "p", users=["SYSTEM"]),)
     g = make_graph(0, 0.0, nodes, ())
     vocab, stats = fit_vocab_and_stats([tiny_graph()])
-    x = featurize_graph(g, vocab, stats)[0][0]
+    x = featurize_graph(g, vocab, stats)[0].toarray()[0]
     assert x[CFG.n_priv] == 1.0
 
 
@@ -170,7 +171,7 @@ def test_alert_node_block():
                    first_ts=150.0)
     g = make_graph(0, 0.0, (alert,), ())
     vocab, stats = fit_vocab_and_stats([g])
-    x = featurize_graph(g, vocab, stats)[0][0]
+    x = featurize_graph(g, vocab, stats)[0].toarray()[0]
     assert x[list(NodeKind).index(NodeKind.ALERT)] == 1.0
     assert x[CFG.n_sev] == 1.0
     assert x[CFG.n_proto + 0] == 1.0  # tcp bit
@@ -186,7 +187,7 @@ def test_time_feature_window_relative():
     vocab, stats = fit_vocab_and_stats([g])
     shifted = make_graph(3, 900.0, (
         mknode(NodeKind.PROCESS, "p", first_ts=930.0),), ())
-    x = featurize_graph(shifted, vocab, stats)[0][0]
+    x = featurize_graph(shifted, vocab, stats)[0].toarray()[0]
     assert x[CFG.n_time] == pytest.approx(30.0 / WINDOW_SECONDS)
     assert 0.0 <= x[CFG.n_time] < 1.0
 
@@ -196,7 +197,7 @@ def test_degree_at_mean_zscores_to_zero():
     vocab, stats = fit_vocab_and_stats([g])
     s = node_stats(g)
     # both nodes share the same event count -> column is constant -> exact mean
-    x0 = featurize_graph(g, vocab, stats)[0][0]
+    x0 = featurize_graph(g, vocab, stats)[0].toarray()[0]
     assert s[0, 2] == s[1, 2]
     assert x0[CFG.n_stat + 2] == 0.0
 
@@ -253,7 +254,7 @@ def test_featurize_graph_shapes_and_finiteness():
         X, Z = featurize_graph(g, vocab, stats)
         assert X.shape == (len(g.nodes), CFG.node_dim)
         assert Z.shape == (len(g.edges), CFG.edge_dim)
-        assert np.isfinite(X).all() and np.isfinite(Z).all()
+        assert np.isfinite(X.toarray()).all() and np.isfinite(Z).all()
 
 
 def test_oov_tokens_contribute_nothing():
@@ -262,7 +263,7 @@ def test_oov_tokens_contribute_nothing():
     before = dict(vocab.token_index)
     novel = make_graph(0, 0.0, (
         mknode(NodeKind.PROCESS, "x", commands=["neverseen zyx"]),), ())
-    x = featurize_graph(novel, vocab, stats)[0][0]
+    x = featurize_graph(novel, vocab, stats)[0].toarray()[0]
     assert np.all(x[CFG.n_cmd:CFG.n_cmd + CFG.d_cmd] == 0.0)
     assert vocab.token_index == before
 
@@ -425,7 +426,34 @@ def test_featurize_graph_equals_row_wise_reference(config):
     for g in campaign + dense:
         X, Z = featurize_graph(g, vocab, stats, config)
         X_ref, Z_ref = ref_featurize_graph(g, vocab, stats, config)
-        assert np.array_equal(X, X_ref) and np.array_equal(Z, Z_ref)
+        assert np.array_equal(X.toarray(), X_ref) and np.array_equal(Z, Z_ref)
+
+
+def test_featurized_x_is_canonical_csr():
+    """X stores each non-zero value once, row by row in column order. Two
+    users hashed to one bucket set it once, to 1.0 (overwrite, not sum)."""
+    fcfg = FeaturizerConfig(8, 3, 5, 2)
+    bucket = _bucket("alice", 3)
+    assert _bucket("bob", 3) == _bucket("carol", 3) == bucket
+    shared = make_graph(0, 0.0, (
+        mknode(NodeKind.PROCESS, "p", commands=["wget payload"], users=["alice", "bob"]),
+        mknode(NodeKind.USER, "carol", users=["alice"]),
+        mknode(NodeKind.FILE, "f")), ())
+    graphs = campaign_graphs(seed=3, windows=4) + dense_graphs()[:1] + [shared]
+    vocab, stats = fit_vocab_and_stats(graphs, fcfg)
+    for g in graphs:
+        X = featurize_graph(g, vocab, stats, fcfg)[0]
+        assert isinstance(X, sp.csr_array) and X.shape == (len(g.nodes), fcfg.node_dim)
+        assert X.indptr[0] == 0 and X.indptr[-1] == X.nnz and np.all(np.diff(X.indptr) >= 0)
+        for i in range(X.shape[0]):
+            cols = X.indices[X.indptr[i]:X.indptr[i + 1]]
+            assert np.all(np.diff(cols) > 0) and np.all((0 <= cols) & (cols < fcfg.node_dim))
+        assert np.all(X.data != 0) and X.has_canonical_format
+    X = featurize_graph(shared, vocab, stats, fcfg)[0].toarray()
+    users = X[:, fcfg.n_user:fcfg.n_user + fcfg.user_buckets]
+    # p holds alice and bob, carol's user node alice and its own key: one bucket each
+    onehot = [1.0 if b == bucket else 0.0 for b in range(3)]
+    assert users[0].tolist() == users[1].tolist() == onehot
 
 
 def test_layout_offsets_pinned():
@@ -469,7 +497,7 @@ def project(X, Z, W_x, b_x, W_z, b_z):
     store = ParamStore()
     for name, value in (("proj.Wx", W_x), ("proj.bx", b_x), ("proj.Wz", W_z), ("proj.bz", b_z)):
         store.add(name, value)
-    Xt, Zt = project_packed(pack_graphs([(X, Z, g)]), store)
+    Xt, Zt = project_packed(pack_graphs([(sp.csr_array(X), Z, g)]), store)
     return Xt.data, Zt.data
 
 
@@ -624,7 +652,7 @@ def test_jsonl_to_features_property(event_records, alert_records):
     for g in graphs:
         g.validate()
         X, Z = featurize_graph(g, vocab, stats, fcfg)
-        assert np.isfinite(X).all() and np.isfinite(Z).all()
+        assert np.isfinite(X.toarray()).all() and np.isfinite(Z).all()
         alert_nodes = {i for i, nd in enumerate(g.nodes) if nd.kind is NodeKind.ALERT}
         triggered = [e.src for e in g.edges if e.relation is Relation.TRIGGERED_BY]
         assert sorted(triggered) == sorted(alert_nodes)  # one edge out of each alert

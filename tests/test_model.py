@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aptstage.config import from_dict
 from aptstage.errors import InputError
@@ -32,7 +33,7 @@ def window(rng, tag, n=3):
         Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(n))
     g = make_graph(0, 0.0, nodes, edges)
     fz = MCFG.featurizer
-    return (rng.normal(size=(n, fz.node_dim)),
+    return (sp.csr_array(rng.normal(size=(n, fz.node_dim))),
             rng.normal(size=(len(edges), fz.edge_dim)), g)
 
 

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from aptstage.errors import CompatibilityError, ParamRegistryError
@@ -207,6 +208,24 @@ def test_fused_op_matches_reference_composition(name):
 def test_fused_op_gradients_match_finite_differences(name):
     store, probe, fused, _ = _fused_case(name, seed=1)
     assert finite_diff_check(lambda st: tsum(mul(fused(st), probe)), store) < 1e-6
+
+
+def test_linear_with_a_csr_constant_matches_finite_differences():
+    """A sparse x is a constant: it joins no tape, and the gradients of W
+    (from xᵀ·g) and b agree with central differences."""
+    rng = np.random.default_rng(2)
+    dense = rng.normal(size=(6, 5)) * (rng.random((6, 5)) < 0.4)
+    dense[2] = 0.0  # a row without a set column
+    x = sp.csr_array(dense)
+    store = ParamStore()
+    W, b = store.add("W", rng.normal(size=(3, 5))), store.add("b", rng.normal(size=3))
+    probe = rng.normal(size=(6, 3))
+    out = linear(x, W, b)
+    assert out._parents == (W, b)
+    assert np.max(np.abs(out.data - (dense @ W.data.T + b.data))) < 1e-12
+    assert finite_diff_check(lambda st: tsum(mul(linear(x, st.tensor("W"), st.tensor("b")), probe)),
+                             store) < 1e-6
+    assert W.grad.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- params

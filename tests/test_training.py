@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aptstage.errors import DimensionError, TrainingError
 from aptstage.features import fit_vocab_and_stats
@@ -309,7 +310,7 @@ def make_trace(tid, n_windows, rng, offset=0):
             Edge(Relation.SELF_LOOP, i, i, 0.0) for i in range(n))
         g = make_graph(w, w * 300.0, nodes, edges)
         windows.append(WindowRecord(
-            X=rng.normal(size=(n, D_X)), Z=rng.normal(size=(len(edges), D_E)),
+            X=sp.csr_array(rng.normal(size=(n, D_X))), Z=rng.normal(size=(len(edges), D_E)),
             graph=g, label=(w + offset) % 7))
     return Trace(tid, windows)
 
@@ -426,7 +427,7 @@ def test_pretrain_step_tape_nodes(monkeypatch, tape_nodes):
         set(range(len(Relation)))  # every relation weight joins the tape
     counted = _count_step_tapes(monkeypatch, tape_nodes)
     pretrain(traces, build_param_store(MCFG), MCFG, PretrainConfig(epochs=1, negatives=4))
-    assert counted == [61]
+    assert counted == [60]
 
 
 def test_finetune_step_tape_nodes(rng, monkeypatch, tape_nodes):
@@ -440,7 +441,7 @@ def test_finetune_step_tape_nodes(rng, monkeypatch, tape_nodes):
              FinetuneConfig(phase1_epochs=1, phase2_epochs=1, batch=2,
                             curriculum_start=6, curriculum_end=6),
              val_traces=[], val_metric_fn=lambda st, ph, ep: 0.0)
-    assert counted == [9, 9, 36, 36]
+    assert counted == [9, 9, 35, 35]
 
 
 def test_finetune_phase1_freezes_encoder_and_lower_recurrent(rng):
@@ -546,6 +547,30 @@ def test_finetune_early_stopping_restores_best(rng):
     assert len(phase1) == 6 and len(phase2) == 6
     final = store.snapshot()
     assert all(np.array_equal(final[k], snaps["best"][k]) for k in final)
+
+
+def test_cached_phase1_validation_is_bit_identical_to_re_encoding(rng, monkeypatch):
+    """Phase 1 validates from one embedding cache of the validation traces;
+    its log equals validating by re-encoding every trace each epoch."""
+    traces = corpus(rng)
+    val = [make_trace("v0", 5, rng, offset=3), make_trace("v1", 4, rng, offset=5)]
+    cfg = FinetuneConfig(phase1_epochs=3, phase1_lr=1e-2, phase2_epochs=2, patience=5, batch=2)
+
+    def re_encoding(store, phase, epoch):  # the per-trace predict_traces path
+        y_true, y_pred, _, _ = loops.predict_traces(val, store, MCFG)
+        return loops.macro_f1(y_true, y_pred, num_classes=MCFG.num_classes)
+
+    encoded = []
+    infer = loops.infer_probabilities
+    monkeypatch.setattr(loops, "infer_probabilities",
+                        lambda feats, *args: encoded.append(len(feats)) or infer(feats, *args))
+    cached = finetune(traces, build_param_store(MCFG), MCFG, cfg, val_traces=val).metric_log
+    assert encoded == [5, 4] * 2  # phase 2's epochs only
+    want = finetune(traces, build_param_store(MCFG), MCFG, cfg, val_traces=val,
+                    val_metric_fn=re_encoding).metric_log
+    assert [e["phase"] for e in cached] == ["phase1"] * 3 + ["phase2"] * 2
+    assert len({e["val_f1"] for e in cached}) > 1
+    assert cached == want
 
 
 def test_finetune_curriculum_logged(rng):
