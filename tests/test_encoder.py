@@ -300,7 +300,7 @@ def reference_message_passing(graphs, h, z, weights):
 def pack_bare(graphs):
     """pack_graphs over graphs without raw features."""
     return pack([(np.zeros((len(g.nodes), 0)), np.zeros((len(g.edges), 0)), g)
-                        for g in graphs])
+                 for g in graphs])
 
 
 def fd_batch(missing=None):
