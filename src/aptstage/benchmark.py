@@ -2,8 +2,11 @@
 
 Generates a corpus of labeled campaign traces covering all seven stage
 classes, fits features on the training split, pretrains, fine-tunes, and
-reports held-out macro F1 and temporal flip rate alongside a no-pretraining
-ablation trained with the same supervised budget.
+reports macro F1 and temporal flip rate alongside a no-pretraining ablation
+trained with the same supervised budget. Both figures are measured on the
+validation traces (the last `val_fraction` of the corpus, 40 of 200), the
+same traces that early stopping selects each arm's checkpoint on; no trace
+is held out from selection.
 """
 from __future__ import annotations
 
@@ -101,7 +104,9 @@ def _evaluate(traces, store, mcfg):
 
 def run_benchmark(cfg: BenchmarkConfig | None = None) -> dict:
     """Full protocol: SSL pretraining + two-phase fine-tuning vs. a
-    no-pretraining ablation with the identical supervised budget."""
+    no-pretraining ablation with the identical supervised budget. Each arm's
+    macro F1 and flip rate are measured on the validation traces that also
+    select its checkpoint."""
     cfg = cfg or BenchmarkConfig()
     t_start = time.monotonic()
 

@@ -189,39 +189,29 @@ def _edge_columns(rows) -> dict:
                 edge_count=np.array(count, dtype=np.int64))
 
 
-def window_events(events, alerts):
+def window_events(events: EventTable, alerts):
     """Partition both streams into the windows of `align_windows`. The host
-    events are one `EventTable` (a sequence of `HostEvent`s is converted
-    once), split at the window boundaries; each window's alerts keep their
-    input order. Empty interior windows are retained so window indices stay
-    time-aligned for the sequence model."""
-    table = _as_table(events)
-    stamps = np.concatenate([table.ts, [a.timestamp for a in alerts]])
+    events, an `EventTable`, are split at the window boundaries; each
+    window's alerts keep their input order. Empty interior windows are
+    retained so window indices stay time-aligned for the sequence model."""
+    stamps = np.concatenate([events.ts, [a.timestamp for a in alerts]])
     t0, n, idx = align_windows(stamps, stamps)
-    cuts = np.searchsorted(idx[:len(table)], np.arange(n + 1)).tolist()
+    cuts = np.searchsorted(idx[:len(events)], np.arange(n + 1)).tolist()
     out = [[] for _ in range(n)]
-    for al, i in zip(alerts, idx[len(table):].tolist()):
+    for al, i in zip(alerts, idx[len(events):].tolist()):
         out[i].append(al)
-    return [WindowSlice(i, t0 + i * WINDOW_SECONDS, table[cuts[i]:cuts[i + 1]], als)
+    return [WindowSlice(i, t0 + i * WINDOW_SECONDS, events[cuts[i]:cuts[i + 1]], als)
             for i, als in enumerate(out)]
-
-
-def _as_table(events) -> EventTable:
-    return events if isinstance(events, EventTable) else EventTable.from_events(events)
 
 
 @dataclass(frozen=True)
 class WindowSlice:
-    """One window's host events, an `EventTable` (a sequence of `HostEvent`s
-    is converted), and its alerts."""
+    """One window's host events, an `EventTable`, and its alerts."""
 
     index: int
     start: float
     events: EventTable
     alerts: list
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", _as_table(self.events))
 
 
 def external_endpoint(alert: NetworkAlert, host_keys) -> tuple:
@@ -392,7 +382,7 @@ def build_graph(window: WindowSlice) -> ProvenanceGraph:
     return g
 
 
-def build_graph_sequence(events, alerts):
+def build_graph_sequence(events: EventTable, alerts):
     return [build_graph(w) for w in window_events(events, alerts)]
 
 

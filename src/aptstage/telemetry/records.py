@@ -125,13 +125,11 @@ class EntityRef:
     kind: EntityKind
     key: str
 
-    def __post_init__(self):
-        if not self.key:
-            raise ValidationError("entity key must be non-empty")
-
 
 @dataclass(frozen=True)
 class HostEvent:
+    """One row of an `EventTable`, as `table[i]` and iteration read it."""
+
     timestamp: float
     host_id: str
     event_kind: EventKind
@@ -140,44 +138,6 @@ class HostEvent:
     command: Optional[str] = None
     user: Optional[str] = None
     bytes: Optional[int] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
-            raise ValidationError(f"timestamp must be finite and >= 0: {self.timestamp}")
-        if not self.host_id:
-            raise ValidationError("host_id must be non-empty")
-        if self.subject == self.object and self.event_kind not in SELF_EDGE_KINDS:
-            raise ValidationError(
-                f"subject == object not allowed for {self.event_kind.value}"
-            )
-        if self.bytes is not None:
-            if self.event_kind not in BYTES_KINDS:
-                raise ValidationError(
-                    f"bytes not allowed for {self.event_kind.value}"
-                )
-            if self.bytes < 0:
-                raise ValidationError(f"bytes must be non-negative: {self.bytes}")
-
-    def to_record(self) -> dict:
-        rec = {
-            "ts": self.timestamp,
-            "host": self.host_id,
-            "kind": self.event_kind.value,
-            "subj_kind": self.subject.kind.value,
-            "subj_key": self.subject.key,
-            "obj_kind": self.object.kind.value,
-            "obj_key": self.object.key,
-        }
-        if self.command is not None:
-            rec["cmd"] = self.command
-        if self.user is not None:
-            rec["user"] = self.user
-        if self.bytes is not None:
-            rec["bytes"] = self.bytes
-        return rec
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_record(), separators=(",", ":"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,19 +180,6 @@ class EventTable:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    @staticmethod
-    def from_events(events) -> "EventTable":
-        """The table of a sequence of `HostEvent`s."""
-        subjects, objects = [e.subject for e in events], [e.object for e in events]
-        return _columns([e.timestamp for e in events],
-                        _lookup(_EVENT_KIND_IDS, [e.event_kind for e in events], "event kind"),
-                        [e.host_id for e in events], [s.key for s in subjects],
-                        _lookup(_ENTITY_KIND_IDS, [s.kind for s in subjects], "entity kind"),
-                        [o.key for o in objects],
-                        _lookup(_ENTITY_KIND_IDS, [o.kind for o in objects], "entity kind"),
-                        [e.bytes for e in events], [e.command for e in events],
-                        [e.user for e in events])._sorted()
-
     def _sorted(self) -> "EventTable":
         """The rows sorted stably by timestamp; `self` if they already are."""
         ts = self.ts
@@ -259,10 +206,10 @@ def _columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user) 
 
 
 def _event_table(recs: list) -> EventTable:
-    """The `EventTable` of host-event records (dicts), rows in input order.
-    Each check runs over a whole column and raises `ValidationError` phrased
-    for the first record that fails it; on a single record the checks run in
-    the order a record's fields were checked one at a time."""
+    """The checked `EventTable` of host-event records (dicts), rows in input
+    order. The field types and kinds are checked here, the event rules by
+    `_check_events`; each check runs over a whole column and raises
+    `ValidationError` phrased for the first record that fails it."""
     ts, host, kind, subj_kind, subj, obj_kind, obj = _required(
         recs, ("ts", "host", "kind", "subj_kind", "subj_key", "obj_kind", "obj_key"))
     cmd, user, nbytes = (list(map(dict.get, recs, repeat(name))) for name in ("cmd", "user", "bytes"))
@@ -271,17 +218,20 @@ def _event_table(recs: list) -> EventTable:
         _check_types(name, values, allowed)
     kind = _lookup(_EVENT_KIND_IDS, kind, "event kind")
     subj_kind = _lookup(_ENTITY_KIND_IDS, subj_kind, "entity kind")
-    if "" in subj:
-        raise ValidationError("entity key must be non-empty")
     obj_kind = _lookup(_ENTITY_KIND_IDS, obj_kind, "entity kind")
-    if "" in obj:
-        raise ValidationError("entity key must be non-empty")
     _check_types("ts", ts, _NUMBER)
     _check_types("bytes", nbytes, _OPTIONAL_INTEGER)
-    t = _columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user)
+    return _check_events(_columns(ts, kind, host, subj, subj_kind, obj, obj_kind, nbytes, cmd, user))
+
+
+def _check_events(t: EventTable) -> EventTable:
+    """`t`, if every row keeps the host-event rules; otherwise
+    `ValidationError` for the first rule broken, phrased for the first row
+    that breaks it. Every host event, parsed or generated, passes here."""
     ts, kind, nbytes = t.ts, t.kind, t.nbytes
     empty = t.strings.index("") if "" in t.strings else -1
     checks = (
+        ((t.subj == empty) | (t.obj == empty), lambda j: "entity key must be non-empty"),
         (~(np.isfinite(ts) & (ts >= 0)), lambda j: f"timestamp must be finite and >= 0: {float(ts[j])}"),
         (t.host == empty, lambda j: "host_id must be non-empty"),
         ((t.subj == t.obj) & (t.subj_kind == t.obj_kind) & ~_SELF_EDGE_KIND[kind],
@@ -435,7 +385,31 @@ def parse_alerts(stream: Union[str, Iterable[str]]) -> list[NetworkAlert]:
                          lambda parts: sorted(chain.from_iterable(parts), key=attrgetter("timestamp")))
 
 
+def _event_lines(t: EventTable):
+    """Each row of `t` as its JSONL line: the wire fields in order, floats as
+    `repr`, `bytes` as an integer, and `cmd`, `user` and `bytes` only where
+    the row has them."""
+    text = [json.dumps(s) for s in t.strings]
+    kinds = [json.dumps(k.value) for k in EVENT_KINDS]
+    entity_kinds = [json.dumps(k.value) for k in ENTITY_KINDS]
+    for ts, kind, host, subj_kind, subj, obj_kind, obj, cmd, user, nbytes in zip(
+            t.ts.tolist(), t.kind.tolist(), t.host.tolist(), t.subj_kind.tolist(), t.subj.tolist(),
+            t.obj_kind.tolist(), t.obj.tolist(), t.cmd.tolist(), t.user.tolist(), t.nbytes.tolist()):
+        line = (f'{{"ts":{ts!r},"host":{text[host]},"kind":{kinds[kind]},"subj_kind":{entity_kinds[subj_kind]},'
+                f'"subj_key":{text[subj]},"obj_kind":{entity_kinds[obj_kind]},"obj_key":{text[obj]}')
+        if cmd >= 0:
+            line += f',"cmd":{text[cmd]}'
+        if user >= 0:
+            line += f',"user":{text[user]}'
+        if nbytes == nbytes:
+            line += f',"bytes":{int(nbytes)}'
+        yield line + "}"
+
+
 def dump_jsonl(records, fh) -> None:
-    for rec in records:
-        fh.write(rec.to_json_line())
+    """Write host events (an `EventTable`) or `NetworkAlert`s as JSONL, one
+    record a line."""
+    lines = _event_lines(records) if isinstance(records, EventTable) else map(NetworkAlert.to_json_line, records)
+    for line in lines:
+        fh.write(line)
         fh.write("\n")

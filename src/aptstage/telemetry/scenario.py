@@ -15,13 +15,15 @@ import numpy as np
 
 from ..errors import ValidationError
 from .records import (
+    _ENTITY_KIND_IDS,
+    _EVENT_KIND_IDS,
     WINDOW_SECONDS,
     EntityKind,
-    EntityRef,
     EventKind,
-    HostEvent,
     NetworkAlert,
     Protocol,
+    _check_events,
+    _columns,
     align_windows,
 )
 
@@ -68,16 +70,20 @@ def _internal_ip(host_index: int) -> str:
     return f"10.0.0.{10 + host_index}"
 
 
-def _proc(host: str, name: str) -> EntityRef:
-    return EntityRef(EntityKind.PROCESS, f"{host}/{name}")
+# An entity as the emitter takes it: (`EventTable` entity kind id, key).
+_PROCESS, _FILE, _IP = (_ENTITY_KIND_IDS[k] for k in (EntityKind.PROCESS, EntityKind.FILE, EntityKind.IP))
 
 
-def _file(path: str) -> EntityRef:
-    return EntityRef(EntityKind.FILE, path)
+def _proc(host: str, name: str) -> tuple:
+    return _PROCESS, f"{host}/{name}"
 
 
-def _ip(addr: str) -> EntityRef:
-    return EntityRef(EntityKind.IP, addr)
+def _file(path: str) -> tuple:
+    return _FILE, path
+
+
+def _ip(addr: str) -> tuple:
+    return _IP, addr
 
 
 _BENIGN_DOCS = [
@@ -97,25 +103,31 @@ EXFIL_IP = "198.51.100.99"
 class _Emitter:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.events: list[HostEvent] = []
+        # the events' `_columns` arguments: ts, kind, host, subj, subj_kind,
+        # obj, obj_kind, nbytes, cmd, user, one list entry per event
+        self.columns: tuple = tuple([] for _ in range(10))
         self.alerts: list[NetworkAlert] = []
         self.stage_stamps: list[tuple] = []  # (timestamp, stage) per attack record
         self.current_stage: int = 0
 
-    def event(self, **kw) -> HostEvent:
-        ev = HostEvent(**kw)
-        self.events.append(ev)
+    def event(self, timestamp: float, host_id: str, event_kind: EventKind, subject: tuple,
+              object: tuple, command=None, user=None, bytes=None) -> float:
+        """Record one host event; returns its timestamp."""
+        row = (timestamp, _EVENT_KIND_IDS[event_kind], host_id, subject[1], subject[0], object[1],
+               object[0], bytes, command, user)
+        for column, value in zip(self.columns, row):
+            column.append(value)
         if self.current_stage:
-            self.stage_stamps.append((ev.timestamp, self.current_stage))
-        return ev
+            self.stage_stamps.append((timestamp, self.current_stage))
+        return timestamp
 
-    def alert_for(self, ev: HostEvent, sig: str, sev: float, cat: str,
+    def alert_for(self, ts: float, sig: str, sev: float, cat: str,
                   proto: Protocol, dst_ip: str, dst_port: int, src_ip: str) -> None:
         # Anchored on the triggering connect/send event so fusion always has
         # causal evidence inside the same window.
         self.alerts.append(
             NetworkAlert(
-                timestamp=ev.timestamp,
+                timestamp=ts,
                 signature=sig,
                 severity=float(min(1.0, max(0.0, sev))),
                 protocol=proto,
@@ -127,7 +139,7 @@ class _Emitter:
             )
         )
         if self.current_stage:
-            self.stage_stamps.append((ev.timestamp, self.current_stage))
+            self.stage_stamps.append((ts, self.current_stage))
 
 
 def _emit_benign(em: _Emitter, cfg: ScenarioConfig) -> None:
@@ -200,11 +212,11 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
             for j in range(6):
                 dst = f"10.0.0.{20 + int(rng.integers(60))}"
                 port = int(rng.choice([22, 80, 139, 443, 445, 3389]))
-                ev = em.event(timestamp=t + 0.3 * j, host_id=host,
+                ts = em.event(timestamp=t + 0.3 * j, host_id=host,
                               event_kind=EventKind.NET_CONNECT, subject=scanner,
                               object=_ip(dst), user="eve")
                 if j == 0 and (must_alert or rng.random() < 0.5):
-                    em.alert_for(ev, "ET SCAN Suspicious Inbound Port Sweep",
+                    em.alert_for(ts, "ET SCAN Suspicious Inbound Port Sweep",
                                  0.3 + rng.uniform(0, 0.15), "attempted-recon",
                                  Protocol.TCP, dst, port, hip)
         elif iv.stage == 2:
@@ -215,7 +227,7 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
             em.event(timestamp=t, host_id=host, event_kind=EventKind.PROCESS_CREATE,
                      subject=psh, object=wget, user="staff",
                      command="powershell.exe -nop -w hidden -enc aHR0cDovL2JhZA==")
-            ev = em.event(timestamp=t + 1.0, host_id=host, event_kind=EventKind.NET_CONNECT,
+            ts = em.event(timestamp=t + 1.0, host_id=host, event_kind=EventKind.NET_CONNECT,
                           subject=wget, object=_ip(PAYLOAD_IP), user="staff")
             em.event(timestamp=t + 2.0, host_id=host, event_kind=EventKind.NET_RECV,
                      subject=wget, object=_ip(PAYLOAD_IP), user="staff",
@@ -226,7 +238,7 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
                      subject=payload_proc, object=payload_proc, user="staff",
                      command="payload.exe")
             if must_alert or rng.random() < 0.7:
-                em.alert_for(ev, "ET TROJAN Possible Malicious EXE Download",
+                em.alert_for(ts, "ET TROJAN Possible Malicious EXE Download",
                              0.75 + rng.uniform(0, 0.2), "trojan-activity",
                              Protocol.TCP, PAYLOAD_IP, 80, hip)
         elif iv.stage == 3:
@@ -247,7 +259,7 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
             em.event(timestamp=t, host_id=host, event_kind=EventKind.PROCESS_CREATE,
                      subject=cmd, object=psexec, user="staff",
                      command=f"psexec.exe \\\\{tip} -s cmd.exe")
-            ev = em.event(timestamp=t + 0.6, host_id=host, event_kind=EventKind.NET_CONNECT,
+            ts = em.event(timestamp=t + 0.6, host_id=host, event_kind=EventKind.NET_CONNECT,
                           subject=psexec, object=_ip(tip), user="staff")
             em.event(timestamp=t + 1.2, host_id=host, event_kind=EventKind.NET_SEND,
                      subject=psexec, object=_ip(tip), user="staff",
@@ -261,16 +273,16 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
                      event_kind=EventKind.PROCESS_CREATE, subject=svc,
                      object=_proc(target_host, "cmd.exe"), user="SYSTEM", command="cmd.exe")
             if must_alert or rng.random() < 0.6:
-                em.alert_for(ev, "ET POLICY PsExec Service Install",
+                em.alert_for(ts, "ET POLICY PsExec Service Install",
                              0.55 + rng.uniform(0, 0.2), "lateral-movement",
                              Protocol.TCP, tip, 445, hip)
         elif iv.stage == 5:
             payload_proc = _proc(host, "payload.exe")
-            ev = em.event(timestamp=t, host_id=host, event_kind=EventKind.NET_SEND,
+            ts = em.event(timestamp=t, host_id=host, event_kind=EventKind.NET_SEND,
                           subject=payload_proc, object=_ip(C2_IP), user="staff",
                           bytes=int(rng.integers(200, 600)))
             if must_alert or rng.random() < 0.4:
-                em.alert_for(ev, "ET MALWARE Beacon Observed to External Host",
+                em.alert_for(ts, "ET MALWARE Beacon Observed to External Host",
                              0.8 + rng.uniform(0, 0.15), "command-and-control",
                              Protocol.TCP, C2_IP, 8443, hip)
         elif iv.stage == 6:
@@ -278,14 +290,14 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
             em.event(timestamp=t, host_id=host, event_kind=EventKind.FILE_READ,
                      subject=payload_proc, object=_file("C:/Data/customer_db.bak"),
                      user="staff", bytes=int(rng.integers(20_000_000, 90_000_000)))
-            ev = em.event(timestamp=t + 1.0, host_id=host, event_kind=EventKind.NET_SEND,
+            ts = em.event(timestamp=t + 1.0, host_id=host, event_kind=EventKind.NET_SEND,
                           subject=payload_proc, object=_ip(EXFIL_IP), user="staff",
                           bytes=int(rng.integers(15_000_000, 70_000_000)))
             em.event(timestamp=t + 2.0, host_id=host, event_kind=EventKind.FILE_WRITE,
                      subject=payload_proc, object=_file("C:/Windows/Temp/archive.7z"),
                      user="staff", bytes=int(rng.integers(5_000_000, 20_000_000)))
             if must_alert or rng.random() < 0.7:
-                em.alert_for(ev, "ET EXFIL Large Outbound Data Transfer",
+                em.alert_for(ts, "ET EXFIL Large Outbound Data Transfer",
                              0.85 + rng.uniform(0, 0.1), "exfiltration",
                              Protocol.TCP, EXFIL_IP, 443, hip)
 
@@ -293,8 +305,8 @@ def _emit_stage(em: _Emitter, cfg: ScenarioConfig, iv: StageInterval) -> None:
 def window_labels(events, alerts, stage_stamps) -> list[int]:
     """Per-window stage labels by majority of in-window attack records (ties
     toward the smaller stage id; no attack evidence → 0), on the windows of
-    `align_windows` that the graph builder uses."""
-    stamps = [e.timestamp for e in events] + [a.timestamp for a in alerts]
+    `align_windows` that the graph builder uses. `events` is an `EventTable`."""
+    stamps = np.concatenate([events.ts, [a.timestamp for a in alerts]])
     _, n_windows, idx = align_windows(stamps, [ts for ts, _ in stage_stamps])
     counts = np.zeros((n_windows, 7), dtype=np.int64)
     for w, (_, k) in zip(idx, stage_stamps):
@@ -304,8 +316,10 @@ def window_labels(events, alerts, stage_stamps) -> list[int]:
 
 def generate_scenario(cfg: ScenarioConfig):
     """Deterministically generate (events, alerts, per-window labels) for one
-    campaign. Every network-crossing stage interval yields at least one alert
-    anchored on one of its own connect/send events."""
+    campaign: the events an `EventTable` sorted stably by timestamp and
+    checked by the parser's rules, the alerts sorted by timestamp. Every
+    network-crossing stage interval yields at least one alert anchored on
+    one of its own connect/send events."""
     rng = np.random.default_rng(cfg.seed)
     em = _Emitter(rng)
     _emit_benign(em, cfg)
@@ -313,11 +327,10 @@ def generate_scenario(cfg: ScenarioConfig):
         em.current_stage = iv.stage
         _emit_stage(em, cfg, iv)
     em.current_stage = 0
-    order = np.argsort([e.timestamp for e in em.events], kind="stable")
-    em.events = [em.events[i] for i in order]
+    events = _check_events(_columns(*em.columns)._sorted())
     em.alerts.sort(key=lambda a: a.timestamp)
-    labels = window_labels(em.events, em.alerts, em.stage_stamps)
-    return em.events, em.alerts, labels
+    labels = window_labels(events, em.alerts, em.stage_stamps)
+    return events, em.alerts, labels
 
 
 def default_campaign_schedule(duration: float) -> list[StageInterval]:

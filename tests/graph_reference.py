@@ -1,7 +1,9 @@
 """The row-wise window split and graph builder, kept as the oracle of the
-columnar ones in `aptstage.graphs`: it walks `HostEvent` objects one at a
-time, merging each sighting into a per-key node draft and each (subject,
-relation, object) triple into one aggregate slot."""
+columnar ones in `aptstage.graphs`. `aptstage` takes host events only as an
+`EventTable`; this oracle takes any sequence of `HostEvent` rows (a
+hand-built list, or a table's rows) and walks them one at a time, merging
+each sighting into a per-key node draft and each (subject, relation,
+object) triple into one aggregate slot."""
 import math
 from dataclasses import dataclass
 

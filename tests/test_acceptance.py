@@ -72,7 +72,7 @@ from aptstage.training import (
     pretrain,
 )
 
-from graph_helpers import make_graph
+from graph_helpers import event_table, make_graph
 from nn_reference import add, block_counts, mul, tsum
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -383,7 +383,7 @@ def test_criterion_5_fusion_golden():
     alerts = [NetworkAlert(13.0, "ET TROJAN Possible Malicious EXE Download",
                            0.8, Protocol.TCP, "trojan-activity",
                            host, 49152, "203.0.113.10", 80)]
-    windows = window_events(events, alerts)
+    windows = window_events(event_table(events), alerts)
     graph = build_graph(windows[0])
     golden = json.loads((ROOT / "tests" / "data" / "golden_fusion.json").read_text())
     assert graph.to_json_dict() == golden

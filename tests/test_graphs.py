@@ -37,7 +37,14 @@ from aptstage.telemetry import (
 from aptstage.telemetry.records import BYTES_KINDS, SELF_EDGE_KINDS
 
 import graph_reference
-from graph_helpers import campaign_graphs, dense_graphs, make_graph
+from graph_helpers import (
+    campaign_graphs,
+    campaign_scenario,
+    dense_graphs,
+    dense_scenario,
+    event_table,
+    make_graph,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -84,7 +91,7 @@ def download_chain():
 def test_window_boundaries_half_open():
     events = [ev(t, EventKind.FILE_READ, proc("a.exe"), fileref("f"), bytes=1)
               for t in (10.0, 290.0, 310.0)]
-    windows = window_events(events, [])
+    windows = window_events(event_table(events), [])
     assert len(windows) == 2
     assert windows[0].start == 10.0
     assert [e.timestamp for e in windows[0].events] == [10.0, 290.0]
@@ -92,13 +99,13 @@ def test_window_boundaries_half_open():
 
 
 def test_window_empty_streams():
-    assert window_events([], []) == []
+    assert window_events(event_table([]), []) == []
 
 
 def test_alert_only_window():
     events = [ev(1.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     alert = NetworkAlert(305.0, "sig", 0.5, Protocol.TCP, "c", HOST, 1, "9.9.9.9", 2)
-    windows = window_events(events, [alert])
+    windows = window_events(event_table(events), [alert])
     assert len(windows) == 2
     assert list(windows[1].events) == [] and windows[1].alerts == [alert]
 
@@ -106,7 +113,7 @@ def test_alert_only_window():
 def test_interior_empty_window_retained():
     events = [ev(0.0, EventKind.FILE_READ, proc("a.exe"), fileref("f")),
               ev(650.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
-    windows = window_events(events, [])
+    windows = window_events(event_table(events), [])
     assert [w.index for w in windows] == [0, 1, 2]
     assert list(windows[1].events) == []
     g = build_graph(windows[1])
@@ -123,8 +130,9 @@ def test_labels_land_in_the_window_that_holds_their_record(ev_stamps, al_stamps,
     alerts = [NetworkAlert(t, "sig", 0.5, Protocol.TCP, "c", HOST, 1, "9.9.9.9", 2)
               for t in al_stamps]
     k = data.draw(st.integers(0, len(events) - 1))
-    windows = window_events(events, alerts)
-    labels = window_labels(events, alerts, [(ev_stamps[k], 3)])
+    table = event_table(events)
+    windows = window_events(table, alerts)
+    labels = window_labels(table, alerts, [(ev_stamps[k], 3)])
     (home,) = {w.index for w in windows if any(e == events[k] for e in w.events)}
     assert labels == [3 if w.index == home else 0 for w in windows]
 
@@ -134,7 +142,7 @@ def test_labels_land_in_the_window_that_holds_their_record(ev_stamps, al_stamps,
 
 def test_fusion_golden():
     events, alerts = download_chain()
-    (window,) = window_events(events, alerts)
+    (window,) = window_events(event_table(events), alerts)
     graph = build_graph(window)
     golden = json.loads((DATA / "golden_fusion.json").read_text())
     assert graph.to_json_dict() == golden
@@ -142,7 +150,7 @@ def test_fusion_golden():
 
 def test_fusion_triggered_by_targets_wget():
     events, alerts = download_chain()
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     (tb,) = [e for e in graph.edges if e.relation is Relation.TRIGGERED_BY]
     assert graph.nodes[tb.src].kind is NodeKind.ALERT
     assert graph.nodes[tb.dst].key == f"{HOST}/wget.exe"
@@ -157,7 +165,7 @@ def test_aggregation_counts_and_bytes():
         ev(2.0, EventKind.NET_SEND, proc("a.exe"), ipref("9.9.9.9"), bytes=50),
         ev(0.5, EventKind.NET_SEND, proc("a.exe"), ipref("9.9.9.9"), bytes=7),
     ]
-    graph = build_graph(window_events(events, [])[0])
+    graph = build_graph(window_events(event_table(events), [])[0])
     (send,) = [e for e in graph.edges if e.relation is Relation.SEND]
     assert send.count == 3
     assert send.bytes == 157
@@ -168,7 +176,7 @@ def test_aggregation_conservation():
     events, alerts = download_chain()
     events = events + [ev(20.0, EventKind.NET_CONNECT, proc("wget.exe"),
                           ipref("203.0.113.10"), user="victim")]
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     structural = {Relation.SELF_LOOP, Relation.TRIGGERED_BY}
     total = sum(e.count for e in graph.edges if e.relation not in structural)
     assert total == len(events)
@@ -176,7 +184,7 @@ def test_aggregation_conservation():
 
 def test_self_loop_totality():
     events, alerts = download_chain()
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     loops = [e for e in graph.edges if e.relation is Relation.SELF_LOOP]
     assert len(loops) == len(graph.nodes)
     assert all(e.src == e.dst for e in loops)
@@ -184,7 +192,7 @@ def test_self_loop_totality():
 
 def test_alert_out_degree():
     events, alerts = download_chain()
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     for i, node in enumerate(graph.nodes):
         if node.kind is NodeKind.ALERT:
             out = [e for e in graph.edges
@@ -194,9 +202,9 @@ def test_alert_out_degree():
 
 def test_determinism_and_input_order_independence():
     events, alerts = download_chain()
-    g1 = build_graph(window_events(events, alerts)[0])
+    g1 = build_graph(window_events(event_table(events), alerts)[0])
     # same records, different arrival order inside the window slice
-    g2 = build_graph(window_events(events[::-1], alerts)[0])
+    g2 = build_graph(window_events(event_table(events[::-1]), alerts)[0])
     assert g1.to_json() == g2.to_json()
 
 
@@ -207,7 +215,7 @@ def test_port_exact_match_preferred():
         ev(2.0, EventKind.NET_CONNECT, proc("b.exe"), ipref("9.9.9.9:443"), user="u"),
     ]
     alert = NetworkAlert(5.0, "sig", 0.5, Protocol.TCP, "c", HOST, 1111, "9.9.9.9", 443)
-    graph = build_graph(window_events(events, [alert])[0])
+    graph = build_graph(window_events(event_table(events), [alert])[0])
     (tb,) = [e for e in graph.edges if e.relation is Relation.TRIGGERED_BY]
     assert graph.nodes[tb.dst].key == f"{HOST}/b.exe"
 
@@ -219,7 +227,7 @@ def test_nearest_preceding_wins():
         ev(8.0, EventKind.NET_CONNECT, proc("future.exe"), ipref("9.9.9.9"), user="u"),
     ]
     alert = NetworkAlert(5.0, "sig", 0.5, Protocol.TCP, "c", HOST, 1111, "9.9.9.9", 80)
-    graph = build_graph(window_events(events, [alert])[0])
+    graph = build_graph(window_events(event_table(events), [alert])[0])
     (tb,) = [e for e in graph.edges if e.relation is Relation.TRIGGERED_BY]
     assert graph.nodes[tb.dst].key == f"{HOST}/recent.exe"
 
@@ -279,7 +287,7 @@ alert = st.builds(
 @given(st.lists(st.one_of(net_event, net_event, file_event), min_size=6, max_size=16),
        st.lists(alert, min_size=1, max_size=4))
 def test_alert_attribution_matches_two_comprehension_oracle(events, alerts):
-    window = WindowSlice(0, 0.0, events, alerts)
+    window = WindowSlice(0, 0.0, event_table(events), alerts)
     graph = build_graph(window)
     got = {graph.nodes[e.src].key: graph.nodes[e.dst].key
            for e in graph.edges if e.relation is Relation.TRIGGERED_BY}
@@ -331,9 +339,10 @@ def _reference_graph_text(events, alerts):
      NetworkAlert(0.5, "sig", 0.5, Protocol.TCP, "c", HOST, 1111, "7.7.7.7", 443)])
 def test_columnar_builder_matches_row_wise_reference(events, alerts):
     expected = _reference_graph_text(events, alerts)
-    assert [build_graph(w).to_json() for w in window_events(events, alerts)] == expected
+    table = event_table(events)
+    assert [build_graph(w).to_json() for w in window_events(table, alerts)] == expected
     buf = io.StringIO()
-    dump_jsonl(events, buf)
+    dump_jsonl(table, buf)
     parsed = parse_host_events(buf.getvalue())
     assert [build_graph(w).to_json() for w in window_events(parsed, alerts)] == expected
 
@@ -341,7 +350,7 @@ def test_columnar_builder_matches_row_wise_reference(events, alerts):
 def test_unmatched_alert_falls_back_to_host():
     events = [ev(1.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     alert = NetworkAlert(3.0, "sig", 0.5, Protocol.UDP, "c", HOST, 1111, "9.9.9.9", 53)
-    graph = build_graph(window_events(events, [alert])[0])
+    graph = build_graph(window_events(event_table(events), [alert])[0])
     (tb,) = [e for e in graph.edges if e.relation is Relation.TRIGGERED_BY]
     assert graph.nodes[tb.dst].kind is NodeKind.HOST
     assert graph.nodes[tb.dst].key == HOST
@@ -349,21 +358,21 @@ def test_unmatched_alert_falls_back_to_host():
 
 def test_spawn_self_becomes_exec():
     events = [ev(1.0, EventKind.PROCESS_CREATE, proc("p.exe"), proc("p.exe"))]
-    graph = build_graph(window_events(events, [])[0])
+    graph = build_graph(window_events(event_table(events), [])[0])
     rels = {e.relation for e in graph.edges}
     assert Relation.EXEC in rels and Relation.SPAWN not in rels
 
 
 def test_kind_precedence_merges_file_into_process():
     events, alerts = download_chain()
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     payload = [n for n in graph.nodes if n.key == f"{HOST}/payload.exe"]
     assert len(payload) == 1 and payload[0].kind is NodeKind.PROCESS
 
 
 def test_canonical_ordering():
     events, alerts = download_chain()
-    graph = build_graph(window_events(events, alerts)[0])
+    graph = build_graph(window_events(event_table(events), alerts)[0])
     kind_order = list(NodeKind)
     keys = [(kind_order.index(n.kind), n.key) for n in graph.nodes]
     assert keys == sorted(keys)
@@ -374,10 +383,10 @@ def test_canonical_ordering():
 
 def test_event_outside_window_rejected():
     events = [ev(1.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
-    window = window_events(events, [])[0]
+    window = window_events(event_table(events), [])[0]
     bad = list(window.events) + [ev(999.0, EventKind.FILE_READ, proc("a.exe"), fileref("f"))]
     with pytest.raises(ValidationError):
-        build_graph(type(window)(window.index, window.start, bad, window.alerts))
+        build_graph(type(window)(window.index, window.start, event_table(bad), window.alerts))
 
 
 def test_graph_validate_catches_bad_edges():
@@ -431,7 +440,7 @@ def test_validate_messages(case):
 
 def _graph_line(edit):
     events, alerts = download_chain()
-    doc = build_graph(window_events(events, alerts)[0]).to_json_dict()
+    doc = build_graph(window_events(event_table(events), alerts)[0]).to_json_dict()
     edit(doc)
     return json.dumps(doc)
 
@@ -467,7 +476,7 @@ def test_load_graphs_jsonl_names_the_bad_line(case):
 
 def test_jsonl_roundtrip():
     events, alerts = download_chain()
-    graphs = build_graph_sequence(events, alerts)
+    graphs = build_graph_sequence(event_table(events), alerts)
     buf = io.StringIO()
     dump_graphs_jsonl(graphs, buf)
     buf.seek(0)
@@ -493,6 +502,26 @@ def test_graphs_jsonl_bytes_pinned(corpus):
     again = io.StringIO()
     dump_graphs_jsonl(load_graphs_jsonl(io.StringIO(text)), again)
     assert again.getvalue() == text
+
+
+# sha256 of `dump_jsonl` over each corpus's generated events and alerts
+TELEMETRY_JSONL_SHA256 = {
+    "campaign": ("805c6005b6379511c1a2dc42259e4360fa226604663a1bfa35468c6f8ea36dc4",
+                 "65eddcd80fb32e3a546e3b7b6bae74e6f9c363ff95b9b19b0fdd1144c79a278b"),
+    "dense": ("93306d84c2398be4d2e1cf8c384edd3be43fac4a83d362c2308459f4bb193af2",
+              "5553aa539d497af54bcc2f8c0ed7aa1c79da1e5a1fe9f5fda293b0e0e14f3ffc"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(TELEMETRY_JSONL_SHA256))
+def test_generated_telemetry_jsonl_bytes_pinned(corpus):
+    events, alerts, _ = campaign_scenario(seed=3, windows=12) if corpus == "campaign" else dense_scenario()
+    digests = []
+    for records in (events, alerts):
+        buf = io.StringIO()
+        dump_jsonl(records, buf)
+        digests.append(hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest())
+    assert tuple(digests) == TELEMETRY_JSONL_SHA256[corpus]
 
 
 def test_jsonl_roundtrip_keeps_missing_bytes_apart_from_zero():

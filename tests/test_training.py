@@ -397,10 +397,8 @@ def test_pretrain_on_a_trace_with_an_empty_window():
         duration=1800.0, stage_schedule=default_campaign_schedule(1800.0), seed=3))
     t0 = build_graph_sequence(events, alerts)[0].window_start
 
-    def kept(records):
-        return [r for r in records if not t0 + 600.0 <= r.timestamp < t0 + 900.0]
-
-    graphs = build_graph_sequence(kept(events), kept(alerts))
+    gap = (t0 + 600.0 <= events.ts) & (events.ts < t0 + 900.0)
+    graphs = build_graph_sequence(events[~gap], [a for a in alerts if not t0 + 600.0 <= a.timestamp < t0 + 900.0])
     assert [len(g.nodes) == 0 for g in graphs] == [False, False, True, False, False, False]
     vocab, stats = fit_vocab_and_stats(graphs, MCFG.featurizer)
     trace = featurize_trace("gap", graphs, None, vocab, stats, MCFG.featurizer)
