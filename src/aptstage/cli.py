@@ -34,11 +34,9 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    aupr,
-    classification_metrics,
     evaluate_folds,
-    flip_rate_over_traces,
     fold_blocks,
+    trace_scores,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -318,16 +316,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
     def fit_eval(train_blocks, test_blocks):
         store, mcfg = _load_model_checkpoint(ckpt_path, cfg, spec_hash, "pretrain")
         finetune(train_blocks, store, mcfg, cfg.finetune)
-        y_true, y_pred, probs, sequences = predict_traces(test_blocks, store, mcfg)
-        m = classification_metrics(y_true, y_pred, mcfg.num_classes)
-        return {
-            "macro_f1": m["macro_f1"],
-            "macro_precision": m["macro_precision"],
-            "macro_recall": m["macro_recall"],
-            "accuracy": m["accuracy"],
-            "aupr": aupr(y_true, probs, mcfg.num_classes),
-            "tfr": flip_rate_over_traces(sequences),
-        }
+        scores = trace_scores(*predict_traces(test_blocks, store, mcfg))
+        return {name: scores[name] for name in ("macro_f1", "macro_precision", "macro_recall",
+                                                "accuracy", "aupr", "tfr")}
 
     report = evaluate_folds(blocks, fit_eval, k=cfg.folds)
     csv_path = cfg.path(ARTIFACTS["metrics_csv"])

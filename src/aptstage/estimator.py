@@ -7,11 +7,13 @@ batch of sequences: one input GEMM for all steps, the recurrence over
 (batch, H) states, and a hand-written backward through time. The classifier
 head emits the 7-class stage distribution via a max-subtracted softmax, one
 op with its own backward; the prediction head, one `linear` op, maps h_t to
-the next-window embedding for self-supervision.
+the next-window embedding for self-supervision. Widths, depth, dropout and
+class count come from the checked `model.ModelConfig` (d_g, hidden,
+lstm_layers, dropout, num_classes).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,21 +21,13 @@ from .errors import DimensionError, ValidationError
 from .nn import ParamStore, Tensor, as_tensor, linear
 from .nn.tensor import _accum, _linear_adjoints, _make, _needs_grad
 
-NUM_STAGES = 7
+if TYPE_CHECKING:  # model imports this module; the config is only annotated here
+    from .model import ModelConfig
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    d_g: int = 64
-    hidden: int = 128
-    layers: int = 2
-    dropout: float = 0.3
-    num_classes: int = NUM_STAGES
-
-
-def estimator_param_spec(cfg: EstimatorConfig) -> dict:
+def estimator_param_spec(cfg: ModelConfig) -> dict:
     spec = {}
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         in_dim = cfg.d_g if layer == 0 else cfg.hidden
         spec[f"lstm.L{layer}.Wih"] = (4 * cfg.hidden, in_dim)
         spec[f"lstm.L{layer}.Whh"] = (4 * cfg.hidden, cfg.hidden)
@@ -45,10 +39,10 @@ def estimator_param_spec(cfg: EstimatorConfig) -> dict:
     return spec
 
 
-def apply_forget_bias(store: ParamStore, cfg: EstimatorConfig, value: float = 1.0) -> None:
+def apply_forget_bias(store: ParamStore, cfg: ModelConfig, value: float = 1.0) -> None:
     """Initialize the forget-gate bias slice to `value` (gate order i,f,g,o)."""
     H = cfg.hidden
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         store.tensor(f"lstm.L{layer}.b").data[H : 2 * H] = value
 
 
@@ -114,7 +108,7 @@ def _lstm_layer(x: Tensor, Wih: Tensor, Whh: Tensor, b: Tensor, batch: int,
     return _make(out.reshape(B * T, H), (x, Wih, Whh, b), backward)
 
 
-def recurrent_forward(x: Tensor, store: ParamStore, cfg: EstimatorConfig,
+def recurrent_forward(x: Tensor, store: ParamStore, cfg: ModelConfig,
                       mode: str = "eval", dropout_seed: int = 0,
                       batch: int = 1) -> Tensor:
     """Run the stacked recurrence over `batch` same-length sequences.
@@ -137,17 +131,17 @@ def recurrent_forward(x: Tensor, store: ParamStore, cfg: EstimatorConfig,
     H = cfg.hidden
 
     masks = None
-    if mode == "train" and cfg.dropout > 0 and cfg.layers > 1:
+    if mode == "train" and cfg.dropout > 0 and cfg.lstm_layers > 1:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout
         # one mask per (layer gap, step); prefix of the stream is identical
         # for shorter T, preserving causal determinism
-        masks = (rng.random((cfg.layers - 1, T, batch, H)) < keep).astype(x.data.dtype) / keep
+        masks = (rng.random((cfg.lstm_layers - 1, T, batch, H)) < keep).astype(x.data.dtype) / keep
 
     layer_in = x
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         mask = None
-        if masks is not None and layer < cfg.layers - 1:
+        if masks is not None and layer < cfg.lstm_layers - 1:
             mask = masks[layer].transpose(1, 0, 2)  # (batch, T, H)
         layer_in = _lstm_layer(layer_in, store.tensor(f"lstm.L{layer}.Wih"),
                                store.tensor(f"lstm.L{layer}.Whh"),

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, MetricError
+from .telemetry.records import NUM_STAGES
 
-NUM_CLASSES = 7
 
-
-def confusion_matrix(y_true, y_pred, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion_matrix(y_true, y_pred, num_classes: int = NUM_STAGES) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -33,7 +32,7 @@ def confusion_matrix(y_true, y_pred, num_classes: int = NUM_CLASSES) -> np.ndarr
     return cm
 
 
-def classification_metrics(y_true, y_pred, num_classes: int = NUM_CLASSES) -> dict:
+def classification_metrics(y_true, y_pred, num_classes: int = NUM_STAGES) -> dict:
     """Per-class and macro precision/recall/F1 plus accuracy."""
     cm = confusion_matrix(y_true, y_pred, num_classes)
     tp = np.diag(cm).astype(float)
@@ -57,7 +56,7 @@ def classification_metrics(y_true, y_pred, num_classes: int = NUM_CLASSES) -> di
     }
 
 
-def macro_f1(y_true, y_pred, num_classes: int = NUM_CLASSES) -> float:
+def macro_f1(y_true, y_pred, num_classes: int = NUM_STAGES) -> float:
     return classification_metrics(y_true, y_pred, num_classes)["macro_f1"]
 
 
@@ -78,7 +77,7 @@ def average_precision(y_true_binary, scores) -> float:
     return float((cum_tp[hits] / ranks[hits]).sum() / n_pos)
 
 
-def aupr(y_true, probabilities, num_classes: int = NUM_CLASSES) -> float:
+def aupr(y_true, probabilities, num_classes: int = NUM_STAGES) -> float:
     """Macro AUPR over one-vs-rest classes that have at least one positive."""
     y_true = np.asarray(y_true, dtype=np.int64)
     probs = np.asarray(probabilities, dtype=float)
@@ -108,6 +107,14 @@ def flip_rate_over_traces(sequences) -> float:
     if not rates:
         raise MetricError("no trace long enough for a flip rate")
     return float(np.mean(rates))
+
+
+def trace_scores(y_true, y_pred, probabilities, sequences) -> dict:
+    """`classification_metrics` plus `aupr` and `tfr` (`flip_rate_over_traces`)
+    over the four outputs of `training.predict_traces`."""
+    return {**classification_metrics(y_true, y_pred),
+            "aupr": aupr(y_true, probabilities),
+            "tfr": flip_rate_over_traces(sequences)}
 
 
 @dataclass

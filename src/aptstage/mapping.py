@@ -13,17 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .telemetry.records import WINDOW_SECONDS
-
-STAGE_NAMES = (
-    "Normal",
-    "Reconnaissance",
-    "Initial Compromise",
-    "Privilege Escalation",
-    "Lateral Movement",
-    "Command and Control",
-    "Exfiltration",
-)
+from .telemetry.records import STAGE_NAMES, WINDOW_SECONDS
 
 ALERT_SCHEMA_VERSION = 1
 
@@ -87,15 +77,11 @@ def transitions(decisions):
     return events
 
 
-def export_alerts(decisions, transition_events, sink) -> int:
-    """Write one JSONL record per decision; returns the record count. `sink`
-    is a path or a writable file object."""
+def export_alerts(decisions, transition_events, path) -> int:
+    """Write one JSONL record per decision to the file at `path`, replacing
+    it; returns the record count."""
     transition_windows = {t.window_index for t in transition_events}
-    close = False
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        sink = open(sink, "w")
-        close = True
-    try:
+    with open(path, "w") as sink:
         for d in decisions:
             record = {
                 "version": ALERT_SCHEMA_VERSION,
@@ -108,7 +94,4 @@ def export_alerts(decisions, transition_events, sink) -> int:
                 "is_transition": d.window_index in transition_windows,
             }
             sink.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        if close:
-            sink.close()
     return len(decisions)

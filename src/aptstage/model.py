@@ -8,17 +8,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .encoder import LAYERS, encode_packed, encoder_param_spec, pack_graphs
-from .estimator import (
-    NUM_STAGES,
-    EstimatorConfig,
-    apply_forget_bias,
-    classify,
-    estimator_param_spec,
-    recurrent_forward,
-)
+from .estimator import apply_forget_bias, classify, estimator_param_spec, recurrent_forward
 from .errors import InputError, ValidationError
 from .features import FeaturizerConfig
 from .nn import ParamStore, as_tensor, init_params, no_grad
+from .telemetry.records import NUM_STAGES
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_h", "d_g", "hidden", "lstm_layers"):
+        for name in ("d_h", "d_g", "gnn_layers", "hidden", "lstm_layers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if not 0 <= self.dropout < 1:
@@ -44,16 +38,6 @@ class ModelConfig:
                                   f"use stages 0..{NUM_STAGES - 1}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-
-    @property
-    def estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            d_g=self.d_g,
-            hidden=self.hidden,
-            layers=self.lstm_layers,
-            dropout=self.dropout,
-            num_classes=self.num_classes,
-        )
 
 
 # parameter-name prefixes frozen in fine-tuning phase 1 (the encoder's, optionally, in pretraining)
@@ -65,9 +49,9 @@ def build_param_store(cfg: ModelConfig) -> ParamStore:
     spec = {}
     spec.update(encoder_param_spec(cfg.featurizer.node_dim, cfg.featurizer.edge_dim,
                                    cfg.d_h, cfg.d_g, cfg.gnn_layers))
-    spec.update(estimator_param_spec(cfg.estimator))
+    spec.update(estimator_param_spec(cfg))
     store = init_params(spec, seed=cfg.seed)
-    apply_forget_bias(store, cfg.estimator)
+    apply_forget_bias(store, cfg)
     return store
 
 
@@ -89,7 +73,7 @@ def stage_probabilities(g, store: ParamStore, cfg: ModelConfig) -> np.ndarray:
     if not g.data.shape[0]:
         return np.zeros((0, cfg.num_classes))
     with no_grad():
-        h = recurrent_forward(g, store, cfg.estimator, mode="eval", batch=1)
+        h = recurrent_forward(g, store, cfg, mode="eval", batch=1)
         p = classify(h, store)
     if not np.isfinite(p.data).all():
         raise InputError("non-finite stage probability; check the checkpoint weights")

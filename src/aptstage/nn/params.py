@@ -71,12 +71,10 @@ class ParamStore:
 def init_params(spec, seed: int) -> ParamStore:
     """Glorot-uniform weights, zero biases. 1-D entries are treated as biases;
     entries of rank >= 2 draw uniform(+-sqrt(6/(fan_in+fan_out))). Deterministic
-    per seed and spec order. `spec` is a name→shape mapping or (name, shape)
-    pairs."""
+    per seed and spec order. `spec` is a name→shape mapping."""
     store = ParamStore(seed)
     rng = np.random.default_rng(seed)
-    items = spec.items() if hasattr(spec, "items") else spec
-    for name, shape in items:
+    for name, shape in spec.items():
         shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ParamRegistryError(f"non-positive dim in shape for {name}: {shape}")

@@ -22,6 +22,18 @@ from ..errors import TelemetryParseError, ValidationError
 
 WINDOW_SECONDS = 300.0
 
+# the kill-chain stages a window is labeled with and the model scores; 0 is benign
+STAGE_NAMES = (
+    "Normal",
+    "Reconnaissance",
+    "Initial Compromise",
+    "Privilege Escalation",
+    "Lateral Movement",
+    "Command and Control",
+    "Exfiltration",
+)
+NUM_STAGES = len(STAGE_NAMES)
+
 
 def align_windows(stamps, placed) -> tuple:
     """The window rule that graph building and labeling share. Windows are

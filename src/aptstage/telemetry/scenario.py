@@ -17,6 +17,7 @@ from ..errors import ValidationError
 from .records import (
     _ENTITY_KIND_IDS,
     _EVENT_KIND_IDS,
+    NUM_STAGES,
     WINDOW_SECONDS,
     EntityKind,
     EventKind,
@@ -53,8 +54,8 @@ class ScenarioConfig:
             raise ValidationError("benign_event_rate and attack_event_rate must be > 0")
         prev_end = 0.0
         for iv in self.stage_schedule:
-            if not (1 <= iv.stage <= 6):
-                raise ValidationError(f"stage must be in 1..6: {iv.stage}")
+            if not (1 <= iv.stage < NUM_STAGES):
+                raise ValidationError(f"stage must be in 1..{NUM_STAGES - 1}: {iv.stage}")
             if not (0 <= iv.start < iv.end <= self.duration):
                 raise ValidationError(
                     f"interval [{iv.start}, {iv.end}) outside [0, {self.duration}]"
@@ -308,7 +309,7 @@ def window_labels(events, alerts, stage_stamps) -> list[int]:
     `align_windows` that the graph builder uses. `events` is an `EventTable`."""
     stamps = np.concatenate([events.ts, [a.timestamp for a in alerts]])
     _, n_windows, idx = align_windows(stamps, [ts for ts, _ in stage_stamps])
-    counts = np.zeros((n_windows, 7), dtype=np.int64)
+    counts = np.zeros((n_windows, NUM_STAGES), dtype=np.int64)
     for w, (_, k) in zip(idx, stage_stamps):
         counts[w, k] += 1
     return [int(row.argmax()) if row.any() else 0 for row in counts]

@@ -30,6 +30,7 @@ from ..model import (
     stage_probabilities,
 )
 from ..nn import AdamState, adam_step, as_tensor, clip_gradients, gather_rows, no_grad, weighted_sum
+from ..telemetry.records import NUM_STAGES
 from .losses import loss_contrastive_pooled, loss_pred, loss_supervised
 
 log = logging.getLogger(__name__)
@@ -71,6 +72,8 @@ class PretrainConfig:
             raise ValidationError("negatives must be >= 1")
         if self.seq_len < 2:
             raise ValidationError("seq_len must be >= 2")
+        if self.lambda_pred < 0 or self.lambda_ctr < 0:
+            raise ValidationError("lambda_pred and lambda_ctr must be >= 0")
         if self.lr < 0 or self.weight_decay < 0:
             raise ValidationError("lr and weight_decay must be >= 0")
         if self.batch < 1 or self.epochs < 1 or self.clip <= 0:
@@ -96,6 +99,8 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.eps <= 0:
+            raise ValidationError("eps must be > 0: it keeps ln(p + eps) finite")
         if self.phase1_epochs < 1 or self.phase2_epochs < 1:
             raise ValidationError("phase1_epochs and phase2_epochs must be >= 1")
         if not (0 < self.curriculum_start <= self.curriculum_end):
@@ -120,7 +125,7 @@ def curriculum_length(start: int, end: int, epoch: int, total_epochs: int) -> in
     return int(round(start + (end - start) * frac))
 
 
-def class_weights(labels, num_classes: int = 7) -> np.ndarray:
+def class_weights(labels, num_classes: int = NUM_STAGES) -> np.ndarray:
     """w_k = total/(C·count_k) with a median fallback for absent classes."""
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=num_classes)[:num_classes]
@@ -195,7 +200,7 @@ def _batch_forward(batch, traces, cache, store, mcfg: ModelConfig, dropout_seed:
     else:
         g_all = as_tensor(np.stack([cache[ti][w] for ti, w in refs]))
     g_seq = gather_rows(g_all, seq_rows.ravel())
-    h = recurrent_forward(g_seq, store, mcfg.estimator, mode="train",
+    h = recurrent_forward(g_seq, store, mcfg, mode="train",
                           dropout_seed=dropout_seed, batch=seq_rows.shape[0])
     return g_all, seq_rows, g_seq, h
 
@@ -359,7 +364,6 @@ def split_train_val(traces, val_fraction: float):
 @dataclass
 class FinetuneResult:
     metric_log: list = field(default_factory=list)
-    class_weights: np.ndarray | None = None
 
 
 def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
@@ -377,7 +381,7 @@ def finetune(traces, store, mcfg: ModelConfig, cfg: FinetuneConfig,
 
     labels = [w.label for tr in train_traces for w in tr.windows]
     weights = class_weights(labels, num_classes=mcfg.num_classes)
-    result = FinetuneResult(class_weights=weights)
+    result = FinetuneResult()
 
     def train_batch(batch, cache, adam, lr, phase: str, pi: int, epoch: int, bi: int):
         """One optimizer step; returns (summed L_sup, rows) as plain numbers

@@ -23,7 +23,6 @@ from aptstage.encoder import (
     project_packed,
 )
 from aptstage.estimator import (
-    EstimatorConfig,
     apply_forget_bias,
     classify,
     estimator_param_spec,
@@ -184,7 +183,7 @@ def test_criterion_2_equation_oracles():
             worst = max(worst, np.max(np.abs(got[i] - np.maximum(acc, 0.0))))
 
         # recurrent_forward (2-layer gate equations, batch 1)
-        ecfg = EstimatorConfig(d_g=3, hidden=2, layers=2, dropout=0.0)
+        ecfg = ModelConfig(d_g=3, hidden=2, lstm_layers=2, dropout=0.0)
         store = init_params(estimator_param_spec(ecfg), seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=(int(rng.integers(1, 4)), 3))
         got = recurrent_forward(x, store, ecfg).data
@@ -262,7 +261,7 @@ def test_criterion_3_gradient_suite():
     assert err_a < 1e-4, f"encoder gradient error {err_a:.3e}"
 
     # (b) estimator parameters through L_sup on a 5-step sequence
-    ecfg = EstimatorConfig(d_g=3, hidden=4, layers=2, dropout=0.0)
+    ecfg = ModelConfig(d_g=3, hidden=4, lstm_layers=2, dropout=0.0)
     est_store = init_params(estimator_param_spec(ecfg), seed=2)
     apply_forget_bias(est_store, ecfg)
     xs = rng.normal(size=(5, 3))
@@ -290,7 +289,7 @@ def test_criterion_3_gradient_suite():
     def ssl_loss(st):
         enc = encode_windows(wins, st, mcfg)
         g_seq = gather_rows(enc.g, seq_rows.ravel())
-        h = recurrent_forward(g_seq, st, mcfg.estimator, batch=3)
+        h = recurrent_forward(g_seq, st, mcfg, batch=3)
         ghat = predict_next(gather_rows(h, anchor_rows), st)
         target = gather_rows(g_seq, anchor_rows + 1)
         counts = np.zeros((6, 9))

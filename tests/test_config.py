@@ -63,6 +63,12 @@ BROKEN_RULES = [
     (ScenarioSettings, {"schedule": [[True, 0, 600]]}, "integer stage"),
     (ScenarioSettings, {"schedule": [[1, "0", 600]]}, "start and end must be numbers"),
     (ScenarioSettings, {"schedule": [[1, 0, True]]}, "start and end must be numbers"),
+    (ModelConfig, {"gnn_layers": 0}, "gnn_layers"),
+    (ModelConfig, {"gnn_layers": -2}, "gnn_layers"),
+    (PretrainConfig, {"lambda_pred": -1.0}, "lambda_pred"),
+    (PretrainConfig, {"lambda_ctr": -1.0}, "lambda_ctr"),
+    (FinetuneConfig, {"eps": 0.0}, "eps"),
+    (FinetuneConfig, {"eps": -1.0}, "eps"),
 ]
 
 

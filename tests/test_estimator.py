@@ -4,7 +4,6 @@ import pytest
 
 from aptstage.errors import DimensionError, ValidationError
 from aptstage.estimator import (
-    EstimatorConfig,
     apply_forget_bias,
     classify,
     estimator_param_spec,
@@ -12,6 +11,7 @@ from aptstage.estimator import (
     recurrent_forward,
 )
 from aptstage import nn
+from aptstage.model import ModelConfig
 from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params
 
 import nn_reference as ref
@@ -33,7 +33,7 @@ def oracle_lstm(x, store, cfg):
     T = x.shape[0]
     H = cfg.hidden
     layer_in = x
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         Wih = store.tensor(f"lstm.L{layer}.Wih").data
         Whh = store.tensor(f"lstm.L{layer}.Whh").data
         b = store.tensor(f"lstm.L{layer}.b").data
@@ -54,10 +54,10 @@ def oracle_lstm(x, store, cfg):
 
 
 def test_forward_matches_gate_equation_oracle(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg)
     # break the all-zero bias symmetry so the oracle exercises every term
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         store.tensor(f"lstm.L{layer}.b").data[:] = rng.normal(size=4 * cfg.hidden)
     x = rng.normal(size=(5, 4))
     got = recurrent_forward(x, store, cfg).data
@@ -66,7 +66,7 @@ def test_forward_matches_gate_equation_oracle(rng):
 
 
 def test_forget_bias_slice():
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg, forget_bias=False)
     assert np.all(store.tensor("lstm.L0.b").data == 0.0)
     apply_forget_bias(store, cfg, value=1.0)
@@ -76,7 +76,7 @@ def test_forget_bias_slice():
 
 
 def test_zero_parameters_give_zero_states():
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = ParamStore()
     for name, shape in estimator_param_spec(cfg).items():
         store.add(name, np.zeros(shape))
@@ -86,7 +86,7 @@ def test_zero_parameters_give_zero_states():
 
 
 def test_output_at_t_depends_only_on_prefix(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg)
     x = rng.normal(size=(6, 4))
     base = recurrent_forward(x, store, cfg).data
@@ -98,7 +98,7 @@ def test_output_at_t_depends_only_on_prefix(rng):
 
 
 def test_batch_equals_per_sequence_loop(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg)
     seqs = [rng.normal(size=(5, 4)) for _ in range(3)]
     packed = np.concatenate(seqs, axis=0)  # row b*T + t
@@ -109,7 +109,7 @@ def test_batch_equals_per_sequence_loop(rng):
 
 
 def test_eval_mode_ignores_dropout_seed(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.5)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, dropout=0.5)
     store = mkstore(cfg)
     x = rng.normal(size=(5, 4))
     a = recurrent_forward(x, store, cfg, mode="eval", dropout_seed=1).data
@@ -118,7 +118,7 @@ def test_eval_mode_ignores_dropout_seed(rng):
 
 
 def test_train_dropout_deterministic_per_seed(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.5)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, dropout=0.5)
     store = mkstore(cfg)
     x = rng.normal(size=(5, 4))
     a = recurrent_forward(x, store, cfg, mode="train", dropout_seed=7).data
@@ -131,7 +131,7 @@ def test_train_dropout_deterministic_per_seed(rng):
 
 
 def test_dropout_disabled_train_equals_eval(rng):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.0)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, dropout=0.0)
     store = mkstore(cfg)
     x = rng.normal(size=(5, 4))
     a = recurrent_forward(x, store, cfg, mode="train", dropout_seed=3).data
@@ -140,7 +140,7 @@ def test_dropout_disabled_train_equals_eval(rng):
 
 
 def test_input_width_mismatch():
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg)
     with pytest.raises(DimensionError):
         recurrent_forward(np.zeros((5, 9)), store, cfg)
@@ -170,13 +170,13 @@ def reference_recurrent_forward(x, store, cfg, mode="eval", dropout_seed=0, batc
     dropout draw as `recurrent_forward`."""
     T, H = x.data.shape[0] // batch, cfg.hidden
     masks = None
-    if mode == "train" and cfg.dropout > 0 and cfg.layers > 1:
+    if mode == "train" and cfg.dropout > 0 and cfg.lstm_layers > 1:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout
-        masks = (rng.random((cfg.layers - 1, T, batch, H)) < keep).astype(float) / keep
+        masks = (rng.random((cfg.lstm_layers - 1, T, batch, H)) < keep).astype(float) / keep
     step_index = np.arange(batch) * T
     layer_in = x
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         Wih, Whh, b = (store.tensor(f"lstm.L{layer}.{n}") for n in ("Wih", "Whh", "b"))
         h = as_tensor(np.zeros((batch, H)))
         c = as_tensor(np.zeros((batch, H)))
@@ -184,7 +184,7 @@ def reference_recurrent_forward(x, store, cfg, mode="eval", dropout_seed=0, batc
         for t in range(T):
             h, c = _cell_step(nn.gather_rows(layer_in, step_index + t), h, c, Wih, Whh, b, H)
             outs.append(ref.mul(h, masks[layer, t])
-                        if masks is not None and layer < cfg.layers - 1 else h)
+                        if masks is not None and layer < cfg.lstm_layers - 1 else h)
         stacked = ref.concat(outs, axis=0)  # step-major: row t*batch + b
         perm = (np.arange(T)[None, :] * batch + np.arange(batch)[:, None]).ravel()
         layer_in = nn.gather_rows(stacked, perm)
@@ -197,7 +197,7 @@ def lstm_store_with_input(cfg, x, seed=0):
     spec = {k: v for k, v in estimator_param_spec(cfg).items() if k.startswith("lstm.")}
     store = init_params(spec, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    for layer in range(cfg.layers):
+    for layer in range(cfg.lstm_layers):
         store.tensor(f"lstm.L{layer}.b").data[:] = rng.normal(size=4 * cfg.hidden)
     store.add("x", x)
     return store
@@ -205,7 +205,7 @@ def lstm_store_with_input(cfg, x, seed=0):
 
 @pytest.mark.parametrize("batch,T", [(1, 1), (1, 6), (3, 1), (3, 6)])
 def test_fused_layer_matches_per_step_reference(rng, batch, T):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.3)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, dropout=0.3)
     store = lstm_store_with_input(cfg, rng.normal(size=(batch * T, 4)))
     probe = rng.normal(size=(batch * T, cfg.hidden))
     results = []
@@ -221,7 +221,7 @@ def test_fused_layer_matches_per_step_reference(rng, batch, T):
 
 
 def test_train_mode_gradients_match_finite_differences(rng):
-    cfg = EstimatorConfig(d_g=3, hidden=4, layers=2, dropout=0.3)
+    cfg = ModelConfig(d_g=3, hidden=4, lstm_layers=2, dropout=0.3)
     batch, T = 3, 4
     store = lstm_store_with_input(cfg, rng.normal(size=(batch * T, 3)), seed=2)
     probe = rng.normal(size=(batch * T, cfg.hidden))
@@ -236,7 +236,7 @@ def test_train_mode_gradients_match_finite_differences(rng):
 
 
 def test_recurrent_tape_does_not_grow_with_steps(rng, tape_nodes):
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, dropout=0.3)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, dropout=0.3)
     store = mkstore(cfg)
     counts = [tape_nodes(recurrent_forward(Tensor(rng.normal(size=(2 * T, 4)), requires_grad=True),
                                            store, cfg, mode="train", batch=2))
@@ -307,7 +307,7 @@ def test_predict_next_affine_oracle(rng):
 
 
 def test_param_spec_shapes():
-    cfg = EstimatorConfig(d_g=4, hidden=3, layers=2, num_classes=7)
+    cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2, num_classes=7)
     spec = estimator_param_spec(cfg)
     assert spec["lstm.L0.Wih"] == (12, 4)
     assert spec["lstm.L1.Wih"] == (12, 3)

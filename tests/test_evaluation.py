@@ -19,6 +19,7 @@ from aptstage.evaluation import (
     fold_blocks,
     macro_f1,
     temporal_flip_rate,
+    trace_scores,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -149,6 +150,23 @@ def test_aupr_errors():
 
 
 # ---------------------------------------------------------------- flip rate
+
+
+def test_trace_scores_joins_the_three_metric_helpers():
+    # two traces of three windows, as `predict_traces` returns them
+    y_true = [0, 1, 2, 2, 3, 1]
+    sequences = [np.array([0, 1, 1]), np.array([2, 3, 3])]
+    y_pred = np.concatenate(sequences).tolist()
+    probs = np.full((6, 7), 0.05)
+    probs[np.arange(6), y_pred] = 0.7
+    probs[1, 2] = 0.2  # window 1 ranks class 2 above the other non-predicted windows
+    got = trace_scores(y_true, y_pred, probs, sequences)
+    want = classification_metrics(y_true, y_pred)
+    assert set(got) == set(want) | {"aupr", "tfr"}
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+    assert got["aupr"] == aupr(y_true, probs)
+    assert got["tfr"] == flip_rate_over_traces(sequences) == 0.5
 
 
 def test_flip_rate_example():

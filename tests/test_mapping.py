@@ -1,5 +1,4 @@
 """Discrete stage decisions, transitions, and the JSONL alert export."""
-import io
 import json
 
 import numpy as np
@@ -86,13 +85,13 @@ def test_transition_count_matches_flip_rate_numerator(rng):
     assert len(evs) == round(temporal_flip_rate(stages) * (len(stages) - 1))
 
 
-def test_export_alert_schema():
+def test_export_alert_schema(tmp_path):
     ds = decide(probs_for([0, 5, 5]), window_starts=[0.0, 300.0, 600.0])
     evs = transitions(ds)
-    buf = io.StringIO()
-    n = export_alerts(ds, evs, buf)
+    path = tmp_path / "alerts.jsonl"
+    n = export_alerts(ds, evs, path)
     assert n == 3
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 3
     first = lines[0]
     assert set(first) == {"version", "ts", "window", "stage_id", "stage_name",
@@ -116,7 +115,7 @@ def test_export_to_path(tmp_path):
                                                "Lateral Movement"]
 
 
-def test_export_empty():
-    buf = io.StringIO()
-    assert export_alerts([], [], buf) == 0
-    assert buf.getvalue() == ""
+def test_export_empty(tmp_path):
+    path = tmp_path / "alerts.jsonl"
+    assert export_alerts([], [], path) == 0
+    assert path.read_text() == ""

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from aptstage.config import from_dict
-from aptstage.errors import InputError
-
+from aptstage.errors import InputError, ValidationError
+from aptstage.evaluation import confusion_matrix
 from aptstage.graphs import Edge, Node, NodeKind, Relation
 from aptstage.model import (
     FREEZE_ENCODER,
@@ -18,7 +18,9 @@ from aptstage.model import (
     infer_probabilities,
 )
 from aptstage.nn import no_grad
-from aptstage.training import Trace, WindowRecord
+from aptstage.telemetry import ScenarioConfig, StageInterval
+from aptstage.telemetry.records import NUM_STAGES, STAGE_NAMES
+from aptstage.training import Trace, WindowRecord, class_weights
 from aptstage.training.loops import _batch_forward
 
 from graph_helpers import make_graph
@@ -142,3 +144,14 @@ def test_infer_probabilities_empty():
     store = build_param_store(MCFG)
     probs = infer_probabilities([], store, MCFG)
     assert probs.shape == (0, 7)
+
+
+def test_stage_vocabulary_declared_once():
+    """One stage tuple sizes the head, the metrics, the class weights and the
+    generator's stage bound."""
+    head_rows = build_param_store(MCFG).tensor("head.stage.W").data.shape[0]
+    widths = {len(STAGE_NAMES), ModelConfig().num_classes, head_rows,
+              confusion_matrix([], []).shape[1], len(class_weights([0]))}
+    assert widths == {NUM_STAGES}
+    with pytest.raises(ValidationError, match="stage must be in 1.."):
+        ScenarioConfig(stage_schedule=[StageInterval(NUM_STAGES, 0.0, 10.0)])

@@ -232,7 +232,7 @@ def test_linear_with_a_csr_constant_matches_finite_differences():
 
 
 def test_init_params_deterministic_and_shaped():
-    spec = [("w", (3, 4)), ("b", (3,))]
+    spec = {"w": (3, 4), "b": (3,)}
     s1 = init_params(spec, seed=5)
     s2 = init_params(spec, seed=5)
     s3 = init_params(spec, seed=6)
@@ -255,7 +255,7 @@ def test_param_store_errors():
 
 
 def test_snapshot_roundtrip():
-    store = init_params([("w", (2, 2))], seed=0)
+    store = init_params({"w": (2, 2)}, seed=0)
     snap = store.snapshot()
     store.tensor("w").data += 1.0
     store.set_values(snap)
@@ -336,7 +336,7 @@ def test_frozen_block_makes_parameters_constants_and_restores_them():
 
 
 def test_finite_diff_check_passes_on_quadratic():
-    store = init_params([("w", (3, 3))], seed=1)
+    store = init_params({"w": (3, 3)}, seed=1)
     store.tensor("w").data += 0.5
 
     def loss(s):
@@ -350,7 +350,7 @@ def test_finite_diff_check_passes_on_quadratic():
 
 
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
-    store = init_params([("w", (4, 3)), ("b", (4,))], seed=3)
+    store = init_params({"w": (4, 3), "b": (4,)}, seed=3)
     store.tensor("b").data[:] = np.pi
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, store, {"tag": "x"})
@@ -363,7 +363,7 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
 
 def test_checkpoint_version_mismatch_refused(tmp_path):
     import json
-    store = init_params([("w", (2, 2))], seed=0)
+    store = init_params({"w": (2, 2)}, seed=0)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, store, {})
     with np.load(path) as npz:
@@ -396,7 +396,7 @@ def _rewrite(edit):
 ], ids=["truncated", "not-a-zip", "no-meta", "no-param", "bad-meta-json"])
 def test_unreadable_checkpoint_refused_naming_the_path(tmp_path, damage):
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, init_params([("w", (4, 3)), ("b", (4,))], seed=3), {})
+    save_checkpoint(path, init_params({"w": (4, 3), "b": (4,)}, seed=3), {})
     damage(path)
     with pytest.raises(CompatibilityError, match=re.escape(f"checkpoint '{path}' is unreadable")):
         load_checkpoint(path)
@@ -404,7 +404,7 @@ def test_unreadable_checkpoint_refused_naming_the_path(tmp_path, damage):
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, init_params([("w", (2, 2))], seed=0), {"tag": "old"})
+    save_checkpoint(path, init_params({"w": (2, 2)}, seed=0), {"tag": "old"})
 
     def savez_fails_midway(fh, **arrays):
         fh.write(b"PK")
@@ -412,6 +412,6 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "savez", savez_fails_midway)
     with pytest.raises(OSError):
-        save_checkpoint(path, init_params([("w", (2, 2))], seed=1), {"tag": "new"})
+        save_checkpoint(path, init_params({"w": (2, 2)}, seed=1), {"tag": "new"})
     assert load_checkpoint(path)[1]["tag"] == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
