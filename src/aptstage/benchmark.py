@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ValidationError
 from .evaluation import trace_scores
 from .features import fit_vocab_and_stats
 from .graphs import build_graph_sequence
@@ -55,6 +56,10 @@ class BenchmarkConfig:
     finetune: FinetuneConfig = field(default_factory=lambda: FinetuneConfig(
         phase1_epochs=6, phase1_lr=1e-3, phase2_epochs=12, phase2_lr=5e-4,
         patience=8, batch=8))
+
+    def __post_init__(self):
+        if self.n_traces < 2:  # the last traces validate, so one trace leaves none to train on
+            raise ValidationError("n_traces must be >= 2")
 
 
 def _trace_schedule(arch: int, duration: float, rng) -> list:
