@@ -10,23 +10,18 @@ import argparse
 import json
 import sys
 
-from aptstage.benchmark import BenchmarkConfig, run_benchmark
+from aptstage.benchmark import run_benchmark
 
 
 def main(argv=None) -> int:
-    defaults = BenchmarkConfig()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
-    ap.add_argument("--traces", type=int, default=defaults.n_traces)
-    ap.add_argument("--windows", type=int, default=defaults.windows_per_trace)
     ap.add_argument("--out", default=None, help="write full results JSON here")
     args = ap.parse_args(argv)
 
     results = []
     for seed in args.seeds:
-        cfg = BenchmarkConfig(n_traces=args.traces, windows_per_trace=args.windows,
-                              seed=seed)
-        res = run_benchmark(cfg)
+        res = run_benchmark(seed)
         results.append(res)
         print(f"seed={seed}  macro_f1={res['macro_f1']:.4f}  "
               f"tfr={res['tfr']:.4f}  tfr_ablation={res['tfr_ablation']:.4f}  "

@@ -1,22 +1,22 @@
-"""Seeded synthetic end-to-end benchmark.
+"""Seeded synthetic end-to-end benchmark: `run_benchmark(seed)`.
 
 Generates a corpus of labeled campaign traces covering all seven stage
 classes, fits features on the training split, pretrains, fine-tunes, and
 reports macro F1 and temporal flip rate alongside a no-pretraining ablation
-trained with the same supervised budget. Both figures are measured on the
-validation traces (the last `FinetuneConfig.val_fraction` of the corpus, 40
-of 200), the same traces that early stopping selects each arm's checkpoint
-on; no trace is held out from selection. Every trace is generated at
+trained with the same supervised budget. The protocol is fixed by the module
+constants below; only the seed varies. Both figures are measured on the
+validation traces (the last `FINETUNE.val_fraction` of the corpus, 40 of
+200), the same traces that early stopping selects each arm's checkpoint on;
+no trace is held out from selection. Every trace is generated at
 `ScenarioConfig`'s default benign and attack event rates.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
 from .evaluation import trace_scores
 from .features import fit_vocab_and_stats
 from .graphs import build_graph_sequence
@@ -40,26 +40,17 @@ from .training import (
 )
 
 
-@dataclass
-class BenchmarkConfig:
-    n_traces: int = 200
-    windows_per_trace: int = 20
-    # label-scarce protocol: pretraining sees every training trace, but the
-    # supervised phases may only use labels for this many of them
-    labeled_traces: int = 18
-    seed: int = 0
-    # smaller dims than the config defaults: the benchmark checks learning
-    # behavior, not capacity, and must fit a CPU time budget
-    model: ModelConfig = field(default_factory=lambda: ModelConfig(
-        d_h=32, d_g=32, hidden=64))
-    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
-    finetune: FinetuneConfig = field(default_factory=lambda: FinetuneConfig(
-        phase1_epochs=6, phase1_lr=1e-3, phase2_epochs=12, phase2_lr=5e-4,
-        patience=8, batch=8))
-
-    def __post_init__(self):
-        if self.n_traces < 2:  # the last traces validate, so one trace leaves none to train on
-            raise ValidationError("n_traces must be >= 2")
+# The protocol. 200 traces of 20 windows. Label-scarce: pretraining sees
+# every training trace, but the supervised phases use the labels of only
+# the first 18. The model is smaller than the config defaults: the benchmark
+# checks learning behavior, not capacity, and must fit a CPU time budget.
+N_TRACES = 200
+WINDOWS_PER_TRACE = 20
+LABELED_TRACES = 18
+MODEL = ModelConfig(d_h=32, d_g=32, hidden=64)
+PRETRAIN = PretrainConfig()
+FINETUNE = FinetuneConfig(phase1_epochs=6, phase1_lr=1e-3, phase2_epochs=12, phase2_lr=5e-4,
+                          patience=8, batch=8)
 
 
 def _trace_schedule(arch: int, duration: float, rng) -> list:
@@ -83,13 +74,13 @@ def _trace_schedule(arch: int, duration: float, rng) -> list:
             for i, k in enumerate(stages)]
 
 
-def build_corpus(cfg: BenchmarkConfig):
+def build_corpus(seed: int):
     """List of (events, alerts, labels) per trace, deterministic per seed."""
-    duration = cfg.windows_per_trace * WINDOW_SECONDS
+    duration = WINDOWS_PER_TRACE * WINDOW_SECONDS
     out = []
-    for i in range(cfg.n_traces):
-        trace_seed = cfg.seed * 1_000_003 + i
-        rng = np.random.default_rng((cfg.seed, 29, i))
+    for i in range(N_TRACES):
+        trace_seed = seed * 1_000_003 + i
+        rng = np.random.default_rng((seed, 29, i))
         scen = ScenarioConfig(
             num_hosts=3,
             duration=duration,
@@ -100,45 +91,43 @@ def build_corpus(cfg: BenchmarkConfig):
     return out
 
 
-def run_benchmark(cfg: BenchmarkConfig | None = None) -> dict:
+def run_benchmark(seed: int = 0) -> dict:
     """Full protocol: SSL pretraining + two-phase fine-tuning vs. a
     no-pretraining ablation with the identical supervised budget. Each arm's
     macro F1 and flip rate are measured on the validation traces that also
     select its checkpoint."""
-    cfg = cfg or BenchmarkConfig()
     t_start = time.monotonic()
 
-    corpus = build_corpus(cfg)
+    corpus = build_corpus(seed)
     label_set = sorted({k for _, _, labels in corpus for k in labels})
 
     graphs = [build_graph_sequence(events, alerts) for events, alerts, _ in corpus]
-    train_graphs, _ = split_train_val(graphs, cfg.finetune.val_fraction)
-    fcfg = cfg.model.featurizer
+    train_graphs, _ = split_train_val(graphs, FINETUNE.val_fraction)
+    fcfg = MODEL.featurizer
     vocab, stats = fit_vocab_and_stats([g for gs in train_graphs for g in gs], fcfg)
     traces = [featurize_trace(f"trace{i:03d}", gs, labels, vocab, stats, fcfg)
               for i, (gs, (_, _, labels)) in enumerate(zip(graphs, corpus))]
-    train_traces, val_traces = split_train_val(traces, cfg.finetune.val_fraction)
+    train_traces, val_traces = split_train_val(traces, FINETUNE.val_fraction)
 
-    mcfg = replace(cfg.model, seed=cfg.seed)
-    labeled = train_traces[: cfg.labeled_traces] if cfg.labeled_traces else train_traces
+    mcfg = replace(MODEL, seed=seed)
+    fin_cfg = replace(FINETUNE, seed=seed)
+    labeled = train_traces[:LABELED_TRACES]
 
     # main arm: pretrain on every training trace, finetune on the labeled subset
     store = build_param_store(mcfg)
-    pre = pretrain(train_traces, store, mcfg, replace(cfg.pretrain, seed=cfg.seed))
-    fin = finetune(labeled, store, mcfg, replace(cfg.finetune, seed=cfg.seed),
-                   val_traces=val_traces)
+    pre = pretrain(train_traces, store, mcfg, replace(PRETRAIN, seed=seed))
+    fin = finetune(labeled, store, mcfg, fin_cfg, val_traces=val_traces)
     main = trace_scores(*predict_traces(val_traces, store, mcfg))
 
     # ablation arm: identical init and supervised budget, no pretraining
     store_abl = build_param_store(mcfg)
-    fin_abl = finetune(labeled, store_abl, mcfg, replace(cfg.finetune, seed=cfg.seed),
-                       val_traces=val_traces)
+    fin_abl = finetune(labeled, store_abl, mcfg, fin_cfg, val_traces=val_traces)
     ablation = trace_scores(*predict_traces(val_traces, store_abl, mcfg))
 
     ssl_first = pre.loss_log[0]["loss_ssl"]
     ssl_last = pre.loss_log[-1]["loss_ssl"]
     return {
-        "seed": cfg.seed,
+        "seed": seed,
         "n_traces": len(corpus),
         "n_train_traces": len(train_traces),
         "n_val_traces": len(val_traces),

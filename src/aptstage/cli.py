@@ -41,7 +41,7 @@ from .evaluation import (
     write_metrics_json,
 )
 from .features import feature_spec_hash, fit_vocab_and_stats, load_feature_spec, save_feature_spec
-from .graphs import build_graph, dump_graphs_jsonl, load_graphs_jsonl, window_events
+from .graphs import build_graph_sequence, dump_graphs_jsonl, load_graphs_jsonl
 from .mapping import decide, export_alerts, transitions
 from .model import ModelConfig, build_param_store, encode_windows
 from .nn import load_checkpoint, no_grad, save_checkpoint
@@ -249,7 +249,7 @@ def cmd_build_graphs(cfg: PipelineConfig) -> None:
         events = parse_host_events(fh)
     with open(al_path) as fh:
         alerts = parse_alerts(fh)
-    graphs = [build_graph(w) for w in window_events(events, alerts)]
+    graphs = build_graph_sequence(events, alerts)
     out = cfg.path(ARTIFACTS["graphs"])
     with open(out, "w") as fh:
         dump_graphs_jsonl(graphs, fh)

@@ -33,10 +33,6 @@ class ParamRegistryError(AptStageError):
     """Duplicate or unknown parameter name in a parameter store."""
 
 
-class CheckError(AptStageError):
-    """The gradient checker hit a non-finite loss."""
-
-
 class TrainingError(AptStageError):
     """A training loop received unusable input (e.g. empty corpus)."""
 

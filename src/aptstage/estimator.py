@@ -25,6 +25,9 @@ if TYPE_CHECKING:  # model imports this module; the config is only annotated her
     from .model import ModelConfig
 
 
+FORGET_BIAS = 1.0  # initial forget-gate bias: cells start out remembering
+
+
 def estimator_param_spec(cfg: ModelConfig) -> dict:
     spec = {}
     for layer in range(cfg.lstm_layers):
@@ -39,11 +42,11 @@ def estimator_param_spec(cfg: ModelConfig) -> dict:
     return spec
 
 
-def apply_forget_bias(store: ParamStore, cfg: ModelConfig, value: float = 1.0) -> None:
-    """Initialize the forget-gate bias slice to `value` (gate order i,f,g,o)."""
+def apply_forget_bias(store: ParamStore, cfg: ModelConfig) -> None:
+    """Initialize the forget-gate bias slice to `FORGET_BIAS` (gate order i,f,g,o)."""
     H = cfg.hidden
     for layer in range(cfg.lstm_layers):
-        store.tensor(f"lstm.L{layer}.b").data[H : 2 * H] = value
+        store.tensor(f"lstm.L{layer}.b").data[H : 2 * H] = FORGET_BIAS
 
 
 def _lstm_layer(x: Tensor, Wih: Tensor, Whh: Tensor, b: Tensor, batch: int,

@@ -8,10 +8,12 @@ to the responsible process via a triggered_by edge.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +25,13 @@ from .telemetry.records import (
     EventKind,
     EventTable,
     NetworkAlert,
+    _INTEGER,
+    _NUMBER,
+    _TEXT,
+    _check_types,
+    _required,
     align_windows,
+    check_alert_ranges,
 )
 
 
@@ -167,17 +175,51 @@ class ProvenanceGraph:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ProvenanceGraph":
-        nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
-                      for nd in doc["nodes"])
+        nodes = _nodes_from_json(doc["nodes"])
         rows = [(e["src"], _RELATION_ORDER[e["relation"]], e["dst"], e["timestamp"], e.get("bytes"),
                  e.get("count", 1)) for e in doc["edges"]]
-        g = ProvenanceGraph(int(doc["window_index"]), float(doc["window_start"]), nodes,
-                            **_edge_columns(rows))
+        index, start = doc["window_index"], doc["window_start"]
+        _check_types("window_index", (index,), _INTEGER)
+        _check_types("window_start", (start,), _NUMBER)
+        g = ProvenanceGraph(index, float(start), nodes, **_edge_columns(rows))
         g.validate()
         return g
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+# what featurization reads of an alert node, by the JSON types it may hold
+_ALERT_ATTRS = (("signature", _TEXT), ("protocol", _TEXT), ("category", _TEXT), ("external_ip", _TEXT),
+                ("severity", _NUMBER), ("external_port", _NUMBER), ("outbound", ({bool}, "a bool")))
+# `commands` and `users`: the list, then each of its items
+_TEXT_LIST, _TEXT_ITEM = ({list}, "a list of strings"), ({str}, "a list of strings")
+
+
+def _nodes_from_json(docs) -> tuple:
+    """A graph's nodes from their JSON, refusing what featurization cannot
+    read: a key that is not a string, a `first_ts` that is not a finite
+    number, `commands` or `users` that are not lists of strings, and an alert
+    node whose attributes lack the types and ranges `build_graph` gives them."""
+    nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
+                  for nd in docs)
+    attrs = [nd.attrs for nd in nodes]
+    _check_types("key", [nd.key for nd in nodes], _TEXT)
+    (first_ts,) = _required(attrs, ("first_ts",))
+    _check_types("first_ts", first_ts, _NUMBER)
+    if not all(map(math.isfinite, first_ts)):
+        bad = next(t for t in first_ts if not math.isfinite(t))
+        raise ValidationError(f"first_ts must be finite: {bad}")
+    for name in ("commands", "users"):
+        lists = [a[name] for a in attrs if name in a]
+        _check_types(name, lists, _TEXT_LIST)
+        _check_types(name, list(chain.from_iterable(lists)), _TEXT_ITEM)
+    alerts = [a for nd, a in zip(nodes, attrs) if nd.kind is NodeKind.ALERT]
+    for (name, rule), column in zip(_ALERT_ATTRS, _required(alerts, tuple(n for n, _ in _ALERT_ATTRS))):
+        _check_types(name, column, rule)
+    for a in alerts:
+        check_alert_ranges(a["severity"], (("external_port", a["external_port"]),))
+    return nodes
 
 
 def _edge_columns(rows) -> dict:
@@ -402,7 +444,8 @@ def load_graphs_jsonl(fh):
             continue
         try:
             graphs.append(ProvenanceGraph.from_json_dict(json.loads(line)))
-        except (GraphConsistencyError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        except (GraphConsistencyError, ValidationError, ValueError, KeyError, TypeError, AttributeError,
+                OverflowError) as exc:
             # broken JSON is a ValueError; a missing field, kind or relation a KeyError
             raise GraphConsistencyError(f"line {line_no}: {type(exc).__name__}: {exc}") from None
     return graphs

@@ -1,7 +1,6 @@
 from .tensor import Tensor, as_tensor, gather_rows, linear, no_grad, weighted_sum
 from .params import ParamStore, init_params
 from .optim import AdamState, adam_step, clip_gradients
-from .check import finite_diff_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "adam_step",
     "as_tensor",
     "clip_gradients",
-    "finite_diff_check",
     "gather_rows",
     "init_params",
     "linear",

@@ -8,11 +8,12 @@ import numpy as np
 from .params import ParamStore
 
 
+# Adam's moment decay rates and denominator guard (the Kingma & Ba defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -47,7 +48,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: floa
     bias-corrected Adam update, for each parameter with requires_grad on; one
     without a gradient takes a zero gradient. Frozen ones stay untouched."""
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name in store.names():
@@ -67,4 +68,4 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: floa
         v += (1.0 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        t.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        t.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -270,6 +270,16 @@ def _concat(tables: list) -> EventTable:
                                  for name in _COLUMNS))
 
 
+def check_alert_ranges(severity, ports) -> None:
+    """Refuse a severity outside [0, 1] or a port outside [0, 65535];
+    `ports` holds (field name, port) pairs."""
+    if not (0.0 <= severity <= 1.0):
+        raise ValidationError(f"severity out of [0,1]: {severity}")
+    for name, port in ports:
+        if not (0 <= port <= 65535):
+            raise ValidationError(f"{name} out of [0,65535]: {port}")
+
+
 @dataclass(frozen=True)
 class NetworkAlert:
     timestamp: float
@@ -287,11 +297,7 @@ class NetworkAlert:
             raise ValidationError(f"timestamp must be finite and >= 0: {self.timestamp}")
         if not self.signature:
             raise ValidationError("signature must be non-empty")
-        if not (0.0 <= self.severity <= 1.0):
-            raise ValidationError(f"severity out of [0,1]: {self.severity}")
-        for name, port in (("src_port", self.src_port), ("dst_port", self.dst_port)):
-            if not (0 <= port <= 65535):
-                raise ValidationError(f"{name} out of [0,65535]: {port}")
+        check_alert_ranges(self.severity, (("src_port", self.src_port), ("dst_port", self.dst_port)))
         if not self.src_ip or not self.dst_ip:
             raise ValidationError("src_ip and dst_ip must be non-empty")
 

@@ -1,13 +1,18 @@
-"""Central-difference gradient verification against the autodiff tape."""
-from __future__ import annotations
+"""Central-difference gradient verification against the autodiff tape.
 
+Only tests check gradients, so the checker lives beside them rather than in
+the package.
+"""
 import math
 
 import numpy as np
 
-from ..errors import CheckError
-from .params import ParamStore
-from .tensor import no_grad
+from aptstage.errors import AptStageError
+from aptstage.nn import ParamStore, no_grad
+
+
+class CheckError(AptStageError):
+    """The gradient checker hit a non-finite loss."""
 
 
 def finite_diff_check(

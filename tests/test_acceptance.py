@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from aptstage.benchmark import BenchmarkConfig, run_benchmark
+from aptstage.benchmark import run_benchmark
 from aptstage.encoder import (
     encode_packed,
     encoder_param_spec,
@@ -54,7 +54,6 @@ from aptstage.model import (
 from aptstage.nn import (
     ParamStore,
     as_tensor,
-    finite_diff_check,
     gather_rows,
     init_params,
 )
@@ -71,6 +70,7 @@ from aptstage.training import (
     pretrain,
 )
 
+from grad_check import finite_diff_check
 from graph_helpers import event_table, make_graph
 from nn_reference import add, block_counts, mul, tsum
 
@@ -546,7 +546,7 @@ def test_criterion_7_training_protocol_contracts():
 def benchmark_results():
     results = []
     for seed in (0, 1, 2):
-        results.append(run_benchmark(BenchmarkConfig(seed=seed)))
+        results.append(run_benchmark(seed))
     return results
 
 

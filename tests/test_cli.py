@@ -390,6 +390,7 @@ def _edit_graph(edit):
     pytest.param(_edit_graph(lambda d: d["edges"][0].update(relation="bogus")), id="unknown-relation"),
     pytest.param(_edit_graph(lambda d: d["nodes"][0].update(kind="daemon")), id="unknown-node-kind"),
     pytest.param(_edit_graph(lambda d: d["edges"][0].pop("dst")), id="missing-field"),
+    pytest.param(_edit_graph(lambda d: d["nodes"][0]["attrs"].pop("first_ts")), id="node-without-first-ts"),
 ])
 def test_exit_code_malformed_graphs(tmp_path, capsys, corrupt):
     cfg_path = write_config(tmp_path)

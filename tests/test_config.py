@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from aptstage.benchmark import BenchmarkConfig
 from aptstage.config import PipelineConfig, ScenarioSettings, from_dict
 from aptstage.errors import ValidationError
 from aptstage.features import FeaturizerConfig
@@ -70,7 +69,6 @@ BROKEN_RULES = [
     (PretrainConfig, {"lambda_ctr": -1.0}, "lambda_ctr"),
     (FinetuneConfig, {"eps": 0.0}, "eps"),
     (FinetuneConfig, {"eps": -1.0}, "eps"),
-    (BenchmarkConfig, {"n_traces": 1}, "n_traces"),
 ]
 
 

@@ -29,12 +29,12 @@ from aptstage.graphs import (
 from aptstage.nn import (
     ParamStore,
     as_tensor,
-    finite_diff_check,
     gather_rows,
     init_params,
 )
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 
+from grad_check import finite_diff_check
 from graph_helpers import make_graph
 from nn_reference import attention_readout as reference_readout
 from nn_reference import linear as reference_linear

@@ -12,8 +12,9 @@ from aptstage.estimator import (
 )
 from aptstage import nn
 from aptstage.model import ModelConfig
-from aptstage.nn import ParamStore, Tensor, as_tensor, finite_diff_check, init_params
+from aptstage.nn import ParamStore, Tensor, as_tensor, init_params
 
+from grad_check import finite_diff_check
 import nn_reference as ref
 
 
@@ -69,7 +70,7 @@ def test_forget_bias_slice():
     cfg = ModelConfig(d_g=4, hidden=3, lstm_layers=2)
     store = mkstore(cfg, forget_bias=False)
     assert np.all(store.tensor("lstm.L0.b").data == 0.0)
-    apply_forget_bias(store, cfg, value=1.0)
+    apply_forget_bias(store, cfg)
     b = store.tensor("lstm.L1.b").data
     assert np.all(b[3:6] == 1.0)
     assert np.all(b[:3] == 0.0) and np.all(b[6:] == 0.0)

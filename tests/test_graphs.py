@@ -462,6 +462,32 @@ _MALFORMED_LINES = {
                            "OverflowError"),
     "negative-bytes": (lambda: _graph_line(lambda d: d["edges"][0].update(bytes=-5)),
                        "edge bytes must be non-negative: -5"),
+    # node attributes: what featurization reads, with the types build_graph writes
+    "alert-severity-text": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].update(severity="high")),
+                            "severity must be a number: 'high'"),
+    "alert-severity-above-1": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].update(severity=1.5)),
+                               "severity out of [0,1]: 1.5"),
+    "alert-port-beyond-range": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].update(
+        external_port=70000)), "external_port out of [0,65535]: 70000"),
+    "alert-outbound-number": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].update(outbound=1)),
+                              "outbound must be a bool: 1"),
+    "alert-without-category": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].pop("category")),
+                               "missing required field: category"),
+    "process-without-first-ts": (lambda: _graph_line(lambda d: d["nodes"][1]["attrs"].pop("first_ts")),
+                                 "missing required field: first_ts"),
+    "first-ts-text": (lambda: _graph_line(lambda d: d["nodes"][3]["attrs"].update(first_ts="10")),
+                      "first_ts must be a number: '10'"),
+    "first-ts-nan": (lambda: _graph_line(lambda d: d["nodes"][4]["attrs"].update(first_ts=float("nan"))),
+                     "first_ts must be finite: nan"),
+    "commands-a-string": (lambda: _graph_line(lambda d: d["nodes"][0]["attrs"].update(commands="payload.exe")),
+                          "commands must be a list of strings: 'payload.exe'"),
+    "users-holding-a-number": (lambda: _graph_line(lambda d: d["nodes"][2]["attrs"].update(users=["a", 7])),
+                               "users must be a list of strings: 7"),
+    "key-a-number": (lambda: _graph_line(lambda d: d["nodes"][3].update(key=7)), "key must be a string: 7"),
+    "window-index-fractional": (lambda: _graph_line(lambda d: d.update(window_index=2.5)),
+                                "window_index must be an integer: 2.5"),
+    "window-start-text": (lambda: _graph_line(lambda d: d.update(window_start="10")),
+                          "window_start must be a number: '10'"),
 }
 
 

@@ -15,7 +15,6 @@ from aptstage.nn import (
     adam_step,
     as_tensor,
     clip_gradients,
-    finite_diff_check,
     gather_rows,
     init_params,
     linear,
@@ -25,6 +24,7 @@ from aptstage.nn import (
 )
 from aptstage.training import loss_pred, loss_supervised
 
+from grad_check import finite_diff_check
 import nn_reference as ref
 from nn_reference import (
     add,

@@ -11,7 +11,7 @@ from aptstage.errors import DimensionError, TrainingError
 from aptstage.features import fit_vocab_and_stats
 from aptstage.graphs import Edge, Node, NodeKind, Relation, build_graph_sequence
 from aptstage.model import ModelConfig, build_param_store
-from aptstage.nn import AdamState, ParamStore, finite_diff_check, gather_rows
+from aptstage.nn import AdamState, ParamStore, gather_rows
 from aptstage.telemetry import ScenarioConfig, default_campaign_schedule, generate_scenario
 from aptstage.training import (
     FinetuneConfig,
@@ -30,6 +30,7 @@ from aptstage.training import (
 )
 from aptstage.training import loops
 
+from grad_check import finite_diff_check
 from graph_helpers import make_graph
 from nn_reference import add, block_counts, loss_contrastive, mul, sqrt, tsum
 
