@@ -5,9 +5,10 @@ Stage-wise subcommands with file artifacts at every boundary:
     generate → build-graphs → fit-features → pretrain → finetune
                                         ↘ evaluate / infer / export-attention
 
-Every artifact records the hash of the config that produced it (embedded for
-JSON artifacts, `<file>.meta.json` sidecars for CSV/JSONL); stages refuse
-mismatched upstream artifacts. Exit codes: 0 success, 1 usage/config error,
+Every artifact records the hash of the config that produced it and the stage
+that `ARTIFACTS` names as its producer (embedded for JSON artifacts,
+`<file>.meta.json` sidecars for the rest); stages refuse mismatched upstream
+artifacts. Exit codes: 0 success, 1 usage/config error,
 2 data error, 3 dependency/compatibility error.
 """
 from __future__ import annotations
@@ -57,20 +58,21 @@ from .training import (
     split_train_val,
 )
 
+# artifact key -> (file name, the stage that writes it)
 ARTIFACTS = {
-    "events": "events.jsonl",
-    "alerts": "alerts.jsonl",
-    "labels": "labels.csv",
-    "graphs": "graphs.jsonl",
-    "feature_spec": "feature_spec.json",
-    "pretrain_ckpt": "pretrain_ckpt.npz",
-    "pretrain_log": "pretrain_log.csv",
-    "finetune_ckpt": "finetune_ckpt.npz",
-    "finetune_log": "finetune_log.csv",
-    "metrics_csv": "metrics.csv",
-    "metrics_json": "metrics.json",
-    "stage_alerts": "stage_alerts.jsonl",
-    "attention": "attention.csv",
+    "events": ("events.jsonl", "generate"),
+    "alerts": ("alerts.jsonl", "generate"),
+    "labels": ("labels.csv", "generate"),
+    "graphs": ("graphs.jsonl", "build-graphs"),
+    "feature_spec": ("feature_spec.json", "fit-features"),
+    "pretrain_ckpt": ("pretrain_ckpt.npz", "pretrain"),
+    "pretrain_log": ("pretrain_log.csv", "pretrain"),
+    "finetune_ckpt": ("finetune_ckpt.npz", "finetune"),
+    "finetune_log": ("finetune_log.csv", "finetune"),
+    "metrics_csv": ("metrics.csv", "evaluate"),
+    "metrics_json": ("metrics.json", "evaluate"),
+    "stage_alerts": ("stage_alerts.jsonl", "infer"),
+    "attention": ("attention.csv", "export-attention"),
 }
 
 _DATA_ERRORS = (TelemetryParseError, InputError, MetricError, FitError,
@@ -80,16 +82,23 @@ _DEP_ERRORS = (DependencyError, CompatibilityError)
 
 # ---------- artifact provenance ----------
 
+def _path(cfg: PipelineConfig, key: str) -> str:
+    return cfg.path(ARTIFACTS[key][0])
+
+
+def _meta(cfg: PipelineConfig, key: str, **extra) -> dict:
+    """The provenance an artifact records: the config hash and the stage
+    that wrote it, plus `extra`."""
+    return {"config_hash": cfg.config_hash(), "stage": ARTIFACTS[key][1], **extra}
+
+
 def _sidecar_path(path: str) -> str:
     return path + ".meta.json"
 
 
-def _write_sidecar(path: str, cfg: PipelineConfig, stage: str, extra: dict | None = None) -> None:
-    meta = {"config_hash": cfg.config_hash(), "stage": stage}
-    if extra:
-        meta.update(extra)
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+def _write_sidecar(cfg: PipelineConfig, key: str, **extra) -> None:
+    with open(_sidecar_path(_path(cfg, key)), "w") as fh:
+        json.dump(_meta(cfg, key, **extra), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -109,22 +118,24 @@ def _recorded_config_hash(path: str, embedded: bool) -> str:
     return recorded
 
 
-def _require(path: str, cfg: PipelineConfig, producer_stage: str,
-             embedded: bool = False) -> None:
-    """Fail with a dependency error if the artifact is absent, or a
-    compatibility error if it was produced under a different config."""
+def _require(cfg: PipelineConfig, key: str) -> str:
+    """The artifact's path. Fail with a dependency error naming its producer
+    if it is absent, or a compatibility error if the config hash it records
+    (embedded in a JSON artifact, else in its sidecar if present) is not the
+    current config's."""
+    path = _path(cfg, key)
     if not os.path.exists(path):
         raise DependencyError(
-            f"missing artifact {path!r}; run the {producer_stage!r} stage first")
-    recorded = None
-    if embedded:
-        recorded = _recorded_config_hash(path, embedded=True)
-    elif os.path.exists(_sidecar_path(path)):
-        recorded = _recorded_config_hash(_sidecar_path(path), embedded=False)
-    if recorded is not None and recorded != cfg.config_hash():
-        raise CompatibilityError(
-            f"artifact {path!r} was produced by config hash {recorded[:12]}…, "
-            f"current config hashes to {cfg.config_hash()[:12]}…")
+            f"missing artifact {path!r}; run the {ARTIFACTS[key][1]!r} stage first")
+    embedded = ARTIFACTS[key][0].endswith(".json")
+    record = path if embedded else _sidecar_path(path)
+    if os.path.exists(record):
+        recorded = _recorded_config_hash(record, embedded)
+        if recorded != cfg.config_hash():
+            raise CompatibilityError(
+                f"artifact {path!r} was produced by config hash {recorded[:12]}…, "
+                f"current config hashes to {cfg.config_hash()[:12]}…")
+    return path
 
 
 def _write_csv(path: str, rows, columns) -> None:
@@ -138,15 +149,12 @@ def _write_csv(path: str, rows, columns) -> None:
 # ---------- shared loading ----------
 
 def _load_graphs(cfg: PipelineConfig):
-    path = cfg.path(ARTIFACTS["graphs"])
-    _require(path, cfg, "build-graphs")
-    with open(path) as fh:
+    with open(_require(cfg, "graphs")) as fh:
         return load_graphs_jsonl(fh)
 
 
 def _load_labels(cfg: PipelineConfig, n_windows: int):
-    path = cfg.path(ARTIFACTS["labels"])
-    _require(path, cfg, "generate")
+    path = _require(cfg, "labels")
     labels, line_of = {}, {}
     n_classes = cfg.model.num_classes
     with open(path, newline="") as fh:
@@ -182,8 +190,7 @@ def _load_trace(cfg: PipelineConfig, labeled: bool):
     """The graphs artifact featurized with the fitted feature spec as one
     trace, with window labels when `labeled`; returns (trace, spec_hash)."""
     graphs = _load_graphs(cfg)
-    path = cfg.path(ARTIFACTS["feature_spec"])
-    _require(path, cfg, "fit-features", embedded=True)
+    path = _require(cfg, "feature_spec")
     vocab, stats, fcfg, spec_hash = load_feature_spec(path)
     if fcfg != cfg.model.featurizer:
         raise CompatibilityError(
@@ -195,9 +202,8 @@ def _load_trace(cfg: PipelineConfig, labeled: bool):
     return featurize_trace("trace0", graphs, labels, vocab, stats, fcfg), spec_hash
 
 
-def _load_model_checkpoint(path: str, cfg: PipelineConfig, spec_hash: str,
-                           producer_stage: str):
-    _require(path, cfg, producer_stage)
+def _load_model_checkpoint(cfg: PipelineConfig, key: str, spec_hash: str):
+    path = _require(cfg, key)
     store, meta = load_checkpoint(path)
     if meta.get("config_hash") != cfg.config_hash():
         raise CompatibilityError(
@@ -208,13 +214,18 @@ def _load_model_checkpoint(path: str, cfg: PipelineConfig, spec_hash: str,
     return store, from_dict(ModelConfig, meta["model"], "model")
 
 
-def _checkpoint_meta(cfg: PipelineConfig, spec_hash: str, stage: str) -> dict:
-    return {
-        "config_hash": cfg.config_hash(),
-        "feature_spec_hash": spec_hash,
-        "model": asdict(cfg.model),
-        "stage": stage,
-    }
+def _save_trained(cfg: PipelineConfig, ckpt_key: str, log_key: str, store, spec_hash: str,
+                  log: list, columns: list) -> str:
+    """Write a training stage's checkpoint, whose meta also names the feature
+    spec and the model config, and its log as CSV, with a sidecar each;
+    returns the checkpoint path."""
+    ckpt = _path(cfg, ckpt_key)
+    save_checkpoint(ckpt, store, _meta(cfg, ckpt_key, feature_spec_hash=spec_hash,
+                                       model=asdict(cfg.model)))
+    _write_csv(_path(cfg, log_key), log, columns)
+    _write_sidecar(cfg, ckpt_key)
+    _write_sidecar(cfg, log_key)
+    return ckpt
 
 
 # ---------- commands ----------
@@ -222,48 +233,38 @@ def _checkpoint_meta(cfg: PipelineConfig, spec_hash: str, stage: str) -> dict:
 def cmd_generate(cfg: PipelineConfig) -> None:
     os.makedirs(cfg.workdir, exist_ok=True)
     events, alerts, labels = generate_scenario(cfg.scenario.build(cfg.seed))
-    ev_path = cfg.path(ARTIFACTS["events"])
-    al_path = cfg.path(ARTIFACTS["alerts"])
-    lb_path = cfg.path(ARTIFACTS["labels"])
-    with open(ev_path, "w") as fh:
+    with open(_path(cfg, "events"), "w") as fh:
         dump_jsonl(events, fh)
-    with open(al_path, "w") as fh:
+    with open(_path(cfg, "alerts"), "w") as fh:
         dump_jsonl(alerts, fh)
-    _write_csv(lb_path, [{"window_index": i, "stage_id": k} for i, k in enumerate(labels)],
+    _write_csv(_path(cfg, "labels"), [{"window_index": i, "stage_id": k} for i, k in enumerate(labels)],
                ["window_index", "stage_id"])
-    for p, extra in ((ev_path, {"records": len(events)}),
-                     (al_path, {"records": len(alerts)}),
-                     (lb_path, {"records": len(labels)})):
-        _write_sidecar(p, cfg, "generate", extra)
+    for key, records in (("events", events), ("alerts", alerts), ("labels", labels)):
+        _write_sidecar(cfg, key, records=len(records))
     print(f"generate: {len(events)} events, {len(alerts)} alerts, "
           f"{len(labels)} window labels -> {cfg.workdir}")
 
 
 def cmd_build_graphs(cfg: PipelineConfig) -> None:
     os.makedirs(cfg.workdir, exist_ok=True)
-    ev_path = cfg.path(ARTIFACTS["events"])
-    al_path = cfg.path(ARTIFACTS["alerts"])
-    _require(ev_path, cfg, "generate")
-    _require(al_path, cfg, "generate")
-    with open(ev_path) as fh:
+    with open(_require(cfg, "events")) as fh:
         events = parse_host_events(fh)
-    with open(al_path) as fh:
+    with open(_require(cfg, "alerts")) as fh:
         alerts = parse_alerts(fh)
     graphs = build_graph_sequence(events, alerts)
-    out = cfg.path(ARTIFACTS["graphs"])
+    out = _path(cfg, "graphs")
     with open(out, "w") as fh:
         dump_graphs_jsonl(graphs, fh)
-    _write_sidecar(out, cfg, "build-graphs", {"windows": len(graphs)})
+    _write_sidecar(cfg, "graphs", windows=len(graphs))
     print(f"build-graphs: {len(graphs)} windows -> {out}")
 
 
 def cmd_fit_features(cfg: PipelineConfig) -> None:
     graphs = _load_graphs(cfg)
     vocab, stats = fit_vocab_and_stats(graphs, cfg.model.featurizer)
-    out = cfg.path(ARTIFACTS["feature_spec"])
+    out = _path(cfg, "feature_spec")
     spec_hash = save_feature_spec(out, vocab, stats, cfg.model.featurizer,
-                                  meta={"config_hash": cfg.config_hash(),
-                                        "stage": "fit-features"})
+                                  meta=_meta(cfg, "feature_spec"))
     print(f"fit-features: vocab of {len(vocab.token_index)} tokens, "
           f"spec {spec_hash[:12]}… -> {out}")
 
@@ -272,12 +273,8 @@ def cmd_pretrain(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
     store = build_param_store(cfg.model)
     result = pretrain([trace], store, cfg.model, cfg.pretrain)
-    ckpt = cfg.path(ARTIFACTS["pretrain_ckpt"])
-    save_checkpoint(ckpt, store, _checkpoint_meta(cfg, spec_hash, "pretrain"))
-    log_path = cfg.path(ARTIFACTS["pretrain_log"])
-    _write_csv(log_path, result.loss_log, ["epoch", "loss_pred", "loss_ctr", "loss_ssl"])
-    _write_sidecar(ckpt, cfg, "pretrain")
-    _write_sidecar(log_path, cfg, "pretrain")
+    ckpt = _save_trained(cfg, "pretrain_ckpt", "pretrain_log", store, spec_hash, result.loss_log,
+                         ["epoch", "loss_pred", "loss_ctr", "loss_ssl"])
     first, last = result.loss_log[0]["loss_ssl"], result.loss_log[-1]["loss_ssl"]
     print(f"pretrain: L_ssl {first:.4f} -> {last:.4f} over "
           f"{len(result.loss_log)} epochs; checkpoint {ckpt}")
@@ -287,16 +284,10 @@ def cmd_finetune(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=True)
     # validate on the temporally last windows, never on the training windows
     train, val = split_train_val([trace], cfg.finetune.val_fraction)
-    store, mcfg = _load_model_checkpoint(
-        cfg.path(ARTIFACTS["pretrain_ckpt"]), cfg, spec_hash, "pretrain")
+    store, mcfg = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
     result = finetune(train, store, mcfg, cfg.finetune, val_traces=val)
-    ckpt = cfg.path(ARTIFACTS["finetune_ckpt"])
-    save_checkpoint(ckpt, store, _checkpoint_meta(cfg, spec_hash, "finetune"))
-    log_path = cfg.path(ARTIFACTS["finetune_log"])
-    _write_csv(log_path, result.metric_log,
-               ["phase", "epoch", "seq_len", "loss_sup", "val_f1"])
-    _write_sidecar(ckpt, cfg, "finetune")
-    _write_sidecar(log_path, cfg, "finetune")
+    ckpt = _save_trained(cfg, "finetune_ckpt", "finetune_log", store, spec_hash, result.metric_log,
+                         ["phase", "epoch", "seq_len", "loss_sup", "val_f1"])
     best = max(r["val_f1"] for r in result.metric_log)
     print(f"finetune: best val macro-F1 {best:.4f}; checkpoint {ckpt}")
 
@@ -310,24 +301,20 @@ def _fold_traces(trace: Trace, k: int):
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=True)
-    ckpt_path = cfg.path(ARTIFACTS["pretrain_ckpt"])
     blocks = _fold_traces(trace, cfg.folds)
 
     def fit_eval(train_blocks, test_blocks):
-        store, mcfg = _load_model_checkpoint(ckpt_path, cfg, spec_hash, "pretrain")
+        store, mcfg = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
         finetune(train_blocks, store, mcfg, cfg.finetune)
         scores = trace_scores(*predict_traces(test_blocks, store, mcfg))
         return {name: scores[name] for name in ("macro_f1", "macro_precision", "macro_recall",
                                                 "accuracy", "aupr", "tfr")}
 
     report = evaluate_folds(blocks, fit_eval, k=cfg.folds)
-    csv_path = cfg.path(ARTIFACTS["metrics_csv"])
-    json_path = cfg.path(ARTIFACTS["metrics_json"])
-    write_metrics_csv(csv_path, report)
-    write_metrics_json(json_path, report,
-                       extra={"meta": {"config_hash": cfg.config_hash(),
-                                       "stage": "evaluate", "folds": cfg.folds}})
-    _write_sidecar(csv_path, cfg, "evaluate")
+    json_path = _path(cfg, "metrics_json")
+    write_metrics_csv(_path(cfg, "metrics_csv"), report)
+    write_metrics_json(json_path, report, extra={"meta": _meta(cfg, "metrics_json", folds=cfg.folds)})
+    _write_sidecar(cfg, "metrics_csv")
     summary = ", ".join(f"{k} {report.mean[k]:.4f}±{report.std[k]:.4f}"
                         for k in ("macro_f1", "accuracy", "tfr") if k in report.mean)
     print(f"evaluate: {summary} over {cfg.folds} folds -> {json_path}")
@@ -335,37 +322,32 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 def cmd_infer(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
-    store, mcfg = _load_model_checkpoint(
-        cfg.path(ARTIFACTS["finetune_ckpt"]), cfg, spec_hash, "finetune")
+    store, mcfg = _load_model_checkpoint(cfg, "finetune_ckpt", spec_hash)
     probs = predict_trace(trace, store, mcfg)
     decisions = decide(
         probs,
         window_starts=[w.graph.window_start for w in trace.windows],
         window_indices=[w.graph.window_index for w in trace.windows])
     events = transitions(decisions)
-    out = cfg.path(ARTIFACTS["stage_alerts"])
+    out = _path(cfg, "stage_alerts")
     export_alerts(decisions, events, out)
-    _write_sidecar(out, cfg, "infer", {"records": len(decisions),
-                                       "transitions": len(events)})
+    _write_sidecar(cfg, "stage_alerts", records=len(decisions), transitions=len(events))
     print(f"infer: {len(decisions)} windows, {len(events)} transitions -> {out}")
 
 
 def cmd_export_attention(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
-    fin = cfg.path(ARTIFACTS["finetune_ckpt"])
-    pre = cfg.path(ARTIFACTS["pretrain_ckpt"])
-    source = fin if os.path.exists(fin) else pre
-    store, mcfg = _load_model_checkpoint(
-        source, cfg, spec_hash, "finetune" if source == fin else "pretrain")
+    source = "finetune_ckpt" if os.path.exists(_path(cfg, "finetune_ckpt")) else "pretrain_ckpt"
+    store, mcfg = _load_model_checkpoint(cfg, source, spec_hash)
     graphs = [w.graph for w in trace.windows]
     with no_grad():
         alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
                                store, mcfg).alpha.data
     # the readout normalizes per window, so batching leaves each window's weights as they are
     bounds = np.cumsum([len(g.nodes) for g in graphs])[:-1]
-    out = cfg.path(ARTIFACTS["attention"])
+    out = _path(cfg, "attention")
     write_attention_csv(out, graphs, np.split(alpha, bounds))
-    _write_sidecar(out, cfg, "export-attention", {"checkpoint": os.path.basename(source)})
+    _write_sidecar(cfg, "attention", checkpoint=ARTIFACTS[source][0])
     print(f"export-attention: {alpha.size} node weights -> {out}")
 
 

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from .errors import ParamRegistryError
 from .graphs import Relation
 from .nn import Tensor, as_tensor, linear
-from .nn.tensor import _accum, _make, _needs_grad
+from .nn.tensor import _accum, _make
 
 LAYERS = 3
 
@@ -174,7 +174,7 @@ def attention_readout(packed: PackedGraphs, h: Tensor, store):
         d_alpha = (d_rows * h.data).sum(axis=1)
         d_scores = alpha * (d_alpha - per_graph(np.add, alpha * d_alpha)[graph])
         _accum(a, h.data.T @ d_scores, fresh=True)
-        if _needs_grad(h):
+        if h.requires_grad:
             d_rows *= alpha.reshape(-1, 1)
             d_rows += d_scores.reshape(-1, 1) * a.data
             _accum(h, d_rows, fresh=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .nn import ParamStore, Tensor, as_tensor, linear
-from .nn.tensor import _accum, _linear_adjoints, _make, _needs_grad
+from .nn.tensor import _accum, _linear_adjoints, _make
 
 if TYPE_CHECKING:  # model imports this module; the config is only annotated here
     from .model import ModelConfig
@@ -105,7 +105,7 @@ def _lstm_layer(x: Tensor, Wih: Tensor, Whh: Tensor, b: Tensor, batch: int,
         _accum(Wih, d_flat.T @ x.data, fresh=True)
         _accum(Whh, d_gates[:, 1:].reshape(-1, 4 * H).T @ hs[:, :-1].reshape(-1, H), fresh=True)
         _accum(b, d_flat.sum(axis=0), fresh=True)
-        if _needs_grad(x):
+        if x.requires_grad:
             _accum(x, d_flat @ Wih.data, fresh=True)
 
     return _make(out.reshape(B * T, H), (x, Wih, Whh, b), backward)

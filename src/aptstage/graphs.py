@@ -175,12 +175,12 @@ class ProvenanceGraph:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ProvenanceGraph":
-        nodes = _nodes_from_json(doc["nodes"])
-        rows = [(e["src"], _RELATION_ORDER[e["relation"]], e["dst"], e["timestamp"], e.get("bytes"),
-                 e.get("count", 1)) for e in doc["edges"]]
         index, start = doc["window_index"], doc["window_start"]
         _check_types("window_index", (index,), _INTEGER)
         _check_types("window_start", (start,), _NUMBER)
+        nodes = _nodes_from_json(doc["nodes"], float(start))
+        rows = [(e["src"], _RELATION_ORDER[e["relation"]], e["dst"], e["timestamp"], e.get("bytes"),
+                 e.get("count", 1)) for e in doc["edges"]]
         g = ProvenanceGraph(index, float(start), nodes, **_edge_columns(rows))
         g.validate()
         return g
@@ -196,11 +196,12 @@ _ALERT_ATTRS = (("signature", _TEXT), ("protocol", _TEXT), ("category", _TEXT), 
 _TEXT_LIST, _TEXT_ITEM = ({list}, "a list of strings"), ({str}, "a list of strings")
 
 
-def _nodes_from_json(docs) -> tuple:
+def _nodes_from_json(docs, window_start: float) -> tuple:
     """A graph's nodes from their JSON, refusing what featurization cannot
     read: a key that is not a string, a `first_ts` that is not a finite
-    number, `commands` or `users` that are not lists of strings, and an alert
-    node whose attributes lack the types and ranges `build_graph` gives them."""
+    number inside the window, `commands` or `users` that are not lists of
+    strings, and an alert node whose attributes lack the types and ranges
+    `build_graph` gives them."""
     nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
                   for nd in docs)
     attrs = [nd.attrs for nd in nodes]
@@ -210,6 +211,10 @@ def _nodes_from_json(docs) -> tuple:
     if not all(map(math.isfinite, first_ts)):
         bad = next(t for t in first_ts if not math.isfinite(t))
         raise ValidationError(f"first_ts must be finite: {bad}")
+    hi = window_start + WINDOW_SECONDS
+    outside = [t for t in first_ts if not window_start <= t < hi]
+    if outside:
+        raise ValidationError(f"first_ts {outside[0]} outside [{window_start}, {hi})")
     for name in ("commands", "users"):
         lists = [a[name] for a in attrs if name in a]
         _check_types(name, lists, _TEXT_LIST)

@@ -84,18 +84,12 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _needs_grad(t: Tensor) -> bool:
-    """True when an adjoint routed to `t` is kept: it is a parameter or lies
-    on the tape."""
-    return t.requires_grad or bool(t._parents)
-
-
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add the adjoint `g` into t.grad. A first adjoint is copied, since an
     op may pass an array that it or another input still holds (one `g` for
     both inputs of a sum, or a view). `fresh=True` says that nothing else
     holds `g`: a new float64 array that t.grad may take over as it is."""
-    if not _needs_grad(t):
+    if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = g if fresh else np.array(g, dtype=t.data.dtype)
@@ -104,8 +98,11 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def _make(data, parents, backward) -> Tensor:
+    """An op's output. While recording, it joins the tape when a parent takes
+    an adjoint, with `requires_grad` on: the flag marks every tensor that
+    takes one, a trainable leaf or a tape output."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(_needs_grad(p) for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -131,7 +128,7 @@ def _linear_adjoints(g: np.ndarray, x, W: Tensor, b: Tensor) -> None:
     if sp.issparse(x):
         dW = np.ascontiguousarray((x.T @ g).T)
     else:
-        if _needs_grad(x):
+        if x.requires_grad:
             _accum(x, g @ W.data, fresh=True)
         dW = g.T @ x.data
     _accum(W, dW, fresh=True)

@@ -314,29 +314,6 @@ class NetworkAlert:
             "dst_port": self.dst_port,
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "NetworkAlert":
-        ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = (column[0] for column in _required(
-            [rec], ("ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port")))
-        for name, value, allowed in (("sig", sig, _TEXT), ("cat", cat, _TEXT), ("src_ip", src_ip, _TEXT),
-                                     ("dst_ip", dst_ip, _TEXT)):
-            _check_types(name, (value,), allowed)
-        (proto,) = _lookup(_PROTOCOLS, (proto,), "protocol")
-        for name, value, allowed in (("ts", ts, _NUMBER), ("sev", sev, _NUMBER),
-                                     ("src_port", src_port, _INTEGER), ("dst_port", dst_port, _INTEGER)):
-            _check_types(name, (value,), allowed)
-        return cls(
-            timestamp=float(ts),
-            signature=sig,
-            severity=float(sev),
-            protocol=proto,
-            category=cat,
-            src_ip=src_ip,
-            src_port=src_port,
-            dst_ip=dst_ip,
-            dst_port=dst_port,
-        )
-
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), separators=(",", ":"))
 
@@ -397,9 +374,25 @@ def parse_host_events(stream: Union[str, Iterable[str]]) -> EventTable:
     return _parse_stream(stream, _event_table, lambda tables: _concat(tables)._sorted())
 
 
+def _alerts(recs: list) -> list:
+    """The `NetworkAlert`s of alert records (dicts), in input order. The
+    field types and protocols are checked a column at a time, as
+    `_event_table` checks host events; `NetworkAlert` checks the values."""
+    ts, sig, sev, proto, cat, src_ip, src_port, dst_ip, dst_port = _required(
+        recs, ("ts", "sig", "sev", "proto", "cat", "src_ip", "src_port", "dst_ip", "dst_port"))
+    for name, values in (("sig", sig), ("cat", cat), ("src_ip", src_ip), ("dst_ip", dst_ip)):
+        _check_types(name, values, _TEXT)
+    proto = _lookup(_PROTOCOLS, proto, "protocol")
+    for name, values, rule in (("ts", ts, _NUMBER), ("sev", sev, _NUMBER),
+                               ("src_port", src_port, _INTEGER), ("dst_port", dst_port, _INTEGER)):
+        _check_types(name, values, rule)
+    return list(map(NetworkAlert, map(float, ts), sig, map(float, sev), proto, cat, src_ip, src_port,
+                    dst_ip, dst_port))
+
+
 def parse_alerts(stream: Union[str, Iterable[str]]) -> list[NetworkAlert]:
     """Parse a JSONL network-alert stream, sorted by timestamp (stable on ties)."""
-    return _parse_stream(stream, lambda recs: list(map(NetworkAlert.from_record, recs)),
+    return _parse_stream(stream, _alerts,
                          lambda parts: sorted(chain.from_iterable(parts), key=attrgetter("timestamp")))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import DimensionError, TrainingError
 from ..nn import Tensor, as_tensor
-from ..nn.tensor import _accum, _make, _needs_grad
+from ..nn.tensor import _accum, _make
 
 COSINE_EPS = 1e-12
 
@@ -27,7 +27,7 @@ def loss_pred(predictions: Tensor, targets: Tensor) -> Tensor:
 
     def backward(g):
         d = diff * (g * (2.0 / n))
-        if _needs_grad(predictions):
+        if predictions.requires_grad:
             _accum(predictions, -d, fresh=True)
         _accum(targets, d, fresh=True)
 
@@ -92,7 +92,7 @@ def loss_contrastive_pooled(anchors: Tensor, positives: Tensor, pool: Tensor,
         _accum(anchors, _unit_rows_adjoint(d_pos * np_ + d_neg @ npool, anchors.data, norm_a),
                fresh=True)
         _accum(positives, _unit_rows_adjoint(d_pos * na, positives.data, norm_p), fresh=True)
-        if _needs_grad(pool):
+        if pool.requires_grad:
             _accum(pool, _unit_rows_adjoint(d_neg.T @ na, pool.data, norm_u), fresh=True)
 
     return _make(loss, (anchors, positives, pool), backward)

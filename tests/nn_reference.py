@@ -11,7 +11,7 @@ import numpy as np
 
 from aptstage.graphs import _RELATION_ORDER
 from aptstage.nn import as_tensor, gather_rows
-from aptstage.nn.tensor import _accum, _make, _needs_grad
+from aptstage.nn.tensor import _accum, _make
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -74,9 +74,9 @@ def matmul(a, b):
 
     def backward(g):
         # a constant operand's adjoint would be discarded: skip its GEMM
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(a, g @ b.data.T, fresh=True)
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(b, a.data.T @ g, fresh=True)
 
     return _make(data, (a, b), backward)

@@ -70,6 +70,21 @@ def test_all_artifacts_exist(pipeline):
         assert len(meta["config_hash"]) == 64
 
 
+def test_every_producer_is_a_stage():
+    assert {stage for _, stage in cli.ARTIFACTS.values()} <= set(cli._COMMANDS)
+
+
+def test_every_artifact_records_its_producer(pipeline):
+    workdir, _ = pipeline
+    for key, (name, stage) in cli.ARTIFACTS.items():
+        if name.endswith(".json"):  # embedded meta
+            assert json.loads((workdir / name).read_text())["meta"]["stage"] == stage, key
+        else:
+            assert json.loads((workdir / (name + ".meta.json")).read_text())["stage"] == stage, key
+        if name.endswith(".npz"):
+            assert load_checkpoint(workdir / name)[1]["stage"] == stage, key
+
+
 def test_stage_alert_export_schema(pipeline):
     workdir, _ = pipeline
     rows = [json.loads(l) for l in
@@ -357,10 +372,12 @@ def test_bad_value_fails_at_config_load(tmp_path, capsys, key, value):
     assert not (tmp_path / "artifacts").exists()
 
 
-def test_exit_code_missing_dependency(tmp_path):
+def test_exit_code_missing_dependency(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert run("infer", "--config", cfg_path) == 3   # nothing generated yet
+    assert "run the 'build-graphs' stage first" in capsys.readouterr().err
     assert run("build-graphs", "--config", cfg_path) == 3
+    assert "run the 'generate' stage first" in capsys.readouterr().err
 
 
 def test_exit_code_config_hash_mismatch(tmp_path):
@@ -391,6 +408,8 @@ def _edit_graph(edit):
     pytest.param(_edit_graph(lambda d: d["nodes"][0].update(kind="daemon")), id="unknown-node-kind"),
     pytest.param(_edit_graph(lambda d: d["edges"][0].pop("dst")), id="missing-field"),
     pytest.param(_edit_graph(lambda d: d["nodes"][0]["attrs"].pop("first_ts")), id="node-without-first-ts"),
+    pytest.param(_edit_graph(lambda d: d["nodes"][0]["attrs"].update(first_ts=1e9)),
+                 id="node-first-ts-outside-window"),
 ])
 def test_exit_code_malformed_graphs(tmp_path, capsys, corrupt):
     cfg_path = write_config(tmp_path)

@@ -479,6 +479,8 @@ _MALFORMED_LINES = {
                       "first_ts must be a number: '10'"),
     "first-ts-nan": (lambda: _graph_line(lambda d: d["nodes"][4]["attrs"].update(first_ts=float("nan"))),
                      "first_ts must be finite: nan"),
+    "first-ts-outside-window": (lambda: _graph_line(lambda d: d["nodes"][3]["attrs"].update(first_ts=1e9)),
+                                "first_ts 1000000000.0 outside [10.0, 310.0)"),
     "commands-a-string": (lambda: _graph_line(lambda d: d["nodes"][0]["attrs"].update(commands="payload.exe")),
                           "commands must be a list of strings: 'payload.exe'"),
     "users-holding-a-number": (lambda: _graph_line(lambda d: d["nodes"][2]["attrs"].update(users=["a", 7])),
@@ -551,7 +553,7 @@ def test_generated_telemetry_jsonl_bytes_pinned(corpus):
 
 
 def test_jsonl_roundtrip_keeps_missing_bytes_apart_from_zero():
-    nodes = (Node(NodeKind.PROCESS, "p", {"first_ts": 0.0}), Node(NodeKind.FILE, "f", {"first_ts": 0.0}))
+    nodes = (Node(NodeKind.PROCESS, "p", {"first_ts": 600.0}), Node(NodeKind.FILE, "f", {"first_ts": 600.0}))
     g = make_graph(2, 600.0, nodes, (Edge(Relation.READ, 0, 1, 601.0, bytes=None, count=3),
                                      Edge(Relation.WRITE, 0, 1, 602.5, bytes=0),
                                      Edge(Relation.SEND, 0, 1, 603.0, bytes=2**40)))
