@@ -197,7 +197,8 @@ def _load_trace(cfg: PipelineConfig, labeled: bool):
             "feature spec dimensions differ from the configured featurizer")
     if feature_spec_hash(vocab, stats, fcfg) != spec_hash:
         raise CompatibilityError(
-            f"feature spec {path!r} does not match its spec_hash; refit with fit-features")
+            f"feature spec {path!r} does not match its spec_hash; "
+            f"refit with {ARTIFACTS['feature_spec'][1]}")
     labels = _load_labels(cfg, len(graphs)) if labeled else None
     return featurize_trace("trace0", graphs, labels, vocab, stats, fcfg), spec_hash
 
