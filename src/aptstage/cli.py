@@ -18,11 +18,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from .config import PipelineConfig, apply_overrides, from_dict, load_config
+from .config import PipelineConfig, apply_overrides, load_config
 from .errors import (
     CompatibilityError,
     DependencyError,
@@ -44,7 +43,7 @@ from .evaluation import (
 from .features import feature_spec_hash, fit_vocab_and_stats, load_feature_spec, save_feature_spec
 from .graphs import build_graph_sequence, dump_graphs_jsonl, load_graphs_jsonl
 from .mapping import decide, export_alerts, transitions
-from .model import ModelConfig, build_param_store, encode_windows
+from .model import build_param_store, encode_windows
 from .nn import load_checkpoint, no_grad, save_checkpoint
 from .encoder import write_attention_csv
 from .telemetry import dump_jsonl, generate_scenario, parse_alerts, parse_host_events
@@ -83,7 +82,9 @@ _DEP_ERRORS = (DependencyError, CompatibilityError)
 # ---------- artifact provenance ----------
 
 def _path(cfg: PipelineConfig, key: str) -> str:
-    return cfg.path(ARTIFACTS[key][0])
+    """The config's own path for the artifact if it sets one, else its file in the workdir."""
+    explicit = getattr(cfg, key) if key in cfg.PATH_FIELDS else None
+    return explicit or os.path.join(cfg.workdir, ARTIFACTS[key][0])
 
 
 def _meta(cfg: PipelineConfig, key: str, **extra) -> dict:
@@ -204,25 +205,28 @@ def _load_trace(cfg: PipelineConfig, labeled: bool):
 
 
 def _load_model_checkpoint(cfg: PipelineConfig, key: str, spec_hash: str):
+    """The configured model's parameters as the checkpoint holds them. The
+    config hash that the checkpoint records covers the model config, so once
+    it matches, `cfg.model` is the model that was trained."""
     path = _require(cfg, key)
-    store, meta = load_checkpoint(path)
+    store = build_param_store(cfg.model)
+    meta = load_checkpoint(path, store)
     if meta.get("config_hash") != cfg.config_hash():
         raise CompatibilityError(
             f"checkpoint {path!r} was trained under a different config")
     if meta.get("feature_spec_hash") != spec_hash:
         raise CompatibilityError(
             f"checkpoint {path!r} was trained with a different feature spec")
-    return store, from_dict(ModelConfig, meta["model"], "model")
+    return store
 
 
 def _save_trained(cfg: PipelineConfig, ckpt_key: str, log_key: str, store, spec_hash: str,
                   log: list, columns: list) -> str:
     """Write a training stage's checkpoint, whose meta also names the feature
-    spec and the model config, and its log as CSV, with a sidecar each;
-    returns the checkpoint path."""
+    spec, and its log as CSV, with a sidecar each; returns the checkpoint
+    path."""
     ckpt = _path(cfg, ckpt_key)
-    save_checkpoint(ckpt, store, _meta(cfg, ckpt_key, feature_spec_hash=spec_hash,
-                                       model=asdict(cfg.model)))
+    save_checkpoint(ckpt, store, _meta(cfg, ckpt_key, feature_spec_hash=spec_hash))
     _write_csv(_path(cfg, log_key), log, columns)
     _write_sidecar(cfg, ckpt_key)
     _write_sidecar(cfg, log_key)
@@ -285,8 +289,8 @@ def cmd_finetune(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=True)
     # validate on the temporally last windows, never on the training windows
     train, val = split_train_val([trace], cfg.finetune.val_fraction)
-    store, mcfg = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
-    result = finetune(train, store, mcfg, cfg.finetune, val_traces=val)
+    store = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
+    result = finetune(train, store, cfg.model, cfg.finetune, val_traces=val)
     ckpt = _save_trained(cfg, "finetune_ckpt", "finetune_log", store, spec_hash, result.metric_log,
                          ["phase", "epoch", "seq_len", "loss_sup", "val_f1"])
     best = max(r["val_f1"] for r in result.metric_log)
@@ -305,9 +309,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
     blocks = _fold_traces(trace, cfg.folds)
 
     def fit_eval(train_blocks, test_blocks):
-        store, mcfg = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
-        finetune(train_blocks, store, mcfg, cfg.finetune)
-        scores = trace_scores(*predict_traces(test_blocks, store, mcfg))
+        store = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
+        finetune(train_blocks, store, cfg.model, cfg.finetune)
+        scores = trace_scores(*predict_traces(test_blocks, store, cfg.model))
         return {name: scores[name] for name in ("macro_f1", "macro_precision", "macro_recall",
                                                 "accuracy", "aupr", "tfr")}
 
@@ -323,8 +327,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 def cmd_infer(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
-    store, mcfg = _load_model_checkpoint(cfg, "finetune_ckpt", spec_hash)
-    probs = predict_trace(trace, store, mcfg)
+    store = _load_model_checkpoint(cfg, "finetune_ckpt", spec_hash)
+    probs = predict_trace(trace, store, cfg.model)
     decisions = decide(
         probs,
         window_starts=[w.graph.window_start for w in trace.windows],
@@ -339,11 +343,11 @@ def cmd_infer(cfg: PipelineConfig) -> None:
 def cmd_export_attention(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
     source = "finetune_ckpt" if os.path.exists(_path(cfg, "finetune_ckpt")) else "pretrain_ckpt"
-    store, mcfg = _load_model_checkpoint(cfg, source, spec_hash)
+    store = _load_model_checkpoint(cfg, source, spec_hash)
     graphs = [w.graph for w in trace.windows]
     with no_grad():
         alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
-                               store, mcfg).alpha.data
+                               store, cfg.model).alpha.data
     # the readout normalizes per window, so batching leaves each window's weights as they are
     bounds = np.cumsum([len(g.nodes) for g in graphs])[:-1]
     out = _path(cfg, "attention")

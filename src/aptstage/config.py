@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-import os
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -83,15 +82,6 @@ class PipelineConfig:
             raise ValidationError("folds must be >= 2: one fold leaves no training data")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-
-    # derived artifact paths
-    def path(self, name: str) -> str:
-        explicit = {
-            "events.jsonl": self.events,
-            "alerts.jsonl": self.alerts,
-            "labels.csv": self.labels,
-        }.get(name)
-        return explicit if explicit else os.path.join(self.workdir, name)
 
     def to_dict(self) -> dict:
         return {"version": CONFIG_VERSION, **asdict(self)}

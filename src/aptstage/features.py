@@ -149,7 +149,7 @@ class ZScoreStats:
 
 def node_text(node) -> str:
     if node.kind is NodeKind.ALERT:
-        return node.attrs.get("signature", "")
+        return node.attrs["signature"]
     if node.kind is NodeKind.PROCESS:
         cmds = node.attrs.get("commands")
         return " ".join(cmds) if cmds else node.key.rsplit("/", 1)[-1]
@@ -225,11 +225,6 @@ def fit_vocab_and_stats(corpus, config: FeaturizerConfig = FeaturizerConfig()):
     return vocab, ZScoreStats(mean=mean, std=std)
 
 
-def _proto_column(attrs: dict) -> int:
-    proto = attrs.get("protocol", "other")
-    return _PROTOCOLS.index(proto if proto in _PROTOCOLS else "other")
-
-
 def featurize_graph(graph: ProvenanceGraph, vocab, stats,
                     config: FeaturizerConfig = FeaturizerConfig()):
     """Raw feature matrices for one graph: X, |V|×d_x, as a canonical
@@ -256,13 +251,13 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
         a = node.attrs
         if node.kind is NodeKind.ALERT:
             X[i, c.n_sig : c.n_sig + c.d_cmd] = vocab.tfidf(node_text(node))
-            X[i, c.n_sev] = a.get("severity", 0.0)
-            X[i, c.n_proto + _proto_column(a)] = 1.0
-            if a.get("outbound"):
+            X[i, c.n_sev] = a["severity"]
+            X[i, c.n_proto + _PROTOCOLS.index(a["protocol"])] = 1.0
+            if a["outbound"]:
                 X[i, c.n_proto + len(_PROTOCOLS)] = 1.0
-            subnet = ".".join(a.get("external_ip", "").split(".")[:3])
+            subnet = ".".join(a["external_ip"].split(".")[:3])
             X[i, c.n_net + _bucket(subnet, c.subnet_buckets)] = 1.0
-            X[i, c.n_net + c.subnet_buckets] = a.get("external_port", 0) / 65535.0
+            X[i, c.n_net + c.subnet_buckets] = a["external_port"] / 65535.0
             continue
         text = node_text(node)
         if text:
@@ -281,9 +276,9 @@ def featurize_graph(graph: ProvenanceGraph, vocab, stats,
     Z[:, c.e_time] = (graph.edge_time - graph.window_start) / WINDOW_SECONDS
     for j in np.flatnonzero(rel == _RELATION_ORDER[Relation.TRIGGERED_BY]):
         a = nodes[src[j]].attrs
-        Z[j, c.e_acat + _bucket(a.get("category", ""), c.category_buckets)] = 1.0
-        Z[j, c.e_asev] = a.get("severity", 0.0)
-        Z[j, c.e_aproto + _proto_column(a)] = 1.0
+        Z[j, c.e_acat + _bucket(a["category"], c.category_buckets)] = 1.0
+        Z[j, c.e_asev] = a["severity"]
+        Z[j, c.e_aproto + _PROTOCOLS.index(a["protocol"])] = 1.0
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise InputError("non-finite feature value produced")
     # row-major non-zeros are CSR's data in order; row i starts at the first one past i·d_x
@@ -330,8 +325,8 @@ def save_feature_spec(path, vocab, stats, config, meta: dict | None = None) -> s
 
 def load_feature_spec(path):
     """(vocab, stats, config, spec_hash) of a saved feature spec. A file that
-    is not JSON or lacks a field read here raises CompatibilityError naming
-    the path."""
+    is not JSON, lacks a field read here or records widths that no
+    `FeaturizerConfig` takes raises CompatibilityError naming the path."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -351,6 +346,6 @@ def load_feature_spec(path):
             std=np.array(payload["stats"]["std"]),
         )
         return vocab, stats, config, payload["spec_hash"]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
         raise CompatibilityError(
             f"feature spec {str(path)!r} is unreadable: {type(exc).__name__}: {exc}") from None

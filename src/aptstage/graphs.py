@@ -27,8 +27,10 @@ from .telemetry.records import (
     NetworkAlert,
     _INTEGER,
     _NUMBER,
+    _PROTOCOLS,
     _TEXT,
     _check_types,
+    _lookup,
     _required,
     align_windows,
     check_alert_ranges,
@@ -200,8 +202,8 @@ def _nodes_from_json(docs, window_start: float) -> tuple:
     """A graph's nodes from their JSON, refusing what featurization cannot
     read: a key that is not a string, a `first_ts` that is not a finite
     number inside the window, `commands` or `users` that are not lists of
-    strings, and an alert node whose attributes lack the types and ranges
-    `build_graph` gives them."""
+    strings, and an alert node whose attributes lack the types, ranges and
+    protocols `build_graph` gives them."""
     nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
                   for nd in docs)
     attrs = [nd.attrs for nd in nodes]
@@ -222,6 +224,7 @@ def _nodes_from_json(docs, window_start: float) -> tuple:
     alerts = [a for nd, a in zip(nodes, attrs) if nd.kind is NodeKind.ALERT]
     for (name, rule), column in zip(_ALERT_ATTRS, _required(alerts, tuple(n for n, _ in _ALERT_ATTRS))):
         _check_types(name, column, rule)
+    _lookup(_PROTOCOLS, [a["protocol"] for a in alerts], "protocol")
     for a in alerts:
         check_alert_ranges(a["severity"], (("external_port", a["external_port"]),))
     return nodes

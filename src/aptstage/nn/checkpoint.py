@@ -8,14 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CompatibilityError
+from ..errors import CompatibilityError, ParamRegistryError
 from .params import ParamStore
 
 FORMAT_VERSION = 1
 
-# what np.load and the archive lookups raise on a file that is not a whole
-# checkpoint: not a zip, truncated, or missing an entry or a metadata field
-_UNREADABLE = (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError)
+# what np.load, the archive lookups and ParamStore.set_values raise on a file
+# that is not a whole checkpoint of the store: not a zip, truncated, missing
+# an entry or a metadata field, or holding a parameter of another shape
+_UNREADABLE = (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError, ParamRegistryError)
 
 
 def save_checkpoint(path, store: ParamStore, metadata: dict) -> None:
@@ -25,8 +26,6 @@ def save_checkpoint(path, store: ParamStore, metadata: dict) -> None:
     sees it half written."""
     meta = dict(metadata)
     meta["format_version"] = FORMAT_VERSION
-    meta["rng_seed"] = store.seed
-    meta["param_names"] = store.names()
     arrays = {f"param/{name}": store.tensor(name).data for name in store.names()}
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
@@ -42,11 +41,13 @@ def save_checkpoint(path, store: ParamStore, metadata: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    """The parameters and metadata of a checkpoint. A file that cannot be
-    read as one raises CompatibilityError naming the path."""
+def load_checkpoint(path, store: ParamStore) -> dict:
+    """Load the checkpoint's values of the parameters that `store` names
+    into it, and return the checkpoint's metadata. A file that cannot be
+    read as one, or lacks one of those parameters or holds it in another
+    shape, raises CompatibilityError naming the path."""
     try:
-        with np.load(path) as npz:
+        with open(path, "rb") as fh, np.load(fh) as npz:
             meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
             if not isinstance(meta, dict):
                 raise ValueError("metadata is not a JSON object")
@@ -54,11 +55,8 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
                 raise CompatibilityError(
                     f"unsupported checkpoint format version: {meta.get('format_version')}"
                 )
-            arrays = {name: npz[f"param/{name}"] for name in meta["param_names"]}
+            store.set_values({name: npz[f"param/{name}"] for name in store.names()})
     except _UNREADABLE as exc:
         raise CompatibilityError(
             f"checkpoint {str(path)!r} is unreadable: {type(exc).__name__}: {exc}") from None
-    store = ParamStore(seed=meta.get("rng_seed", 0))
-    for name, values in arrays.items():
-        store.add(name, values)
-    return store, meta
+    return meta

@@ -14,8 +14,7 @@ class ParamStore:
     """Holds named leaf tensors. The optimizer mutates .data in place; the
     autodiff tape writes gradients into .grad of those with requires_grad on."""
 
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+    def __init__(self):
         self._tensors: dict[str, Tensor] = {}
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
@@ -72,7 +71,7 @@ def init_params(spec, seed: int) -> ParamStore:
     """Glorot-uniform weights, zero biases. 1-D entries are treated as biases;
     entries of rank >= 2 draw uniform(+-sqrt(6/(fan_in+fan_out))). Deterministic
     per seed and spec order. `spec` is a name→shape mapping."""
-    store = ParamStore(seed)
+    store = ParamStore()
     rng = np.random.default_rng(seed)
     for name, shape in spec.items():
         shape = tuple(int(s) for s in shape)

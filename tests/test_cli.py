@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aptstage.config import (
 )
 from aptstage.errors import ValidationError
 from aptstage.features import FeatureVocab, FeaturizerConfig, ZScoreStats, feature_spec_hash
+from aptstage.model import build_param_store
 from aptstage.nn import load_checkpoint, save_checkpoint
 
 FAST = {
@@ -43,6 +45,12 @@ def run(*argv):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def load_trained(ckpt, cfg_path):
+    """The configured model's store loaded from `ckpt`, and the checkpoint's meta."""
+    store = build_param_store(load_config(cfg_path).model)
+    return store, load_checkpoint(ckpt, store)
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +83,14 @@ def test_every_producer_is_a_stage():
 
 
 def test_every_artifact_records_its_producer(pipeline):
-    workdir, _ = pipeline
+    workdir, cfg_path = pipeline
     for key, (name, stage) in cli.ARTIFACTS.items():
         if name.endswith(".json"):  # embedded meta
             assert json.loads((workdir / name).read_text())["meta"]["stage"] == stage, key
         else:
             assert json.loads((workdir / (name + ".meta.json")).read_text())["stage"] == stage, key
         if name.endswith(".npz"):
-            assert load_checkpoint(workdir / name)[1]["stage"] == stage, key
+            assert load_trained(workdir / name, cfg_path)[1]["stage"] == stage, key
 
 
 def test_stage_alert_export_schema(pipeline):
@@ -215,10 +223,17 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
+def _d_cmd_zero(text):
+    doc = json.loads(text)
+    doc["config"]["d_cmd"] = 0
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("artifact,edit,stage", [
     pytest.param("feature_spec.json", _truncated, "finetune", id="spec-not-json"),
     pytest.param("feature_spec.json", _without("stats"), "pretrain", id="spec-without-stats"),
     pytest.param("feature_spec.json", _without("meta"), "infer", id="spec-without-meta"),
+    pytest.param("feature_spec.json", _d_cmd_zero, "pretrain", id="spec-width-zero"),
     pytest.param("graphs.jsonl.meta.json", _truncated, "fit-features", id="sidecar-not-json"),
     pytest.param("graphs.jsonl.meta.json", _without("config_hash"), "fit-features",
                  id="sidecar-without-config-hash"),
@@ -256,7 +271,7 @@ def test_exit_code_feature_spec_edited(pipeline, tmp_path, capsys):
 def test_exit_code_checkpoint_meta_mismatch(pipeline, tmp_path, capsys, key, message):
     workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
     ckpt = workdir / "pretrain_ckpt.npz"
-    store, meta = load_checkpoint(ckpt)
+    store, meta = load_trained(ckpt, cfg_path)
     save_checkpoint(ckpt, store, dict(meta, **{key: "0" * 64}))
     (workdir / "pretrain_ckpt.npz.meta.json").unlink()  # only the embedded hash remains
     assert run("finetune", "--config", cfg_path) == 3
@@ -272,13 +287,59 @@ def test_exit_code_truncated_checkpoint(pipeline, tmp_path, capsys):
 
 
 def test_infer_exit_code_on_non_finite_checkpoint(pipeline, tmp_path):
-    workdir, _ = pipeline
+    workdir, cfg_path = pipeline
     shutil.copytree(workdir, tmp_path / "artifacts")
     ckpt = tmp_path / "artifacts" / "finetune_ckpt.npz"
-    store, meta = load_checkpoint(ckpt)
+    store, meta = load_trained(ckpt, cfg_path)
     store.tensor("head.stage.W").data[0, 0] = np.nan
     save_checkpoint(ckpt, store, meta)
     assert run("infer", "--config", write_config(tmp_path)) == 2
+
+
+def _rewrite_checkpoint(ckpt, cfg_path, edit):
+    """Rewrite `ckpt` in the earlier format, whose meta also held the model
+    config, the init seed and the parameter names, after `edit(arrays, meta)`
+    has changed it."""
+    with np.load(ckpt) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    model = load_config(cfg_path).model
+    meta.update(model=asdict(model), rng_seed=model.seed,
+                param_names=[k.removeprefix("param/") for k in arrays])
+    edit(arrays, meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    np.savez(ckpt, **arrays)
+
+
+def _head_a_column_short(arrays, meta):
+    arrays["param/head.stage.W"] = arrays["param/head.stage.W"][:, :-1]
+
+
+def _head_missing(arrays, meta):
+    del arrays["param/head.stage.W"]
+    meta["param_names"].remove("head.stage.W")
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_head_a_column_short, "shape mismatch for head.stage.W", id="head-a-column-short"),
+    pytest.param(_head_missing, "param/head.stage.W", id="head-missing"),
+])
+def test_exit_code_checkpoint_lacks_a_configured_parameter(pipeline, tmp_path, capsys, edit, message):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    _rewrite_checkpoint(workdir / "finetune_ckpt.npz", cfg_path, edit)
+    assert run("infer", "--config", cfg_path) == 3
+    err = capsys.readouterr().err
+    assert "finetune_ckpt.npz' is unreadable" in err and message in err
+
+
+def test_checkpoint_of_the_earlier_format_loads_into_the_configured_model(pipeline, tmp_path):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    # the recorded model config is no longer read: the config hash covers it
+    _rewrite_checkpoint(workdir / "finetune_ckpt.npz", cfg_path,
+                        lambda arrays, meta: meta["model"].update(dropout=2.0))
+    (workdir / "stage_alerts.jsonl").unlink()
+    assert run("infer", "--config", cfg_path) == 0
+    assert sha(workdir / "stage_alerts.jsonl") == sha(pipeline[0] / "stage_alerts.jsonl")
 
 
 def test_rerun_is_byte_identical(pipeline):
@@ -410,6 +471,8 @@ def _edit_graph(edit):
     pytest.param(_edit_graph(lambda d: d["nodes"][0]["attrs"].pop("first_ts")), id="node-without-first-ts"),
     pytest.param(_edit_graph(lambda d: d["nodes"][0]["attrs"].update(first_ts=1e9)),
                  id="node-first-ts-outside-window"),
+    pytest.param(_edit_graph(lambda d: next(n for n in d["nodes"] if n["kind"] == "alert")["attrs"].update(
+        protocol="carrier-pigeon")), id="alert-unknown-protocol"),
 ])
 def test_exit_code_malformed_graphs(tmp_path, capsys, corrupt):
     cfg_path = write_config(tmp_path)

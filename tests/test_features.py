@@ -237,7 +237,8 @@ def test_most_frequent_edge_has_unit_freq():
 
 def test_triggered_by_edge_alert_block():
     alert = mknode(NodeKind.ALERT, "alert:0:s", signature="s", severity=0.8,
-                   protocol="udp", category="c2")
+                   protocol="udp", category="c2", external_ip="198.51.100.7",
+                   external_port=53, outbound=True)
     proc = mknode(NodeKind.PROCESS, "p")
     g = make_graph(0, 0.0, (proc, alert),
                    (Edge(Relation.TRIGGERED_BY, 1, 0, 3.0),))

@@ -473,6 +473,8 @@ _MALFORMED_LINES = {
                               "outbound must be a bool: 1"),
     "alert-without-category": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].pop("category")),
                                "missing required field: category"),
+    "alert-unknown-protocol": (lambda: _graph_line(lambda d: d["nodes"][5]["attrs"].update(
+        protocol="carrier-pigeon")), "unknown protocol: 'carrier-pigeon'"),
     "process-without-first-ts": (lambda: _graph_line(lambda d: d["nodes"][1]["attrs"].pop("first_ts")),
                                  "missing required field: first_ts"),
     "first-ts-text": (lambda: _graph_line(lambda d: d["nodes"][3]["attrs"].update(first_ts="10")),

@@ -354,7 +354,8 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
     store.tensor("b").data[:] = np.pi
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, store, {"tag": "x"})
-    loaded, meta = load_checkpoint(path)
+    loaded = init_params({"w": (4, 3), "b": (4,)}, seed=4)
+    meta = load_checkpoint(path, loaded)
     assert meta["tag"] == "x"
     assert loaded.names() == store.names()
     for name in store.names():
@@ -373,7 +374,7 @@ def test_checkpoint_version_mismatch_refused(tmp_path):
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(CompatibilityError):
-        load_checkpoint(path)
+        load_checkpoint(path, init_params({"w": (2, 2)}, seed=0))
 
 
 def _rewrite(edit):
@@ -393,13 +394,14 @@ def _rewrite(edit):
     _rewrite(lambda arrays: arrays.pop("param/w")),
     _rewrite(lambda arrays: arrays.update(
         __meta__=np.frombuffer(b'{"format_version": 1,', dtype=np.uint8))),
-], ids=["truncated", "not-a-zip", "no-meta", "no-param", "bad-meta-json"])
+    _rewrite(lambda arrays: arrays.update({"param/w": arrays["param/w"][:, :2]})),
+], ids=["truncated", "not-a-zip", "no-meta", "no-param", "bad-meta-json", "param-of-another-shape"])
 def test_unreadable_checkpoint_refused_naming_the_path(tmp_path, damage):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, init_params({"w": (4, 3), "b": (4,)}, seed=3), {})
     damage(path)
     with pytest.raises(CompatibilityError, match=re.escape(f"checkpoint '{path}' is unreadable")):
-        load_checkpoint(path)
+        load_checkpoint(path, init_params({"w": (4, 3), "b": (4,)}, seed=3))
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -413,5 +415,5 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", savez_fails_midway)
     with pytest.raises(OSError):
         save_checkpoint(path, init_params({"w": (2, 2)}, seed=1), {"tag": "new"})
-    assert load_checkpoint(path)[1]["tag"] == "old"
+    assert load_checkpoint(path, init_params({"w": (2, 2)}, seed=0))["tag"] == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
