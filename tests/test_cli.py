@@ -329,7 +329,7 @@ def test_exit_code_checkpoint_lacks_a_configured_parameter(pipeline, tmp_path, c
     _rewrite_checkpoint(workdir / "finetune_ckpt.npz", cfg_path, edit)
     assert run("infer", "--config", cfg_path) == 3
     err = capsys.readouterr().err
-    assert "finetune_ckpt.npz' is unreadable" in err and message in err
+    assert "finetune_ckpt.npz' is unreadable" in err and message in err, err
 
 
 def test_checkpoint_of_the_earlier_format_loads_into_the_configured_model(pipeline, tmp_path):
