@@ -6,9 +6,9 @@ Stage-wise subcommands with file artifacts at every boundary:
                                         ↘ evaluate / infer / export-attention
 
 Every artifact records the hash of the config that produced it and the stage
-that `ARTIFACTS` names as its producer (embedded for JSON artifacts,
-`<file>.meta.json` sidecars for the rest); stages refuse mismatched upstream
-artifacts. Exit codes: 0 success, 1 usage/config error,
+that `ARTIFACTS` names as its producer (embedded in JSON artifacts and
+checkpoints, in a `<file>.meta.json` sidecar for the rest); stages refuse
+mismatched upstream artifacts. Exit codes: 0 success, 1 usage/config error,
 2 data error, 3 dependency/compatibility error.
 """
 from __future__ import annotations
@@ -123,7 +123,9 @@ def _require(cfg: PipelineConfig, key: str) -> str:
     """The artifact's path. Fail with a dependency error naming its producer
     if it is absent, or a compatibility error if the config hash it records
     (embedded in a JSON artifact, else in its sidecar if present) is not the
-    current config's."""
+    current config's. A checkpoint embeds its config hash, which
+    `_load_model_checkpoint` checks; a sidecar an older run left beside one
+    is checked here too."""
     path = _path(cfg, key)
     if not os.path.exists(path):
         raise DependencyError(
@@ -221,14 +223,16 @@ def _load_model_checkpoint(cfg: PipelineConfig, key: str, spec_hash: str):
 
 
 def _save_trained(cfg: PipelineConfig, ckpt_key: str, log_key: str, store, spec_hash: str,
-                  log: list, columns: list) -> str:
-    """Write a training stage's checkpoint, whose meta also names the feature
-    spec, and its log as CSV, with a sidecar each; returns the checkpoint
+                  log: list) -> str:
+    """Write a training stage's checkpoint, whose embedded meta records its
+    provenance and the feature spec, and its log as CSV with a sidecar, the
+    columns being the keys of the log's first record; returns the checkpoint
     path."""
     ckpt = _path(cfg, ckpt_key)
     save_checkpoint(ckpt, store, _meta(cfg, ckpt_key, feature_spec_hash=spec_hash))
-    _write_csv(_path(cfg, log_key), log, columns)
-    _write_sidecar(cfg, ckpt_key)
+    if os.path.exists(_sidecar_path(ckpt)):  # an older run's, no longer this checkpoint's
+        os.remove(_sidecar_path(ckpt))
+    _write_csv(_path(cfg, log_key), log, list(log[0]))
     _write_sidecar(cfg, log_key)
     return ckpt
 
@@ -278,8 +282,7 @@ def cmd_pretrain(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=False)
     store = build_param_store(cfg.model)
     result = pretrain([trace], store, cfg.model, cfg.pretrain)
-    ckpt = _save_trained(cfg, "pretrain_ckpt", "pretrain_log", store, spec_hash, result.loss_log,
-                         ["epoch", "loss_pred", "loss_ctr", "loss_ssl"])
+    ckpt = _save_trained(cfg, "pretrain_ckpt", "pretrain_log", store, spec_hash, result.loss_log)
     first, last = result.loss_log[0]["loss_ssl"], result.loss_log[-1]["loss_ssl"]
     print(f"pretrain: L_ssl {first:.4f} -> {last:.4f} over "
           f"{len(result.loss_log)} epochs; checkpoint {ckpt}")
@@ -291,31 +294,28 @@ def cmd_finetune(cfg: PipelineConfig) -> None:
     train, val = split_train_val([trace], cfg.finetune.val_fraction)
     store = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
     result = finetune(train, store, cfg.model, cfg.finetune, val_traces=val)
-    ckpt = _save_trained(cfg, "finetune_ckpt", "finetune_log", store, spec_hash, result.metric_log,
-                         ["phase", "epoch", "seq_len", "loss_sup", "val_f1"])
+    ckpt = _save_trained(cfg, "finetune_ckpt", "finetune_log", store, spec_hash, result.metric_log)
     best = max(r["val_f1"] for r in result.metric_log)
     print(f"finetune: best val macro-F1 {best:.4f}; checkpoint {ckpt}")
 
 
 def _fold_traces(trace: Trace, k: int):
     """Split one window timeline into k contiguous block-traces."""
-    blocks = fold_blocks(len(trace.windows), k)
     return [Trace(trace_id=f"block{i}", windows=[trace.windows[j] for j in idx])
-            for i, idx in enumerate(blocks)]
+            for i, idx in enumerate(fold_blocks(len(trace.windows), k))]
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
     trace, spec_hash = _load_trace(cfg, labeled=True)
-    blocks = _fold_traces(trace, cfg.folds)
 
-    def fit_eval(train_blocks, test_blocks):
+    def fit_eval(train_blocks, test_block):
         store = _load_model_checkpoint(cfg, "pretrain_ckpt", spec_hash)
         finetune(train_blocks, store, cfg.model, cfg.finetune)
-        scores = trace_scores(*predict_traces(test_blocks, store, cfg.model))
+        scores = trace_scores(*predict_traces([test_block], store, cfg.model))
         return {name: scores[name] for name in ("macro_f1", "macro_precision", "macro_recall",
                                                 "accuracy", "aupr", "tfr")}
 
-    report = evaluate_folds(blocks, fit_eval, k=cfg.folds)
+    report = evaluate_folds(_fold_traces(trace, cfg.folds), fit_eval)
     json_path = _path(cfg, "metrics_json")
     write_metrics_csv(_path(cfg, "metrics_csv"), report)
     write_metrics_json(json_path, report, extra={"meta": _meta(cfg, "metrics_json", folds=cfg.folds)})
@@ -346,8 +346,7 @@ def cmd_export_attention(cfg: PipelineConfig) -> None:
     store = _load_model_checkpoint(cfg, source, spec_hash)
     graphs = [w.graph for w in trace.windows]
     with no_grad():
-        alpha = encode_windows([(w.X, w.Z, w.graph) for w in trace.windows],
-                               store, cfg.model).alpha.data
+        alpha = encode_windows(trace.windows, store, cfg.model).alpha.data
     # the readout normalizes per window, so batching leaves each window's weights as they are
     bounds = np.cumsum([len(g.nodes) for g in graphs])[:-1]
     out = _path(cfg, "attention")
@@ -356,15 +355,16 @@ def cmd_export_attention(cfg: PipelineConfig) -> None:
     print(f"export-attention: {alpha.size} node weights -> {out}")
 
 
+# stage -> (command, its help text)
 _COMMANDS = {
-    "generate": cmd_generate,
-    "build-graphs": cmd_build_graphs,
-    "fit-features": cmd_fit_features,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "evaluate": cmd_evaluate,
-    "infer": cmd_infer,
-    "export-attention": cmd_export_attention,
+    "generate": (cmd_generate, "synthesize labeled telemetry (events, alerts, labels)"),
+    "build-graphs": (cmd_build_graphs, "segment telemetry into windows and build fused graphs"),
+    "fit-features": (cmd_fit_features, "fit the TF-IDF vocabulary and z-score statistics"),
+    "pretrain": (cmd_pretrain, "self-supervised pretraining (prediction + contrastive)"),
+    "finetune": (cmd_finetune, "two-phase supervised fine-tuning"),
+    "evaluate": (cmd_evaluate, "temporal k-fold evaluation with per-fold training"),
+    "infer": (cmd_infer, "stage probabilities, decisions, and alert export"),
+    "export-attention": (cmd_export_attention, "per-node readout attention weights as CSV"),
 }
 
 
@@ -388,18 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kill-chain stage estimation over fused provenance graphs.",
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "generate": "synthesize labeled telemetry (events, alerts, labels)",
-        "build-graphs": "segment telemetry into windows and build fused graphs",
-        "fit-features": "fit the TF-IDF vocabulary and z-score statistics",
-        "pretrain": "self-supervised pretraining (prediction + contrastive)",
-        "finetune": "two-phase supervised fine-tuning",
-        "evaluate": "temporal k-fold evaluation with per-fold training",
-        "infer": "stage probabilities, decisions, and alert export",
-        "export-attention": "per-node readout attention weights as CSV",
-    }
-    for name, fn in _COMMANDS.items():
-        sub.add_parser(name, help=helps[name], parents=[common])
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
@@ -415,7 +405,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.overrides)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
         return 0
     except _DEP_ERRORS as exc:
         print(f"aptstage: dependency error: {exc}", file=sys.stderr)

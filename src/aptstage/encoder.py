@@ -55,11 +55,11 @@ class PackedGraphs:
 
 
 def pack_graphs(items) -> PackedGraphs:
-    """items: sequence of (X_raw, Z_raw, ProvenanceGraph) with X_raw a CSR
-    array. Each graph's `edge_index` joins the batch shifted by its first
-    node's offset, and each X_raw's rows join it by `indptr` shifted by the
-    non-zeros before them."""
-    graphs = [g for _, _, g in items]
+    """items: sequence of windows whose first three fields are X_raw (CSR),
+    Z_raw and the ProvenanceGraph. Each graph's `edge_index` joins the batch
+    shifted by its first node's offset, and each X_raw's rows join it by
+    `indptr` shifted by the non-zeros before them."""
+    graphs = [item[2] for item in items]
     n_per = np.array([len(g.nodes) for g in graphs], dtype=np.int64)
     n_nodes = int(n_per.sum())
     rel, src, dst = np.concatenate(
@@ -74,8 +74,8 @@ def pack_graphs(items) -> PackedGraphs:
     weight = np.repeat(1.0 / counts, counts)
     n_segs = len(seg_key)
     edge_mean = sp.csr_array((weight, order, indptr), shape=(n_segs, len(order)))
-    Z = np.concatenate([Z for _, Z, _ in items]) if items else np.zeros((0, 0))
-    blocks = [X for X, _, _ in items] or [sp.csr_array((0, 0))]
+    Z = np.concatenate([item[1] for item in items]) if items else np.zeros((0, 0))
+    blocks = [item[0] for item in items] or [sp.csr_array((0, 0))]
     width, *others = {X.shape[1] for X in blocks}
     if others:
         raise ValueError(f"node feature widths differ across windows: {sorted([width, *others])}")

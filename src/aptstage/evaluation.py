@@ -140,19 +140,15 @@ def fold_blocks(n_items: int, k: int) -> list:
     return [list(range(bounds[i], bounds[i + 1])) for i in range(k)]
 
 
-def evaluate_folds(dataset, fit_eval, k: int = 5) -> MetricReport:
-    """Temporal k-fold evaluation. `dataset` is a time-ordered sequence of
-    traces; `fit_eval(train_items, test_items)` runs the experiment recipe
-    (training included) and returns a {metric: value} dict per fold."""
-    dataset = list(dataset)
-    blocks = fold_blocks(len(dataset), k)
+def evaluate_folds(blocks: list, fit_eval) -> MetricReport:
+    """Temporal k-fold evaluation over a list of k time-ordered blocks, as
+    `fold_blocks` cuts them: each block is the test fold once, and
+    `fit_eval(train_blocks, test_block)` runs the experiment recipe (training
+    included) on the other blocks, in order, and returns a {metric: value}
+    dict per fold."""
     report = MetricReport()
-    for test_idx in blocks:
-        test_set = set(test_idx)
-        train_items = [dataset[i] for i in range(len(dataset)) if i not in test_set]
-        test_items = [dataset[i] for i in test_idx]
-        metrics = dict(fit_eval(train_items, test_items))
-        report.per_fold.append(metrics)
+    for i, test_block in enumerate(blocks):
+        report.per_fold.append(dict(fit_eval(blocks[:i] + blocks[i + 1:], test_block)))
     names = sorted({name for row in report.per_fold for name in row})
     for name in names:
         vals = np.array([row[name] for row in report.per_fold if name in row], dtype=float)

@@ -325,8 +325,9 @@ def save_feature_spec(path, vocab, stats, config, meta: dict | None = None) -> s
 
 def load_feature_spec(path):
     """(vocab, stats, config, spec_hash) of a saved feature spec. A file that
-    is not JSON, lacks a field read here or records widths that no
-    `FeaturizerConfig` takes raises CompatibilityError naming the path."""
+    is not JSON, lacks a field read here, records widths that no
+    `FeaturizerConfig` takes or arrays of other lengths than featurization
+    indexes raises CompatibilityError naming the path."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -345,6 +346,10 @@ def load_feature_spec(path):
             mean=np.array(payload["stats"]["mean"]),
             std=np.array(payload["stats"]["std"]),
         )
+        if not (len(vocab.idf) == len(tokens) <= config.d_cmd
+                and stats.mean.shape == stats.std.shape == (len(CONTINUOUS_COLUMNS),)):
+            raise ValueError(f"{len(tokens)} tokens and {len(vocab.idf)} idf values for d_cmd "
+                             f"{config.d_cmd}, mean {stats.mean.shape} and std {stats.std.shape}")
         return vocab, stats, config, payload["spec_hash"]
     except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
         raise CompatibilityError(

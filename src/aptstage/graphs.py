@@ -181,9 +181,13 @@ class ProvenanceGraph:
         _check_types("window_index", (index,), _INTEGER)
         _check_types("window_start", (start,), _NUMBER)
         nodes = _nodes_from_json(doc["nodes"], float(start))
-        rows = [(e["src"], _RELATION_ORDER[e["relation"]], e["dst"], e["timestamp"], e.get("bytes"),
-                 e.get("count", 1)) for e in doc["edges"]]
-        g = ProvenanceGraph(index, float(start), nodes, **_edge_columns(rows))
+        src, relation, dst, ts, nbytes, count = _required(
+            doc["edges"], ("src", "relation", "dst", "timestamp", "bytes", "count"))
+        for name, column, rule in (("src", src, _INTEGER), ("dst", dst, _INTEGER), ("count", count, _INTEGER),
+                                   ("timestamp", ts, _NUMBER), ("bytes", nbytes, _OPTIONAL_NUMBER)):
+            _check_types(name, column, rule)
+        rel = _lookup(_RELATION_ORDER, relation, "relation")
+        g = ProvenanceGraph(index, float(start), nodes, **_edge_columns(src, rel, dst, ts, nbytes, count))
         g.validate()
         return g
 
@@ -191,6 +195,8 @@ class ProvenanceGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+# an edge's `bytes`: null for an edge without a byte count
+_OPTIONAL_NUMBER = ({int, float, type(None)}, "a number or null")
 # what featurization reads of an alert node, by the JSON types it may hold
 _ALERT_ATTRS = (("signature", _TEXT), ("protocol", _TEXT), ("category", _TEXT), ("external_ip", _TEXT),
                 ("severity", _NUMBER), ("external_port", _NUMBER), ("outbound", ({bool}, "a bool")))
@@ -204,8 +210,7 @@ def _nodes_from_json(docs, window_start: float) -> tuple:
     number inside the window, `commands` or `users` that are not lists of
     strings, and an alert node whose attributes lack the types, ranges and
     protocols `build_graph` gives them."""
-    nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd.get("attrs", {})))
-                  for nd in docs)
+    nodes = tuple(Node(kind=_NODE_KINDS[nd["kind"]], key=nd["key"], attrs=dict(nd["attrs"])) for nd in docs)
     attrs = [nd.attrs for nd in nodes]
     _check_types("key", [nd.key for nd in nodes], _TEXT)
     (first_ts,) = _required(attrs, ("first_ts",))
@@ -230,10 +235,9 @@ def _nodes_from_json(docs, window_start: float) -> tuple:
     return nodes
 
 
-def _edge_columns(rows) -> dict:
-    """The `ProvenanceGraph` edge columns, by field name, of (src, relation
-    id, dst, timestamp, bytes or None, count) rows, one edge per row."""
-    src, rel, dst, ts, nbytes, count = zip(*rows) if rows else ((),) * 6
+def _edge_columns(src, rel, dst, ts, nbytes, count) -> dict:
+    """The `ProvenanceGraph` edge columns, by field name, of per-edge
+    sequences of src, relation id, dst, timestamp, bytes or None, and count."""
     return dict(edge_index=np.array([rel, src, dst], dtype=np.int64),
                 edge_time=np.array(ts, dtype=float), edge_bytes=np.trunc(np.array(nbytes, dtype=float)),
                 edge_count=np.array(count, dtype=np.int64))

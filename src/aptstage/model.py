@@ -56,8 +56,9 @@ def build_param_store(cfg: ModelConfig) -> ParamStore:
 
 
 def encode_windows(window_feats, store: ParamStore, cfg: ModelConfig):
-    """Encode a list of (X, Z, graph) windows into one (n, d_g) embedding
-    tensor (row order follows the input order); no windows give zero rows."""
+    """Encode a list of windows, `training.WindowRecord`s or (X, Z, graph)
+    triples, into one (n, d_g) embedding tensor in input order; no windows
+    give zero rows."""
     packed = pack_graphs(window_feats)
     if not window_feats:  # no window to take the feature widths from
         packed = replace(packed, X=sp.csr_array((0, cfg.featurizer.node_dim)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +37,9 @@ from .losses import loss_contrastive_pooled, loss_pred, loss_supervised
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class WindowRecord:
+class WindowRecord(NamedTuple):
+    """A featurized window; `model.encode_windows` reads its first three fields."""
+
     X: sp.csr_array  # (|V|, d_x) raw node features, sparse
     Z: np.ndarray    # (|E|, d_e) raw edge features
     graph: object
@@ -194,9 +196,7 @@ def _batch_forward(batch, traces, cache, store, mcfg: ModelConfig, dropout_seed:
     recurrence inputs and top-layer states."""
     refs, seq_rows = _batch_layout(batch)
     if cache is None:
-        g_all = encode_windows([(traces[ti].windows[w].X, traces[ti].windows[w].Z,
-                                 traces[ti].windows[w].graph) for ti, w in refs],
-                               store, mcfg).g
+        g_all = encode_windows([traces[ti].windows[w] for ti, w in refs], store, mcfg).g
     else:
         g_all = as_tensor(np.stack([cache[ti][w] for ti, w in refs]))
     g_seq = gather_rows(g_all, seq_rows.ravel())
@@ -228,8 +228,7 @@ def _embedding_cache(traces, store, mcfg: ModelConfig):
     caches = []
     with no_grad():
         for tr in traces:
-            enc = encode_windows([(w.X, w.Z, w.graph) for w in tr.windows], store, mcfg)
-            caches.append(enc.g.data.copy())
+            caches.append(encode_windows(tr.windows, store, mcfg).g.data.copy())
     return caches
 
 
@@ -312,7 +311,7 @@ def predict_trace(trace, store, mcfg: ModelConfig, g=None) -> np.ndarray:
     while the encoder is frozen."""
     if g is not None:
         return stage_probabilities(g, store, mcfg)
-    return infer_probabilities([(w.X, w.Z, w.graph) for w in trace.windows], store, mcfg)
+    return infer_probabilities(trace.windows, store, mcfg)
 
 
 def predict_traces(traces, store, mcfg: ModelConfig, cache=None):

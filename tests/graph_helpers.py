@@ -16,7 +16,8 @@ def make_graph(window_index, window_start, nodes, edges=()):
     """A `ProvenanceGraph` holding `nodes` and the `Edge`s `edges`, in the
     order given. Not validated."""
     rows = [(e.src, _RELATION_ORDER[e.relation], e.dst, e.timestamp, e.bytes, e.count) for e in edges]
-    return ProvenanceGraph(window_index, window_start, tuple(nodes), **_edge_columns(rows))
+    columns = list(zip(*rows)) or [()] * 6  # the edge columns, transposed from the rows
+    return ProvenanceGraph(window_index, window_start, tuple(nodes), **_edge_columns(*columns))
 
 
 def event_table(events):

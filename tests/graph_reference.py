@@ -194,6 +194,7 @@ def build_graph(window) -> ProvenanceGraph:
     rows.extend((index[ad.key], _TRIGGERED_BY, index[tk], ts, None, 1) for ad, tk, ts in fusion_edges)
     rows.extend((i, _SELF_LOOP, i, d.first_ts, None, 1) for i, d in enumerate(order))
     rows.sort()
-    g = ProvenanceGraph(window.index, window.start, nodes, **_edge_columns(rows))
+    columns = list(zip(*rows)) or [()] * 6  # the edge columns, transposed from the rows
+    g = ProvenanceGraph(window.index, window.start, nodes, **_edge_columns(*columns))
     g.validate()
     return g

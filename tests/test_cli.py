@@ -82,15 +82,23 @@ def test_every_producer_is_a_stage():
     assert {stage for _, stage in cli.ARTIFACTS.values()} <= set(cli._COMMANDS)
 
 
+def test_every_stage_is_a_subcommand_with_its_table_help():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: help_text for name, (_, help_text) in cli._COMMANDS.items()}
+
+
 def test_every_artifact_records_its_producer(pipeline):
     workdir, cfg_path = pipeline
     for key, (name, stage) in cli.ARTIFACTS.items():
         if name.endswith(".json"):  # embedded meta
             assert json.loads((workdir / name).read_text())["meta"]["stage"] == stage, key
+        elif name.endswith(".npz"):  # the checkpoint's embedded meta, and no sidecar
+            assert load_trained(workdir / name, cfg_path)[1]["stage"] == stage, key
+            assert not (workdir / (name + ".meta.json")).exists(), key
         else:
             assert json.loads((workdir / (name + ".meta.json")).read_text())["stage"] == stage, key
-        if name.endswith(".npz"):
-            assert load_trained(workdir / name, cfg_path)[1]["stage"] == stage, key
 
 
 def test_stage_alert_export_schema(pipeline):
@@ -131,11 +139,17 @@ def test_metrics_report_fields(pipeline):
 def test_training_logs_parse(pipeline):
     workdir, _ = pipeline
     with open(workdir / "pretrain_log.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    # the header is the keys of `PretrainResult.loss_log`'s records, in order
+    assert reader.fieldnames == ["epoch", "loss_pred", "loss_ctr", "loss_ssl"]
     assert len(rows) == 2
     assert all(float(r["loss_ssl"]) > 0 for r in rows)
     with open(workdir / "finetune_log.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    # and of `FinetuneResult.metric_log`'s
+    assert reader.fieldnames == ["phase", "epoch", "seq_len", "loss_sup", "val_f1"]
     assert {r["phase"] for r in rows} == {"phase1", "phase2"}
 
 
@@ -273,9 +287,19 @@ def test_exit_code_checkpoint_meta_mismatch(pipeline, tmp_path, capsys, key, mes
     ckpt = workdir / "pretrain_ckpt.npz"
     store, meta = load_trained(ckpt, cfg_path)
     save_checkpoint(ckpt, store, dict(meta, **{key: "0" * 64}))
-    (workdir / "pretrain_ckpt.npz.meta.json").unlink()  # only the embedded hash remains
     assert run("finetune", "--config", cfg_path) == 3
     assert message in capsys.readouterr().err
+
+
+def test_training_stage_removes_an_older_runs_checkpoint_sidecar(pipeline, tmp_path, capsys):
+    workdir, cfg_path = _copy_pipeline(pipeline, tmp_path)
+    sidecar = workdir / "pretrain_ckpt.npz.meta.json"
+    sidecar.write_text(json.dumps({"config_hash": "0" * 64, "stage": "pretrain"}))
+    assert run("finetune", "--config", cfg_path) == 3  # still checked while it is there
+    assert "pretrain_ckpt.npz' was produced by config hash 000000000000" in capsys.readouterr().err
+    assert run("pretrain", "--config", cfg_path) == 0
+    assert not sidecar.exists()
+    assert run("finetune", "--config", cfg_path) == 0
 
 
 def test_exit_code_truncated_checkpoint(pipeline, tmp_path, capsys):

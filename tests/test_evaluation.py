@@ -219,15 +219,15 @@ def test_fold_blocks_errors():
 
 
 def test_evaluate_folds_mean_and_sample_std():
-    dataset = list(range(10))
+    blocks = fold_blocks(10, 2)
     values = iter([0.9, 1.0])
 
     def fit_eval(train, test):
-        assert len(train) + len(test) == 10
-        assert not set(train) & set(test)
+        assert len(train) + 1 == 2
+        assert test not in train
         return {"macro_f1": next(values)}
 
-    report = evaluate_folds(dataset, fit_eval, k=2)
+    report = evaluate_folds(blocks, fit_eval)
     assert report.mean["macro_f1"] == pytest.approx(0.95)
     assert report.std["macro_f1"] == pytest.approx(
         math.sqrt(((0.9 - 0.95) ** 2 + (1.0 - 0.95) ** 2) / 1), abs=1e-12)
@@ -235,21 +235,23 @@ def test_evaluate_folds_mean_and_sample_std():
 
 
 def test_evaluate_folds_single_fold_std_zero():
-    report = evaluate_folds([1, 2, 3], lambda tr, te: {"m": 0.5}, k=1)
+    report = evaluate_folds([[1, 2, 3]], lambda tr, te: {"m": 0.5})
     assert report.std["m"] == 0.0
-    # k=1 trains on the empty complement; the recipe decides whether that is valid
+    # one block trains on the empty complement; the recipe decides whether that is valid
     assert report.per_fold == [{"m": 0.5}]
 
 
 def test_evaluate_folds_temporal_blocks():
     seen = []
-    evaluate_folds(list(range(6)), lambda tr, te: seen.append(list(te)) or {"m": 0.0}, k=3)
-    assert seen == [[0, 1], [2, 3], [4, 5]]
+    evaluate_folds(fold_blocks(6, 3), lambda tr, te: seen.append((tr, te)) or {"m": 0.0})
+    assert seen == [([[2, 3], [4, 5]], [0, 1]),
+                    ([[0, 1], [4, 5]], [2, 3]),
+                    ([[0, 1], [2, 3]], [4, 5])]
 
 
 def test_metric_writers(tmp_path):
-    report = evaluate_folds(list(range(4)),
-                            lambda tr, te: {"macro_f1": 0.5 + 0.1 * te[0]}, k=2)
+    report = evaluate_folds(fold_blocks(4, 2),
+                            lambda tr, te: {"macro_f1": 0.5 + 0.1 * te[0]})
     csv_path = tmp_path / "metrics.csv"
     json_path = tmp_path / "metrics.json"
     write_metrics_csv(csv_path, report)

@@ -13,6 +13,7 @@ from aptstage.errors import CompatibilityError, FitError, ValidationError
 from aptstage.features import (
     CONSTANT_STD,
     CONTINUOUS_COLUMNS,
+    FeatureVocab,
     FeaturizerConfig,
     ZScoreStats,
     _PRIVILEGED,
@@ -567,6 +568,26 @@ def test_spec_version_refused(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CompatibilityError):
         load_feature_spec(path)
+
+
+_THREE_TOKENS = {"cmd": 0, "exe": 1, "wget": 2}
+
+
+@pytest.mark.parametrize("idf,d_cmd,mean,std", [
+    pytest.param([1.0, 2.0], 64, [0.0] * 4, [1.0] * 4, id="two-idf-values-for-three-tokens"),
+    pytest.param([1.0, 2.0, 3.0], 2, [0.0] * 4, [1.0] * 4, id="more-tokens-than-d_cmd"),
+    pytest.param([1.0, 2.0, 3.0], 64, [0.0] * 3, [1.0] * 4, id="a-mean-short"),
+    pytest.param([1.0, 2.0, 3.0], 64, [0.0] * 4, [1.0] * 5, id="a-std-over"),
+])
+def test_spec_of_mis_sized_vocab_or_stats_refused(tmp_path, idf, d_cmd, mean, std):
+    # featurizing with such a spec would index past its arrays
+    cfg = FeaturizerConfig(d_cmd=d_cmd)
+    vocab = FeatureVocab(token_index=_THREE_TOKENS, idf=np.array(idf), d_cmd=d_cmd)
+    path = tmp_path / "spec.json"
+    save_feature_spec(path, vocab, ZScoreStats(mean=np.array(mean), std=np.array(std)), cfg)
+    with pytest.raises(CompatibilityError) as ei:
+        load_feature_spec(path)
+    assert f"feature spec '{path}' is unreadable: ValueError" in str(ei.value)
 
 
 def test_tokenize_lowercases_and_splits():

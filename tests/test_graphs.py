@@ -455,9 +455,22 @@ _MALFORMED_LINES = {
                           "'daemon'"),
     "unhashable-node-kind": (lambda: _graph_line(lambda d: d["nodes"][0].update(kind=[])),
                              "unhashable"),
-    "missing-edge-field": (lambda: _graph_line(lambda d: d["edges"][0].pop("dst")), "'dst'"),
+    "missing-edge-field": (lambda: _graph_line(lambda d: d["edges"][0].pop("dst")),
+                           "missing required field: dst"),
     "missing-edges": (lambda: _graph_line(lambda d: d.pop("edges")), "'edges'"),
-    "non-numeric-src": (lambda: _graph_line(lambda d: d["edges"][0].update(src="a")), "ValueError"),
+    "non-numeric-src": (lambda: _graph_line(lambda d: d["edges"][0].update(src="a")),
+                        "src must be an integer: 'a'"),
+    # edge fields: the JSON types build_graph writes, none coerced
+    "fractional-src": (lambda: _graph_line(lambda d: d["edges"][0].update(src=0.9)),
+                       "src must be an integer: 0.9"),
+    "boolean-count": (lambda: _graph_line(lambda d: d["edges"][0].update(count=True)),
+                      "count must be an integer: True"),
+    "timestamp-text": (lambda: _graph_line(lambda d: d["edges"][0].update(timestamp="10.5")),
+                       "timestamp must be a number: '10.5'"),
+    "bytes-text": (lambda: _graph_line(lambda d: d["edges"][0].update(bytes="10")),
+                   "bytes must be a number or null: '10'"),
+    "missing-count": (lambda: _graph_line(lambda d: d["edges"][0].pop("count")),
+                      "missing required field: count"),
     "count-beyond-int64": (lambda: _graph_line(lambda d: d["edges"][0].update(count=2**70)),
                            "OverflowError"),
     "negative-bytes": (lambda: _graph_line(lambda d: d["edges"][0].update(bytes=-5)),

@@ -140,6 +140,18 @@ def test_batch_attention_equals_per_window_attention(rng):
     assert np.array_equal(alpha, np.concatenate(alone))
 
 
+def test_window_records_and_their_triples_give_bit_identical_results(rng):
+    records = [WindowRecord(*window(rng, f"w{i}", n=3 + i), label=i) for i in range(4)]
+    triples = [(w.X, w.Z, w.graph) for w in records]
+    store = build_param_store(MCFG)
+    with no_grad():
+        enc, enc_triples = (encode_windows(wins, store, MCFG) for wins in (records, triples))
+    assert np.array_equal(enc.g.data, enc_triples.g.data)
+    assert np.array_equal(enc.alpha.data, enc_triples.alpha.data)
+    assert np.array_equal(infer_probabilities(records, store, MCFG),
+                          infer_probabilities(triples, store, MCFG))
+
+
 def test_infer_probabilities_empty():
     store = build_param_store(MCFG)
     probs = infer_probabilities([], store, MCFG)

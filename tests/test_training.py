@@ -586,7 +586,7 @@ def test_finetune_curriculum_logged(rng):
 
 def test_finetune_requires_labels(rng):
     traces = corpus(rng)
-    traces[0].windows[2].label = None
+    traces[0].windows[2] = traces[0].windows[2]._replace(label=None)
     store = build_param_store(MCFG)
     with pytest.raises(TrainingError):
         finetune(traces, store, MCFG, FinetuneConfig(phase1_epochs=1, phase2_epochs=1))
